@@ -22,6 +22,7 @@ from .dataset import (
     EncodingConfig,
     N_FEATURES,
     encode_dataset,
+    feature_matrix,
 )
 from .errors import DivergenceError, NumericError, ValidationError
 
@@ -123,6 +124,7 @@ class AnnModel:
     val_loss: tuple[float, ...]
     stopped_epoch: int
     encoding: EncodingConfig = field(default_factory=lambda: DEFAULT_ENCODING)
+    family = "ann"  # class constant, not a field
 
 
 def init_weights(topology: NetworkTopology, seed: int) -> Weights:
@@ -359,10 +361,10 @@ def train_trajectory(
     return scaler, [(e, result["snapshots"][e]) for e in checkpoints]
 
 
-def predict_ann(model: AnnModel, x: np.ndarray) -> float:
-    """Prediction at one encoded feature vector, on the expenditure scale."""
-    out, _ = forward(model.weights, x)
-    return float(model.scaler.inverse(out))
+def predict_ann(model: AnnModel, X: np.ndarray) -> np.ndarray:
+    """Expenditure-scale predictions at the rows of an (n, 6) feature matrix."""
+    out, _ = _forward_batch(model.weights, feature_matrix(X))
+    return model.scaler.inverse(out)
 
 
 def gradient_check(

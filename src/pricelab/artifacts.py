@@ -1,10 +1,10 @@
 """Plain-text model artifacts.
 
 Every fitted model serializes to a sectioned key-value file that starts with
-``family = <glm|gam|ann>`` and embeds the encoding configuration it was fit
+``family = <model.family>`` and embeds the encoding configuration it was fit
 with, so prediction needs nothing beyond the artifact.  Floats are written
-with ``repr`` and therefore reload bit-exactly: a reloaded model predicts
-byte-identically to the one that was saved.
+with ``repr`` and therefore reload bit-exactly: a reloaded model's batch
+predictions equal those of the model that was saved.
 """
 
 from __future__ import annotations
@@ -241,27 +241,25 @@ def _section(sections: Sections, name: str) -> Pairs:
     raise ValidationError(f"artifact is missing [{name}] section")
 
 
+_CODECS = {
+    "glm": (_glm_sections, _glm_from_sections),
+    "gam": (_gam_sections, _gam_from_sections),
+    "ann": (_ann_sections, _ann_from_sections),
+}
+
+
 def save_model(model, path: str | Path) -> None:
-    if isinstance(model, GlmModel):
-        sections = _glm_sections(model)
-    elif isinstance(model, GamModel):
-        sections = _gam_sections(model)
-    elif isinstance(model, AnnModel):
-        sections = _ann_sections(model)
-    else:
+    codec = _CODECS.get(getattr(model, "family", None))
+    if codec is None:
         raise ValidationError(f"cannot serialize {type(model).__name__}")
-    Path(path).write_text(dump_sections(sections), encoding="utf-8")
+    Path(path).write_text(dump_sections(codec[0](model)), encoding="utf-8")
 
 
 def load_model(path: str | Path):
     text = Path(path).read_text(encoding="utf-8")
     sections = parse_sections(text)
-    head = dict(sections[0][1])
-    family = head.get("family")
-    if family == "glm":
-        return _glm_from_sections(sections)
-    if family == "gam":
-        return _gam_from_sections(sections)
-    if family == "ann":
-        return _ann_from_sections(sections)
-    raise ValidationError(f"{path}: unknown or missing model family {family!r}")
+    family = dict(sections[0][1]).get("family")
+    codec = _CODECS.get(family)
+    if codec is None:
+        raise ValidationError(f"{path}: unknown or missing model family {family!r}")
+    return codec[1](sections)

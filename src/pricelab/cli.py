@@ -1,8 +1,10 @@
 """Command-line pipeline: gen, fit, predict, compare.
 
-Every command writes a ``<output>.manifest`` next to its primary output
-recording the exact argv, config path, seed and tool version; replaying the
-manifest reproduces the artifact byte for byte (timestamps aside).
+``predict`` prices a whole input file with one batch call, the same call the
+library makes.  Every command writes a ``<output>.manifest`` next to its
+primary output recording the exact argv, working directory, config path,
+seed and tool version; replaying the manifest from any directory reproduces
+the artifact byte for byte (timestamps aside).
 
 Exit codes: 0 success, 2 usage, 3 data or validation problem, 4 fit failure.
 """
@@ -12,19 +14,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import os
 import shlex
 import sys
 from pathlib import Path
 
 from . import __version__
-from .ann import NetworkTopology, TrainingConfig
 from .artifacts import load_model, save_model
 from .config import (
+    band_from_mapping,
     encoding_from_mapping,
     generator_from_mapping,
+    model_settings_from_mapping,
     read_config,
 )
-from .dataset import Dataset, encode, load_csv, split_half, write_csv, generate_synthetic
+from .dataset import Dataset, encode_dataset, load_csv, split_half, write_csv, generate_synthetic
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -35,19 +39,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .evaluation import (
-    AnnFamily,
-    DEFAULT_RATIO_FLOOR,
-    DEFAULT_TRIM_FRACTION,
-    GamFamily,
-    GlmFamily,
-    compare,
-    predictor_for,
-    render_markdown,
-    report_csv,
-)
-from .gam import SmoothConfig
-from .glm import LinkKind
+from .evaluation import FAMILIES, compare, render_markdown, report_csv
 
 _DATA_ERRORS = (SchemaError, ParseError, ValidationError, SingularityError)
 _FIT_ERRORS = (ConvergenceError, DivergenceError, NumericError)
@@ -70,6 +62,7 @@ def _write_manifest(
     lines = [
         f"command = {command}",
         f"argv = {shlex.join(argv)}",
+        f"cwd = {os.getcwd()}",
         f"config = {config_path or 'none'}",
         f"seed = {seed if seed is not None else 'none'}",
         f"inputs = {','.join(inputs) or 'none'}",
@@ -83,39 +76,29 @@ def _write_manifest(
 
 
 def replay_manifest(path: str | Path) -> int:
-    """Re-run the command recorded in a manifest; returns its exit code."""
+    """Re-run the command recorded in a manifest, from the working directory
+    it was first run in; returns its exit code."""
     if not Path(path).is_file():
         raise ValidationError(f"{path}: no such manifest")
-    argv: list[str] | None = None
+    fields = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         key, _, value = line.partition("=")
-        if key.strip() == "argv":
-            argv = shlex.split(value.strip())
-    if argv is None:
+        fields[key.strip()] = value.strip()
+    if "argv" not in fields:
         raise ValidationError(f"{path}: manifest has no argv line")
-    return main(argv)
+    here = os.getcwd()
+    try:
+        os.chdir(fields.get("cwd", here))
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot enter recorded directory: {exc}") from None
+    try:
+        return main(shlex.split(fields["argv"]))
+    finally:
+        os.chdir(here)
 
 
 def _load_mapping(config_path: str | None) -> dict[str, str]:
     return read_config(config_path) if config_path else {}
-
-
-def _model_settings(mapping: dict[str, str]):
-    link = LinkKind(mapping.get("link", "identity"))
-    smooth = SmoothConfig(
-        knots=int(mapping.get("knots", 6)),
-        penalty=float(mapping.get("penalty", 1e-3)),
-        force_linear=mapping.get("force_linear", "no").lower() in ("yes", "true", "1"),
-    )
-    hidden = tuple(int(h) for h in mapping.get("hidden", "8").split(","))
-    training = TrainingConfig(
-        learning_rate=float(mapping.get("learning_rate", 0.05)),
-        max_epochs=int(mapping.get("max_epochs", 2000)),
-        seed=int(mapping.get("train_seed", 0)),
-        validation_fraction=float(mapping.get("validation_fraction", 0.2)),
-        early_stop_patience=int(mapping.get("patience", 100)),
-    )
-    return link, smooth, NetworkTopology(hidden=hidden), training
 
 
 def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
@@ -143,18 +126,14 @@ def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
     mapping = _load_mapping(args.config)
     encoding = encoding_from_mapping(mapping)
-    link, smooth, topology, training = _model_settings(mapping)
+    settings = model_settings_from_mapping(mapping)
+    family_type = FAMILIES[args.family]
+    family = family_type(**{f.name: settings[f.name] for f in dataclasses.fields(family_type)})
     data = load_csv(args.input)
     if any(r.expenditure is None for r in data.records):
         raise ValidationError("fit needs the expenditure column")
     train_half, test_half = split_half(data, args.seed)
-
-    if args.family == "glm":
-        model = GlmFamily(link=link).fit(train_half, encoding)
-    elif args.family == "gam":
-        model = GamFamily(link=link, smooth=smooth).fit(train_half, encoding)
-    else:
-        model = AnnFamily(topology=topology, training=training).fit(train_half, encoding)
+    model = family.fit(train_half, encoding)
 
     out = Path(args.out)
     save_model(model, out)
@@ -173,11 +152,11 @@ def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
     model = load_model(args.model)
     data = load_csv(args.input)
-    predict = predictor_for(model)
-    has_actuals = all(r.expenditure is not None for r in data.records)
+    X, actual = encode_dataset(data, model.encoding)
+    predictions = FAMILIES[model.family].predict(model, X).tolist()
+    has_actuals = actual is not None
     lines = ["id,predicted_expenditure,ratio" if has_actuals else "id,predicted_expenditure"]
-    for record in data.records:
-        prediction = predict(encode(record, model.encoding))
+    for record, prediction in zip(data.records, predictions):
         if has_actuals:
             ratio = "" if record.expenditure == 0 else repr(prediction / record.expenditure)
             lines.append(f"{record.id},{prediction!r},{ratio}")
@@ -196,17 +175,17 @@ def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     if len(args.models) < 2:
         args.parser.error("compare needs at least two --model artifacts")
-    mapping = _load_mapping(args.config)
-    trim = float(mapping.get("trim_fraction", DEFAULT_TRIM_FRACTION))
-    floor = float(mapping.get("floor", DEFAULT_RATIO_FLOOR))
-
+    band = band_from_mapping(_load_mapping(args.config))
     models = [load_model(p) for p in args.models]
     index_sets = []
     for path in args.models:
         index_path = Path(str(path) + ".test-index")
         if not index_path.exists():
             raise ValidationError(f"missing test index file {index_path}")
-        ids = [int(line) for line in index_path.read_text().split()]
+        try:
+            ids = [int(line) for line in index_path.read_text().split()]
+        except ValueError as exc:
+            raise ValidationError(f"{index_path}: {exc}") from None
         index_sets.append(ids)
     if any(set(ids) != set(index_sets[0]) for ids in index_sets[1:]):
         raise ValidationError(
@@ -222,9 +201,7 @@ def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     test = Dataset(test_records)
     train = Dataset(train_records)
 
-    report = compare(
-        models, test, train=train, trim_fraction=trim, floor=floor, seed=args.seed
-    )
+    report = compare(models, test, train=train, seed=args.seed, **band)
     out_md = Path(args.out + ".md")
     out_csv = Path(args.out + ".csv")
     out_md.write_text(render_markdown(report), encoding="utf-8")
@@ -258,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen, parser=p_gen)
 
     p_fit = sub.add_parser("fit", help="split a CSV in half and fit one family")
-    p_fit.add_argument("--family", required=True, choices=("glm", "gam", "ann"))
+    p_fit.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p_fit.add_argument("--in", dest="input", required=True, help="input CSV")
     p_fit.add_argument("--seed", type=int, default=0, help="split seed")
     p_fit.add_argument("--config", default=None, help="key-value config file")

@@ -7,11 +7,13 @@ Floats are serialized with ``repr`` so artifacts round-trip bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
+from .ann import NetworkTopology, TrainingConfig
 from .dataset import DEFAULT_ENCODING, EncodingConfig, GeneratorParams, PriorClaim
 from .errors import ValidationError
+from .gam import SmoothConfig
+from .glm import LinkKind
 
 Pairs = list[tuple[str, str]]
 Sections = list[tuple[str, Pairs]]
@@ -91,6 +93,38 @@ def _bool_of(mapping: dict[str, str], key: str) -> bool:
     raise ValidationError(f"config key {key!r}: not a boolean: {mapping[key]!r}")
 
 
+def _link_of(mapping: dict[str, str], key: str) -> LinkKind:
+    try:
+        return LinkKind(mapping[key])
+    except ValueError:
+        raise ValidationError(f"config key {key!r}: not a link: {mapping[key]!r}") from None
+
+
+def _hidden_of(mapping: dict[str, str], key: str) -> tuple[int, ...]:
+    return tuple(_int_of({key: size}, key) for size in mapping[key].split(","))
+
+
+def _present(mapping: dict[str, str], fields: dict) -> dict[str, object]:
+    """Typed values of the ``fields`` keys present in ``mapping``, by setting name."""
+    return {name: read(mapping, key) for key, (name, read) in fields.items() if key in mapping}
+
+
+# config key -> (setting it fills, typed reader)
+_SMOOTH_FIELDS = {
+    "knots": ("knots", _int_of),
+    "penalty": ("penalty", _float_of),
+    "force_linear": ("force_linear", _bool_of),
+}
+_TRAINING_FIELDS = {
+    "learning_rate": ("learning_rate", _float_of),
+    "max_epochs": ("max_epochs", _int_of),
+    "patience": ("early_stop_patience", _int_of),
+    "validation_fraction": ("validation_fraction", _float_of),
+    "train_seed": ("seed", _int_of),
+}
+_BAND_FIELDS = {"trim_fraction": ("trim_fraction", _float_of), "floor": ("floor", _float_of)}
+
+
 _SEVERITY_KEYS = {
     "severity_none": PriorClaim.NONE,
     "severity_diabetes": PriorClaim.DIABETES,
@@ -110,14 +144,8 @@ GENERATOR_KEYS = frozenset(
         "noise_outlier_rate", "noise_outlier_factor",
     }
 )
-MODEL_KEYS = frozenset(
-    {
-        "link", "knots", "penalty", "force_linear",
-        "hidden", "learning_rate", "max_epochs", "patience",
-        "validation_fraction", "train_seed",
-    }
-)
-BAND_KEYS = frozenset({"trim_fraction", "floor"})
+MODEL_KEYS = frozenset({"link", "hidden", *_SMOOTH_FIELDS, *_TRAINING_FIELDS})
+BAND_KEYS = frozenset(_BAND_FIELDS)
 KNOWN_KEYS = ENCODING_KEYS | GENERATOR_KEYS | MODEL_KEYS | BAND_KEYS
 
 
@@ -139,14 +167,23 @@ def encoding_from_mapping(mapping: dict[str, str]) -> EncodingConfig:
 
 
 def generator_from_mapping(mapping: dict[str, str]) -> GeneratorParams:
-    params = GeneratorParams()
-    updates: dict[str, object] = {}
-    for key in GENERATOR_KEYS & set(mapping):
-        if key in ("n", "seed"):
-            updates[key] = _int_of(mapping, key)
-        else:
-            updates[key] = _float_of(mapping, key)
-    return replace(params, **updates)
+    fields = {key: (key, _int_of if key in ("n", "seed") else _float_of) for key in GENERATOR_KEYS}
+    return GeneratorParams(**_present(mapping, fields))
+
+
+def model_settings_from_mapping(mapping: dict[str, str]) -> dict[str, object]:
+    """Family settings from the model keys, by family field; absent keys keep defaults."""
+    return {
+        "link": _link_of(mapping, "link") if "link" in mapping else LinkKind.IDENTITY,
+        "smooth": SmoothConfig(**_present(mapping, _SMOOTH_FIELDS)),
+        "topology": NetworkTopology(**_present(mapping, {"hidden": ("hidden", _hidden_of)})),
+        "training": TrainingConfig(**_present(mapping, _TRAINING_FIELDS)),
+    }
+
+
+def band_from_mapping(mapping: dict[str, str]) -> dict[str, float]:
+    """``compare`` keyword arguments for the band keys present in ``mapping``."""
+    return _present(mapping, _BAND_FIELDS)
 
 
 def encoding_to_pairs(config: EncodingConfig) -> Pairs:

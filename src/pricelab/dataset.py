@@ -189,16 +189,18 @@ class GeneratorParams:
              self.coef_smoker, self.coef_claim_present, self.coef_claim_severity]
         )
 
-    def mean_expenditure(self, features: np.ndarray) -> float:
-        """Noise-free ground-truth expenditure at an encoded feature vector."""
-        x = np.asarray(features, dtype=float)
-        eta = (
+    def eta(self, x: np.ndarray) -> float:
+        """Noise-free linear predictor at one encoded feature vector."""
+        return (
             self.base_cost
             + float(self.coefficients() @ x)
             + self.age_curvature * x[1] ** 2
             + self.interaction * x[3] * x[5]
         )
-        return float(np.logaddexp(0.0, eta))
+
+    def mean_expenditure(self, features: np.ndarray) -> float:
+        """Noise-free ground-truth expenditure at an encoded feature vector."""
+        return float(np.logaddexp(0.0, self.eta(np.asarray(features, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -222,35 +224,52 @@ class Dataset:
         return frozenset(r.id for r in self.records)
 
 
-def _clamp01(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
 def encode(record: CustomerRecord, config: EncodingConfig = DEFAULT_ENCODING) -> np.ndarray:
     """Map a record to the six-component feature vector, clamped into [0, 1]."""
+    return encode_dataset(Dataset((record,)), config)[0][0]
+
+
+def _encode_columns(
+    male, age, income, smoker, claims: list[PriorClaim], config: EncodingConfig
+) -> np.ndarray:
+    """The (n, 6) feature matrix of n customers given column by column."""
     age_lo, age_hi = config.age_range
     inc_lo, inc_hi = config.income_range
-    return np.array(
-        [
-            1.0 if record.gender is Gender.MALE else 0.0,
-            _clamp01((record.age - age_lo) / (age_hi - age_lo)),
-            _clamp01((record.income - inc_lo) / (inc_hi - inc_lo)),
-            1.0 if record.smoker else 0.0,
-            0.0 if record.prior_claim is PriorClaim.NONE else 1.0,
-            config.claim_severity[record.prior_claim],
-        ]
-    )
+    X = np.empty((len(claims), N_FEATURES))
+    X[:, 0] = male
+    X[:, 1] = np.clip((age - age_lo) / (age_hi - age_lo), 0.0, 1.0)
+    X[:, 2] = np.clip((income - inc_lo) / (inc_hi - inc_lo), 0.0, 1.0)
+    X[:, 3] = smoker
+    X[:, 4] = [claim is not PriorClaim.NONE for claim in claims]
+    X[:, 5] = [config.claim_severity[claim] for claim in claims]
+    return X
 
 
 def encode_dataset(
     dataset: Dataset, config: EncodingConfig = DEFAULT_ENCODING
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Encode every record; returns (X, y) with y=None if any response is absent."""
-    X = np.vstack([encode(r, config) for r in dataset.records])
-    if any(r.expenditure is None for r in dataset.records):
+    records = dataset.records
+    X = _encode_columns(
+        np.array([r.gender is Gender.MALE for r in records]),
+        np.array([r.age for r in records], dtype=float),
+        np.array([r.income for r in records], dtype=float),
+        np.array([r.smoker for r in records]),
+        [r.prior_claim for r in records],
+        config,
+    )
+    if any(r.expenditure is None for r in records):
         return X, None
-    y = np.array([r.expenditure for r in dataset.records], dtype=float)
+    y = np.array([r.expenditure for r in records], dtype=float)
     return X, y
+
+
+def feature_matrix(X) -> np.ndarray:
+    """``X`` as an (n, 6) float matrix of encoded rows; one row is a batch of one."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != N_FEATURES:
+        raise ValidationError(f"features must have shape (n, {N_FEATURES}), got {X.shape}")
+    return X
 
 
 def _severity_attenuation(config: EncodingConfig) -> float:
@@ -303,39 +322,23 @@ def generate_synthetic(
     else:
         noise = np.zeros(n)
 
-    coef = params.coefficients()
-    records = []
-    for i in range(n):
-        claim = PriorClaim(_CLAIM_CATEGORIES[categories[i]]) if claim_present[i] else PriorClaim.NONE
-        partial = CustomerRecord(
+    claims = [
+        PriorClaim(_CLAIM_CATEGORIES[c]) if present else PriorClaim.NONE
+        for c, present in zip(categories, claim_present)
+    ]
+    X = _encode_columns(genders, ages.astype(float), incomes, smokers, claims, config)
+    records = [
+        CustomerRecord(
             id=i + 1,
             gender=Gender.MALE if genders[i] else Gender.FEMALE,
             age=int(ages[i]),
             income=float(incomes[i]),
             smoker=bool(smokers[i]),
-            prior_claim=claim,
-            expenditure=0.0,
+            prior_claim=claims[i],
+            expenditure=float(np.logaddexp(0.0, params.eta(X[i]) + noise[i])),
         )
-        x = encode(partial, config)
-        eta = (
-            params.base_cost
-            + float(coef @ x)
-            + params.age_curvature * x[1] ** 2
-            + params.interaction * x[3] * x[5]
-            + noise[i]
-        )
-        expenditure = float(np.logaddexp(0.0, eta))
-        records.append(
-            CustomerRecord(
-                id=partial.id,
-                gender=partial.gender,
-                age=partial.age,
-                income=partial.income,
-                smoker=partial.smoker,
-                prior_claim=partial.prior_claim,
-                expenditure=expenditure,
-            )
-        )
+        for i in range(n)
+    ]
     return Dataset(tuple(records), provenance="synthetic", generator_params=params)
 
 

@@ -8,13 +8,16 @@ decreasing smoothing penalty for the additive model, a single point for the
 linear one) on an internal 80/20 split: the reported threshold is the
 training relative error at the first step where validation error rises for
 ``patience`` consecutive steps while training error still falls.
+
+``FAMILIES[model.family]`` is the family of a fitted model; its batch
+``predict(model, X)`` maps an (n, 6) feature matrix to n predictions.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +31,6 @@ from .dataset import (
     Dataset,
     EncodingConfig,
     GeneratorParams,
-    encode,
     encode_dataset,
     generate_synthetic,
 )
@@ -62,39 +64,34 @@ def format_band(band: AccuracyBand) -> str:
 
 
 def accuracy_band(
-    predict: Callable[[np.ndarray], float],
+    predict: Callable[[np.ndarray], np.ndarray],
     test: Dataset,
     config: EncodingConfig = DEFAULT_ENCODING,
     trim_fraction: float = DEFAULT_TRIM_FRACTION,
     floor: float = DEFAULT_RATIO_FLOOR,
 ) -> AccuracyBand:
-    """Trimmed band of per-record predicted/actual ratios on a test half."""
+    """Trimmed band of per-record predicted/actual ratios on a test half;
+    ``predict`` maps an (n, 6) feature matrix to n predictions."""
     if not (0.0 <= trim_fraction < 0.5):
         raise ValidationError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
     if floor < 0:
         raise ValidationError(f"floor must be >= 0, got {floor}")
-    ratios = []
-    excluded = 0
-    for record in test.records:
-        if record.expenditure is None:
-            raise ValidationError("accuracy_band needs actual expenditures")
-        if record.expenditure < floor or record.expenditure == 0:
-            excluded += 1
-            continue
-        prediction = float(predict(encode(record, config)))
-        ratios.append(prediction / record.expenditure)
-    if not ratios:
+    X, actual = encode_dataset(test, config)
+    if actual is None:
+        raise ValidationError("accuracy_band needs actual expenditures")
+    evaluable = (actual >= floor) & (actual != 0)
+    if not evaluable.any():
         raise ValidationError("no evaluable records above the currency floor")
-    ratios.sort()
-    drop = int(math.floor(len(ratios) * trim_fraction))
-    kept = ratios[drop : len(ratios) - drop]
-    if not kept:
+    ratios = np.sort(predict(X[evaluable]) / actual[evaluable])
+    drop = int(math.floor(ratios.size * trim_fraction))
+    kept = ratios[drop : ratios.size - drop]
+    if not kept.size:
         raise ValidationError("trimming removed every evaluable record")
     return AccuracyBand(
         ratio_min=float(kept[0]),
         ratio_max=float(kept[-1]),
-        n_evaluated=len(ratios),
-        n_excluded=excluded,
+        n_evaluated=int(ratios.size),
+        n_excluded=int(actual.size - ratios.size),
         trim_fraction=trim_fraction,
     )
 
@@ -102,56 +99,111 @@ def accuracy_band(
 # -- model families -----------------------------------------------------------
 
 
+class Family:
+    """Fits one kind of model, predicts with it in batches, walks its capacity ladder."""
+
+    def findings(self, model, train: Dataset, config: EncodingConfig, seed: int):
+        """(interaction, collinearity) findings for the comparison report."""
+        return "none", "none"
+
+
 @dataclass(frozen=True)
-class GlmFamily:
+class GlmFamily(Family):
     link: LinkKind = LinkKind.IDENTITY
-    name: str = "glm"
+    name = "glm"  # class constant, not a field
 
     def fit(self, train: Dataset, config: EncodingConfig):
         return glm_mod.fit_glm(train, config, self.link)
 
+    @classmethod
+    def of(cls, model: glm_mod.GlmModel) -> "GlmFamily":
+        return cls(link=model.link)
+
+    @staticmethod
+    def predict(model: glm_mod.GlmModel, X: np.ndarray) -> np.ndarray:
+        return glm_mod.predict_glm(model, X)
+
+    def ladder(self, train: Dataset, config: EncodingConfig, steps):
+        """The linear model has no capacity to vary: one step, steps ignored."""
+        yield 0.0, self.fit(train, config)
+
 
 @dataclass(frozen=True)
-class GamFamily:
+class GamFamily(Family):
     link: LinkKind = LinkKind.IDENTITY
     smooth: gam_mod.SmoothConfig = field(default_factory=gam_mod.SmoothConfig)
-    name: str = "gam"
+    name = "gam"  # class constant, not a field
 
     def fit(self, train: Dataset, config: EncodingConfig):
         return gam_mod.fit_gam(train, config, self.link, self.smooth)
 
+    @classmethod
+    def of(cls, model: gam_mod.GamModel) -> "GamFamily":
+        return cls(link=model.link, smooth=model.smooth_config)
+
+    @staticmethod
+    def predict(model: gam_mod.GamModel, X: np.ndarray) -> np.ndarray:
+        return gam_mod.predict_gam(model, X)
+
+    def ladder(self, train: Dataset, config: EncodingConfig, steps):
+        """Decreasing penalties; a penalty whose fit does not converge is skipped."""
+        ladder = tuple(float(s) for s in (steps if steps is not None else DEFAULT_GAM_STEPS))
+        if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])):
+            raise ValidationError("GAM scan steps must be strictly decreasing penalties")
+        for lam in ladder:
+            smooth = replace(self.smooth, penalty=lam)
+            try:
+                model = gam_mod.fit_gam(train, config, self.link, smooth)
+            except ConvergenceError:
+                continue
+            yield lam, model
+
+    def findings(self, model, train: Dataset, config: EncodingConfig, seed: int):
+        candidates = gam_mod.interaction_scan(train, model, seed=seed)
+        hits = [
+            f"{FEATURE_NAMES[c.i]}*{FEATURE_NAMES[c.j]}"
+            for c in candidates
+            if c.significant
+        ]
+        coll = gam_mod.collinearity_report(train, config)
+        pairs = [
+            f"{FEATURE_NAMES[i]}&{FEATURE_NAMES[j]}" for i, j, _ in coll.flagged
+        ]
+        return ", ".join(hits) or "none", ", ".join(pairs) or "none"
+
 
 @dataclass(frozen=True)
-class AnnFamily:
+class AnnFamily(Family):
     topology: ann_mod.NetworkTopology = field(default_factory=ann_mod.NetworkTopology)
     training: ann_mod.TrainingConfig = field(default_factory=ann_mod.TrainingConfig)
-    name: str = "ann"
+    name = "ann"  # class constant, not a field
 
     def fit(self, train: Dataset, config: EncodingConfig):
         return ann_mod.train(train, config, self.topology, self.training)
 
+    @classmethod
+    def of(cls, model: ann_mod.AnnModel) -> "AnnFamily":
+        return cls(topology=model.topology)
 
-Family = GlmFamily | GamFamily | AnnFamily
+    @staticmethod
+    def predict(model: ann_mod.AnnModel, X: np.ndarray) -> np.ndarray:
+        return ann_mod.predict_ann(model, X)
+
+    def ladder(self, train: Dataset, config: EncodingConfig, steps):
+        """Epoch checkpoints of one descent run on the whole given set."""
+        epochs = [int(s) for s in (steps if steps is not None else DEFAULT_ANN_STEPS)]
+        if len(epochs) < 2 or any(b <= a for a, b in zip(epochs, epochs[1:])):
+            raise ValidationError("ANN scan steps must be strictly increasing epochs")
+        scaler, snapshots = ann_mod.train_trajectory(
+            train, config, self.topology, self.training, epochs
+        )
+        for epoch, weights in snapshots:
+            yield float(epoch), ann_mod.AnnModel(
+                self.topology, weights, scaler, (), (), epoch, config
+            )
 
 
-def family_for_model(model) -> Family:
-    if isinstance(model, glm_mod.GlmModel):
-        return GlmFamily(link=model.link)
-    if isinstance(model, gam_mod.GamModel):
-        return GamFamily(link=model.link, smooth=model.smooth_config)
-    if isinstance(model, ann_mod.AnnModel):
-        return AnnFamily(topology=model.topology)
-    raise ValidationError(f"unrecognized model type {type(model).__name__}")
-
-
-def predictor_for(model) -> Callable[[np.ndarray], float]:
-    if isinstance(model, glm_mod.GlmModel):
-        return lambda x: glm_mod.predict_glm(model, x)
-    if isinstance(model, gam_mod.GamModel):
-        return lambda x: gam_mod.predict_gam(model, x)
-    if isinstance(model, ann_mod.AnnModel):
-        return lambda x: ann_mod.predict_ann(model, x)
-    raise ValidationError(f"unrecognized model type {type(model).__name__}")
+FAMILIES: dict[str, type[Family]] = {f.name: f for f in (GlmFamily, GamFamily, AnnFamily)}
 
 
 # -- overfitting scan ---------------------------------------------------------
@@ -215,56 +267,14 @@ def overfit_scan(
     if y_fit is None or y_val is None:
         raise ValidationError("cannot scan records without expenditure")
 
-    if isinstance(family, GlmFamily):
-        model = family.fit(fit_half, config)
-        predict = predictor_for(model)
-        tr = _relative_rmse(np.array([predict(x) for x in X_fit]), y_fit)
-        va = _relative_rmse(np.array([predict(x) for x in X_val]), y_val)
-        return OverfitReport(
-            family=family.name, steps=(0.0,), train_error=(tr,), val_error=(va,),
-            threshold=None, threshold_found=False, threshold_step=None,
-            patience=patience,
-        )
-
-    if isinstance(family, GamFamily):
-        ladder = tuple(float(s) for s in (steps if steps is not None else DEFAULT_GAM_STEPS))
-        if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValidationError("GAM scan steps must be strictly decreasing penalties")
-        used_steps: list[float] = []
-        train_err: list[float] = []
-        val_err: list[float] = []
-        for lam in ladder:
-            smooth = replace(family.smooth, penalty=lam)
-            try:
-                model = gam_mod.fit_gam(fit_half, config, family.link, smooth)
-            except ConvergenceError:
-                continue
-            predict = predictor_for(model)
-            used_steps.append(lam)
-            train_err.append(_relative_rmse(np.array([predict(x) for x in X_fit]), y_fit))
-            val_err.append(_relative_rmse(np.array([predict(x) for x in X_val]), y_val))
-    elif isinstance(family, AnnFamily):
-        ladder_int = [int(s) for s in (steps if steps is not None else DEFAULT_ANN_STEPS)]
-        if len(ladder_int) < 2 or any(b <= a for a, b in zip(ladder_int, ladder_int[1:])):
-            raise ValidationError("ANN scan steps must be strictly increasing epochs")
-        scaler, snapshots = ann_mod.train_trajectory(
-            fit_half, config, family.topology, family.training, ladder_int
-        )
-        used_steps = [float(e) for e, _ in snapshots]
-        train_err = []
-        val_err = []
-        for _, weights in snapshots:
-            fit_pred = scaler.inverse(ann_mod._forward_batch(weights, X_fit)[0])
-            val_pred = scaler.inverse(ann_mod._forward_batch(weights, X_val)[0])
-            train_err.append(_relative_rmse(fit_pred, y_fit))
-            val_err.append(_relative_rmse(val_pred, y_val))
-    else:
-        raise ValidationError(f"unrecognized family {family!r}")
+    ladder = list(family.ladder(fit_half, config, steps))
+    train_err = [_relative_rmse(family.predict(model, X_fit), y_fit) for _, model in ladder]
+    val_err = [_relative_rmse(family.predict(model, X_val), y_val) for _, model in ladder]
 
     t = _detect_threshold(train_err, val_err, patience)
     return OverfitReport(
         family=family.name,
-        steps=tuple(used_steps),
+        steps=tuple(step for step, _ in ladder),
         train_error=tuple(train_err),
         val_error=tuple(val_err),
         threshold=train_err[t] if t is not None else None,
@@ -341,7 +351,6 @@ class FamilyResult:
     overfit: OverfitReport | None
     interaction_finding: str
     collinearity_finding: str
-    wall_time: float = field(compare=False, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -385,38 +394,15 @@ def compare(
 
     results = []
     for model in models:
-        start = time.perf_counter()
-        family = family_for_model(model)
-        band = accuracy_band(predictor_for(model), test, config, trim_fraction, floor)
+        family = FAMILIES[model.family].of(model)
+        band = accuracy_band(partial(family.predict, model), test, config, trim_fraction, floor)
         overfit = None
-        interaction_finding = "none"
-        collinearity_finding = "none"
+        findings = ("none", "none")
         if train is not None:
             steps = (scan_steps or {}).get(family.name)
             overfit = overfit_scan(family, train, config, steps, seed=seed)
-            if isinstance(model, gam_mod.GamModel):
-                candidates = gam_mod.interaction_scan(train, model, seed=seed)
-                hits = [
-                    f"{FEATURE_NAMES[c.i]}*{FEATURE_NAMES[c.j]}"
-                    for c in candidates
-                    if c.significant
-                ]
-                interaction_finding = ", ".join(hits) if hits else "none"
-                coll = gam_mod.collinearity_report(train, config)
-                pairs = [
-                    f"{FEATURE_NAMES[i]}&{FEATURE_NAMES[j]}" for i, j, _ in coll.flagged
-                ]
-                collinearity_finding = ", ".join(pairs) if pairs else "none"
-        results.append(
-            FamilyResult(
-                name=family.name,
-                band=band,
-                overfit=overfit,
-                interaction_finding=interaction_finding,
-                collinearity_finding=collinearity_finding,
-                wall_time=time.perf_counter() - start,
-            )
-        )
+            findings = family.findings(model, train, config, seed)
+        results.append(FamilyResult(family.name, band, overfit, *findings))
     return ComparisonReport(
         results=tuple(results), trim_fraction=trim_fraction, floor=floor
     )
@@ -431,11 +417,7 @@ def _threshold_text(result: FamilyResult) -> str:
 
 
 def render_markdown(report: ComparisonReport) -> str:
-    """Two tables: accuracy with findings, then overfitting thresholds.
-
-    Wall times are kept on the in-memory report only so that rendering is a
-    pure function of the fitted models and data.
-    """
+    """Two tables: accuracy with findings, then overfitting thresholds."""
     lines = [
         "# Model comparison",
         "",

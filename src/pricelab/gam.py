@@ -40,6 +40,7 @@ from .dataset import (
     EncodingConfig,
     N_FEATURES,
     encode_dataset,
+    feature_matrix,
 )
 from .errors import ConvergenceError, ValidationError
 from .glm import GlmModel, LinkKind
@@ -109,6 +110,7 @@ class GamModel:
     rss: float
     smooth_config: SmoothConfig = field(default_factory=SmoothConfig)
     encoding: EncodingConfig = field(default_factory=lambda: DEFAULT_ENCODING)
+    family = "gam"  # class constant, not a field
 
     def __post_init__(self) -> None:
         if len(self.smooths) != N_FEATURES:
@@ -379,16 +381,14 @@ def fit_gam(
     )
 
 
-def predict_gam(model: GamModel, x: np.ndarray) -> float:
-    """Prediction at one encoded feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (N_FEATURES,):
-        raise ValidationError(f"feature vector must have shape ({N_FEATURES},)")
-    values = [float(model.smooths[j](x[j])) for j in range(N_FEATURES)]
+def predict_gam(model: GamModel, X: np.ndarray) -> np.ndarray:
+    """Predictions at the rows of an (n, 6) encoded feature matrix."""
+    X = feature_matrix(X)
+    values = [model.smooths[j](X[:, j]) for j in range(N_FEATURES)]
     eta = model.intercept + sum(values)
     for term in model.interactions:
         eta += term.gamma * values[term.i] * values[term.j]
-    return float(_inverse_link(eta, model.link))
+    return _inverse_link(eta, model.link)
 
 
 def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel:

@@ -21,6 +21,7 @@ from .dataset import (
     EncodingConfig,
     N_FEATURES,
     encode_dataset,
+    feature_matrix,
 )
 from .errors import ConvergenceError, SingularityError, ValidationError
 
@@ -42,6 +43,7 @@ class GlmModel:
     rss: float
     iterations: int
     encoding: EncodingConfig = field(default_factory=lambda: DEFAULT_ENCODING)
+    family = "glm"  # class constant, not a field
 
     def __post_init__(self) -> None:
         if self.coef.shape != (N_FEATURES,):
@@ -139,12 +141,9 @@ def fit_glm(
     )
 
 
-def predict_glm(model: GlmModel, x: np.ndarray) -> float:
-    """Prediction at one encoded feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (N_FEATURES,):
-        raise ValidationError(f"feature vector must have shape ({N_FEATURES},)")
-    eta = model.intercept + float(model.coef @ x)
+def predict_glm(model: GlmModel, X: np.ndarray) -> np.ndarray:
+    """Predictions at the rows of an (n, 6) encoded feature matrix."""
+    eta = model.intercept + feature_matrix(X) @ model.coef
     if model.link is LinkKind.LOG:
-        return float(np.exp(eta))
+        return np.exp(eta)
     return eta

@@ -7,6 +7,7 @@ line per property.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from pricelab.ann import (
     TrainingConfig,
     gradient_check,
     init_weights,
+    predict_ann,
     train,
 )
 from pricelab.artifacts import load_model
 from pricelab.cli import main as cli_main, replay_manifest
 from pricelab.dataset import (
     GeneratorParams,
-    encode,
     encode_dataset,
     generate_synthetic,
     load_csv,
@@ -31,15 +32,15 @@ from pricelab.dataset import (
 )
 from pricelab.errors import ConvergenceError
 from pricelab.evaluation import (
+    FAMILIES,
     AnnFamily,
     GamFamily,
     accuracy_band,
     learning_curve,
     overfit_scan,
-    predictor_for,
 )
-from pricelab.gam import SmoothConfig, fit_gam, interaction_scan
-from pricelab.glm import fit_glm
+from pricelab.gam import SmoothConfig, fit_gam, interaction_scan, predict_gam
+from pricelab.glm import fit_glm, predict_glm
 
 TRUE_COEF = np.array([500.0, 4000.0, -1000.0, 1500.0, 2000.0, 6000.0])
 
@@ -99,10 +100,8 @@ def test_gam_reduces_to_glm_and_backfitting_descends():
     data = generate_synthetic(GeneratorParams(n=100, seed=0))
     gam = fit_gam(data, smooth=SmoothConfig(force_linear=True))
     glm = fit_glm(data)
-    gam_predict = predictor_for(gam)
-    glm_predict = predictor_for(glm)
     X, _ = encode_dataset(data)
-    gap = max(abs(gam_predict(x) - glm_predict(x)) for x in X)
+    gap = np.max(np.abs(predict_gam(gam, X) - predict_glm(glm, X)))
     assert gap < 1e-4
 
     # unreachable tolerance forces the full trajectory out via the error
@@ -155,8 +154,8 @@ def test_ann_accuracy_band_inside_gam_band():
     train_half, test_half = split_half(data, seed=3)
     gam = fit_gam(train_half)
     ann_model = train(train_half)
-    gam_band = accuracy_band(predictor_for(gam), test_half)
-    ann_band = accuracy_band(predictor_for(ann_model), test_half)
+    gam_band = accuracy_band(partial(predict_gam, gam), test_half)
+    ann_band = accuracy_band(partial(predict_ann, ann_model), test_half)
     elapsed = time.perf_counter() - start
     print(
         f"gam [{gam_band.ratio_min:.2f}, {gam_band.ratio_max:.2f}] contains "
@@ -272,8 +271,8 @@ def test_manifest_replay_is_byte_identical(cli_pipeline):
 
 
 def test_cli_predictions_equal_library_predictions(cli_pipeline):
-    """The predict command's numbers equal direct library predictions
-    exactly, for every model family."""
+    """The predict command's numbers equal one batch library prediction over
+    the whole file exactly, for every model family."""
     tmp_path, paths = cli_pipeline
     data = load_csv(paths["csv"])
     for family in ("glm", "gam", "ann"):
@@ -283,11 +282,12 @@ def test_cli_predictions_equal_library_predictions(cli_pipeline):
             "-o", str(out),
         ]) == 0
         model = load_model(paths[family])
-        predict = predictor_for(model)
+        X, _ = encode_dataset(data, model.encoding)
+        expected = FAMILIES[model.family].predict(model, X)
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == data.n
-        for line, record in zip(lines, data.records):
+        for line, record, prediction in zip(lines, data.records, expected):
             cells = line.split(",")
             assert int(cells[0]) == record.id
-            assert float(cells[1]) == predict(encode(record, model.encoding))
+            assert float(cells[1]) == prediction
     print("cli predictions identical to library for glm, gam, ann")

@@ -199,8 +199,8 @@ def test_train_constant_targets_to_machine_precision():
         training=TrainingConfig(learning_rate=0.25),
     )
     assert model.train_loss[-1] < 1e-6
-    x = encode_dataset(constant_expenditure_data())[0][0]
-    assert predict_ann(model, x) == approx(4200.0, abs=1.0)
+    X = encode_dataset(constant_expenditure_data())[0][:1]
+    assert predict_ann(model, X)[0] == approx(4200.0, abs=1.0)
 
 
 def test_train_noiseless_linear_high_accuracy():
@@ -212,7 +212,7 @@ def test_train_noiseless_linear_high_accuracy():
     ))
     model = train(data, training=TrainingConfig(max_epochs=10000))
     X, y = encode_dataset(data)
-    preds = np.array([predict_ann(model, x) for x in X])
+    preds = predict_ann(model, X)
     rmse = float(np.sqrt(np.mean((preds - y) ** 2)))
     assert rmse <= 0.02 * float(y.max() - y.min())
 
@@ -322,5 +322,7 @@ def test_artifact_round_trip(tmp_path):
                for a, b in zip(back.weights.matrices, model.weights.matrices))
     assert all(np.array_equal(a, b)
                for a, b in zip(back.weights.biases, model.weights.biases))
-    x = np.full(6, 0.5)
-    assert predict_ann(back, x) == predict_ann(model, x)
+    X = np.full((1, 6), 0.5)
+    assert np.array_equal(predict_ann(back, X), predict_ann(model, X))
+    with pytest.raises(ValidationError):
+        predict_ann(back, np.zeros((1, 5)))

@@ -32,8 +32,8 @@ def test_artifact_is_self_contained(tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.encoding == encoding
-    x = np.full(6, 0.25)
-    assert predict_glm(back, x) == predict_glm(model, x)
+    X = np.full((1, 6), 0.25)
+    assert np.array_equal(predict_glm(back, X), predict_glm(model, X))
 
 
 def test_artifact_text_is_stable(tmp_path):

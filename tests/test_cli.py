@@ -1,15 +1,15 @@
 """End-to-end command pipeline: gen, fit, predict, compare, manifests."""
 
-import numpy as np
+import os
+
 import pytest
 
 from pricelab.ann import AnnModel
 from pricelab.artifacts import load_model
 from pricelab.cli import main, replay_manifest
-from pricelab.dataset import CSV_COLUMNS, encode, load_csv
-from pricelab.evaluation import predictor_for
+from pricelab.dataset import CSV_COLUMNS, encode_dataset, load_csv
 from pricelab.gam import GamModel
-from pricelab.glm import GlmModel
+from pricelab.glm import GlmModel, predict_glm
 
 
 def run(*argv):
@@ -112,12 +112,11 @@ def test_predict_matches_library(tmp_path, data_csv):
     assert lines[0] == "id,predicted_expenditure,ratio"
     data = load_csv(data_csv)
     model = load_model(model_path)
-    predict = predictor_for(model)
+    predictions = predict_glm(model, encode_dataset(data, model.encoding)[0])
     assert len(lines) == data.n + 1
-    for line, record in zip(lines[1:], data.records):
+    for line, record, expected in zip(lines[1:], data.records, predictions):
         cells = line.split(",")
         assert int(cells[0]) == record.id
-        expected = predict(encode(record, model.encoding))
         assert float(cells[1]) == expected  # exact repr round-trip
         if record.expenditure == 0:
             assert cells[2] == ""
@@ -157,6 +156,37 @@ def test_compare_end_to_end(tmp_path, data_csv):
     assert csv[0].startswith("model,ratio_min")
     assert len(csv) == 3
     assert (tmp_path / "report.md.manifest").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("fit", "knots = abc"),
+    ("fit", "link = cubic"),
+    ("fit", "hidden = 4,x"),
+    ("fit", "max_epochs = 1.5"),
+    ("fit", "force_linear = maybe"),
+    ("compare", "trim_fraction = x"),
+    ("compare", "# garbled test index"),
+])
+def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, command, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    if command == "fit":
+        argv = ["fit", "--family", "glm", "--in", data_csv, "--config", cfg,
+                "-o", tmp_path / "m.model"]
+    else:
+        a, b = tmp_path / "a.model", tmp_path / "b.model"
+        for path in (a, b):
+            assert run("fit", "--family", "glm", "--in", data_csv, "--seed", 1, "-o", path) == 0
+        if "garbled" in config:
+            index = tmp_path / "a.model.test-index"
+            ids = index.read_text().split()
+            index.write_text("\n".join([ids[0] + "a", *ids[1:]]) + "\n")
+        argv = ["compare", "--model", a, "--model", b, "--in", data_csv,
+                "--config", cfg, "-o", tmp_path / "r"]
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_compare_needs_two_models(tmp_path, data_csv):
@@ -201,6 +231,27 @@ def test_manifest_replay_reproduces_artifacts(tmp_path):
     csv_path.unlink()
     assert run("replay", tmp_path / "d.csv.manifest") == 0
     assert csv_path.read_bytes() == original_csv
+
+
+def test_replay_from_another_directory(tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    elsewhere = tmp_path / "elsewhere"
+    work.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(work)
+    assert run("gen", "--n", 40, "--seed", 5, "-o", "d.csv") == 0
+    assert run("fit", "--family", "glm", "--in", "d.csv", "-o", "m.model") == 0
+    outputs = ["d.csv", "m.model", "m.model.test-index"]
+    before = {name: (work / name).read_bytes() for name in outputs}
+    for name in outputs:
+        (work / name).unlink()
+
+    monkeypatch.chdir(elsewhere)
+    assert run("replay", "../work/d.csv.manifest") == 0
+    assert run("replay", work / "m.model.manifest") == 0
+    assert {name: (work / name).read_bytes() for name in outputs} == before
+    assert os.getcwd() == str(elsewhere)
+    assert list(elsewhere.iterdir()) == []
 
 
 def test_replay_missing_manifest_is_a_data_error(tmp_path, capsys):

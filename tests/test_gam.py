@@ -44,7 +44,7 @@ def test_forced_linear_matches_glm():
     gam = fit_gam(data, smooth=SmoothConfig(force_linear=True))
     glm = fit_glm(data)
     X, _ = encode_dataset(data)
-    gap = max(abs(predict_gam(gam, x) - predict_glm(glm, x)) for x in X)
+    gap = np.max(np.abs(predict_gam(gam, X) - predict_glm(glm, X)))
     assert gap < 1e-4
 
 
@@ -138,17 +138,20 @@ def test_fitted_values_decompose_additively():
     data = generate_synthetic(GeneratorParams(n=60, seed=4))
     model = fit_gam(data)
     X, _ = encode_dataset(data)
-    for x in X[:10]:
+    predictions = predict_gam(model, X[:10])
+    for x, prediction in zip(X[:10], predictions):
         manual = model.intercept + sum(
             float(model.smooths[j](x[j])) for j in range(6)
         )
-        assert predict_gam(model, x) == approx(manual, rel=1e-12)
+        assert prediction == approx(manual, rel=1e-12)
 
 
 def test_predict_validates_shape():
     model = fit_gam(generate_synthetic(GeneratorParams(n=40, seed=0)))
     with pytest.raises(ValidationError):
-        predict_gam(model, np.zeros(4))
+        predict_gam(model, np.zeros((1, 4)))
+    with pytest.raises(ValidationError):  # one row is a batch of one, not a vector
+        predict_gam(model, np.zeros(6))
 
 
 def test_log_link_predictions_positive():
@@ -156,7 +159,7 @@ def test_log_link_predictions_positive():
     model = fit_gam(data, link=LinkKind.LOG)
     assert model.link is LinkKind.LOG
     X, _ = encode_dataset(data)
-    assert all(predict_gam(model, x) > 0 for x in X)
+    assert np.all(predict_gam(model, X) > 0)
 
 
 # ------------------------------------------------------------- interactions
@@ -195,7 +198,7 @@ def test_add_interaction_improves_held_out_error():
 
     X, y = encode_dataset(test)
     def rmse(model):
-        preds = np.array([predict_gam(model, x) for x in X])
+        preds = predict_gam(model, X)
         return float(np.sqrt(np.mean((preds - y) ** 2)))
     assert rmse(extended) < 0.7 * rmse(base)
 
@@ -281,6 +284,4 @@ def test_artifact_round_trip(tmp_path):
         assert theirs.slope == ours.slope
         assert theirs.center == ours.center
     X, _ = encode_dataset(data)
-    assert [predict_gam(back, x) for x in X[:5]] == [
-        predict_gam(model, x) for x in X[:5]
-    ]
+    assert np.array_equal(predict_gam(back, X[:5]), predict_gam(model, X[:5]))

@@ -135,16 +135,14 @@ def test_log_link_recovers_multiplicative_structure():
     assert model.coef[3] == approx(2.0, abs=1e-6)
     assert model.rss == approx(0.0, abs=1e-8)
     assert model.iterations >= 1
-    x = encode(rows[0])
-    assert predict_glm(model, x) > 0
+    assert predict_glm(model, encode(rows[0])[None, :])[0] > 0
 
 
 def test_log_link_on_generated_data_stays_positive():
     data = generate_synthetic(GeneratorParams(n=120, seed=5))
     model = fit_glm(data, link=LinkKind.LOG)
     X, _ = encode_dataset(data)
-    preds = [predict_glm(model, x) for x in X]
-    assert all(p > 0 for p in preds)
+    assert np.all(predict_glm(model, X) > 0)
 
 
 def test_permutation_invariance():
@@ -196,7 +194,9 @@ def test_refuses_missing_response():
 def test_predict_validates_shape():
     model = fit_glm(generate_synthetic(GeneratorParams(n=20, seed=0)))
     with pytest.raises(ValidationError):
-        predict_glm(model, np.zeros(5))
+        predict_glm(model, np.zeros((3, 5)))
+    with pytest.raises(ValidationError):  # one row is a batch of one, not a vector
+        predict_glm(model, np.zeros(6))
 
 
 def test_artifact_round_trip(tmp_path):
