@@ -17,6 +17,12 @@ from .ann import AnnModel, NetworkTopology, TargetScaler, Weights
 from .config import (
     Pairs,
     Sections,
+    _bool_of,
+    _float_of,
+    _hidden_of,
+    _int_of,
+    _link_of,
+    _value_of,
     dump_sections,
     encoding_from_pairs,
     encoding_to_pairs,
@@ -26,17 +32,19 @@ from .config import (
 from .dataset import FEATURE_NAMES
 from .errors import ValidationError
 from .gam import GamModel, InteractionTerm, SmoothConfig, SmoothFunction
-from .glm import GlmModel, LinkKind
+from .glm import GlmModel
 
 
 def _floats(values) -> str:
     return " ".join(format_float(v) for v in np.asarray(values, dtype=float).ravel())
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    if not text:
-        return np.empty(0)
-    return np.array([float(tok) for tok in text.split()])
+def _array_of(mapping: dict[str, str], key: str) -> np.ndarray:
+    """Space-separated floats; an empty value is an empty array."""
+    return np.array(
+        [_float_of({key: token}, key) for token in _value_of(mapping, key).split()],
+        dtype=float,
+    )
 
 
 def _feature_index(name: str) -> int:
@@ -70,11 +78,11 @@ def _glm_from_sections(sections: Sections) -> GlmModel:
     head = dict(sections[0][1])
     encoding = encoding_from_pairs(_section(sections, "encoding"))
     return GlmModel(
-        intercept=float(head["intercept"]),
-        coef=np.array([float(head[f"coef_{name}"]) for name in FEATURE_NAMES]),
-        link=LinkKind(head["link"]),
-        rss=float(head["rss"]),
-        iterations=int(head["iterations"]),
+        intercept=_float_of(head, "intercept"),
+        coef=np.array([_float_of(head, f"coef_{name}") for name in FEATURE_NAMES]),
+        link=_link_of(head, "link"),
+        rss=_float_of(head, "rss"),
+        iterations=_int_of(head, "iterations"),
         encoding=encoding,
     )
 
@@ -124,38 +132,43 @@ def _gam_from_sections(sections: Sections) -> GamModel:
         data = dict(pairs)
         if name.startswith("smooth "):
             feature = _feature_index(name.split(" ", 1)[1])
-            kind = data["kind"]
+            kind = _value_of(data, "kind")
             if kind == "linear":
                 smooths[feature] = SmoothFunction(
                     feature=feature, kind="linear", knots=np.empty(0),
-                    values=np.empty(0), slope=float(data["slope"]),
-                    center=float(data["center"]),
+                    values=np.empty(0), slope=_float_of(data, "slope"),
+                    center=_float_of(data, "center"),
+                )
+            elif kind == "spline":
+                knots, values = _array_of(data, "knot_positions"), _array_of(data, "knot_values")
+                if knots.size != values.size:
+                    raise ValidationError(f"[{name}]: {knots.size} knots but {values.size} values")
+                smooths[feature] = SmoothFunction(
+                    feature=feature, kind="spline", knots=knots, values=values,
+                    slope=0.0, center=_float_of(data, "center"),
                 )
             else:
-                smooths[feature] = SmoothFunction(
-                    feature=feature, kind="spline",
-                    knots=_parse_floats(data["knot_positions"]),
-                    values=_parse_floats(data["knot_values"]),
-                    slope=0.0, center=float(data["center"]),
-                )
+                raise ValidationError(f"[{name}]: unknown smooth kind {kind!r}")
         elif name == "interaction":
-            a, b = data["pair"].split()
+            names = _value_of(data, "pair").split()
+            if len(names) != 2:
+                raise ValidationError(f"interaction pair needs two feature names, got {names}")
             interactions.append(
-                InteractionTerm(_feature_index(a), _feature_index(b), float(data["gamma"]))
+                InteractionTerm(*map(_feature_index, names), _float_of(data, "gamma"))
             )
     if sorted(smooths) != list(range(len(FEATURE_NAMES))):
         raise ValidationError("artifact is missing smooth sections")
     return GamModel(
-        intercept=float(head["intercept"]),
-        link=LinkKind(head["link"]),
+        intercept=_float_of(head, "intercept"),
+        link=_link_of(head, "link"),
         smooths=tuple(smooths[j] for j in range(len(FEATURE_NAMES))),
         interactions=tuple(interactions),
-        cycles=int(head["cycles"]),
-        rss=float(head["rss"]),
+        cycles=_int_of(head, "cycles"),
+        rss=_float_of(head, "rss"),
         smooth_config=SmoothConfig(
-            knots=int(head["knots"]),
-            penalty=float(head["penalty"]),
-            force_linear=head["force_linear"] == "yes",
+            knots=_int_of(head, "knots"),
+            penalty=_float_of(head, "penalty"),
+            force_linear=_bool_of(head, "force_linear"),
         ),
         encoding=encoding,
     )
@@ -196,25 +209,31 @@ def _ann_from_sections(sections: Sections) -> AnnModel:
     head = dict(sections[0][1])
     encoding = encoding_from_pairs(_section(sections, "encoding"))
     topology = NetworkTopology(
-        inputs=int(head["inputs"]),
-        hidden=tuple(int(h) for h in head["hidden"].split(",")),
-        outputs=int(head["outputs"]),
+        inputs=_int_of(head, "inputs"),
+        hidden=_hidden_of(head, "hidden"),
+        outputs=_int_of(head, "outputs"),
     )
+    sizes = topology.layer_sizes()
     layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     losses: dict[str, np.ndarray] = {"train": np.empty(0), "val": np.empty(0)}
     for name, pairs in sections[1:]:
         data = dict(pairs)
         if name.startswith("layer "):
-            index = int(name.split(" ", 1)[1])
-            rows, cols = int(data["rows"]), int(data["cols"])
-            matrix = np.vstack([_parse_floats(data[f"row_{r}"]) for r in range(rows)])
-            if matrix.shape != (rows, cols):
-                raise ValidationError(f"layer {index}: matrix shape mismatch")
-            layers[index] = (matrix, _parse_floats(data["bias"]))
+            index = _int_of({name: name.split(" ", 1)[1]}, name)
+            if not 0 <= index < len(sizes) - 1:
+                raise ValidationError(f"[{name}]: no such layer in topology {sizes}")
+            rows, cols = sizes[index + 1], sizes[index]
+            if (_int_of(data, "rows"), _int_of(data, "cols")) != (rows, cols):
+                raise ValidationError(f"[{name}]: shape does not match topology {sizes}")
+            matrix = [_array_of(data, f"row_{r}") for r in range(rows)]
+            bias = _array_of(data, "bias")
+            if bias.shape != (rows,) or any(row.shape != (cols,) for row in matrix):
+                raise ValidationError(f"[{name}]: matrix shape mismatch")
+            layers[index] = (np.vstack(matrix), bias)
         elif name == "loss_history":
-            losses["train"] = _parse_floats(data["train"])
-            losses["val"] = _parse_floats(data["val"])
-    expected = len(topology.layer_sizes()) - 1
+            losses["train"] = _array_of(data, "train")
+            losses["val"] = _array_of(data, "val")
+    expected = len(sizes) - 1
     if sorted(layers) != list(range(expected)):
         raise ValidationError("artifact is missing layer sections")
     return AnnModel(
@@ -223,10 +242,10 @@ def _ann_from_sections(sections: Sections) -> AnnModel:
             matrices=tuple(layers[i][0] for i in range(expected)),
             biases=tuple(layers[i][1] for i in range(expected)),
         ),
-        scaler=TargetScaler(lo=float(head["scaler_lo"]), hi=float(head["scaler_hi"])),
+        scaler=TargetScaler(lo=_float_of(head, "scaler_lo"), hi=_float_of(head, "scaler_hi")),
         train_loss=tuple(losses["train"]),
         val_loss=tuple(losses["val"]),
-        stopped_epoch=int(head["stopped_epoch"]),
+        stopped_epoch=_int_of(head, "stopped_epoch"),
         encoding=encoding,
     )
 
@@ -262,4 +281,7 @@ def load_model(path: str | Path):
     codec = _CODECS.get(family)
     if codec is None:
         raise ValidationError(f"{path}: unknown or missing model family {family!r}")
-    return codec[1](sections)
+    try:
+        return codec[1](sections)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -6,7 +6,8 @@ primary output recording the exact argv, working directory, config path,
 seed and tool version; replaying the manifest from any directory reproduces
 the artifact byte for byte (timestamps aside).
 
-Exit codes: 0 success, 2 usage, 3 data or validation problem, 4 fit failure.
+Exit codes: 0 success, 2 usage, 3 data, file or validation problem, 4 fit
+failure.
 """
 
 from __future__ import annotations
@@ -280,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except PricelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # missing or unreadable input, config or model file
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"error: {message}", file=sys.stderr)
         return 3
 
 

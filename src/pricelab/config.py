@@ -70,38 +70,48 @@ def read_config(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _float_of(mapping: dict[str, str], key: str) -> float:
+def _value_of(mapping: dict[str, str], key: str) -> str:
     try:
-        return float(mapping[key])
+        return mapping[key]
+    except KeyError:
+        raise ValidationError(f"missing key {key!r}") from None
+
+
+def _float_of(mapping: dict[str, str], key: str) -> float:
+    value = _value_of(mapping, key)
+    try:
+        return float(value)
     except ValueError:
-        raise ValidationError(f"config key {key!r}: not a number: {mapping[key]!r}") from None
+        raise ValidationError(f"key {key!r}: not a number: {value!r}") from None
 
 
 def _int_of(mapping: dict[str, str], key: str) -> int:
+    value = _value_of(mapping, key)
     try:
-        return int(mapping[key])
+        return int(value)
     except ValueError:
-        raise ValidationError(f"config key {key!r}: not an integer: {mapping[key]!r}") from None
+        raise ValidationError(f"key {key!r}: not an integer: {value!r}") from None
 
 
 def _bool_of(mapping: dict[str, str], key: str) -> bool:
-    value = mapping[key].lower()
-    if value in ("true", "yes", "1"):
+    value = _value_of(mapping, key)
+    if value.lower() in ("true", "yes", "1"):
         return True
-    if value in ("false", "no", "0"):
+    if value.lower() in ("false", "no", "0"):
         return False
-    raise ValidationError(f"config key {key!r}: not a boolean: {mapping[key]!r}")
+    raise ValidationError(f"key {key!r}: not a boolean: {value!r}")
 
 
 def _link_of(mapping: dict[str, str], key: str) -> LinkKind:
+    value = _value_of(mapping, key)
     try:
-        return LinkKind(mapping[key])
+        return LinkKind(value)
     except ValueError:
-        raise ValidationError(f"config key {key!r}: not a link: {mapping[key]!r}") from None
+        raise ValidationError(f"key {key!r}: not a link: {value!r}") from None
 
 
 def _hidden_of(mapping: dict[str, str], key: str) -> tuple[int, ...]:
-    return tuple(_int_of({key: size}, key) for size in mapping[key].split(","))
+    return tuple(_int_of({key: size}, key) for size in _value_of(mapping, key).split(","))
 
 
 def _present(mapping: dict[str, str], fields: dict) -> dict[str, object]:

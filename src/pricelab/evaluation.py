@@ -34,7 +34,7 @@ from .dataset import (
     encode_dataset,
     generate_synthetic,
 )
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .glm import LinkKind
 
 DEFAULT_TRIM_FRACTION = 0.05
@@ -146,17 +146,12 @@ class GamFamily(Family):
         return gam_mod.predict_gam(model, X)
 
     def ladder(self, train: Dataset, config: EncodingConfig, steps):
-        """Decreasing penalties; a penalty whose fit does not converge is skipped."""
+        """One fit per penalty, in decreasing order."""
         ladder = tuple(float(s) for s in (steps if steps is not None else DEFAULT_GAM_STEPS))
         if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError("GAM scan steps must be strictly decreasing penalties")
         for lam in ladder:
-            smooth = replace(self.smooth, penalty=lam)
-            try:
-                model = gam_mod.fit_gam(train, config, self.link, smooth)
-            except ConvergenceError:
-                continue
-            yield lam, model
+            yield lam, gam_mod.fit_gam(train, config, self.link, replace(self.smooth, penalty=lam))
 
     def findings(self, model, train: Dataset, config: EncodingConfig, seed: int):
         candidates = gam_mod.interaction_scan(train, model, seed=seed)

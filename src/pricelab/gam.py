@@ -1,27 +1,36 @@
-"""Additive pricing model fit by backfitting penalized cubic smooths.
+"""Additive pricing model fit as one penalized least-squares problem.
 
 Base model:      g(E[y]) = b0 + f1(x1) + ... + f6(x6)
 With interaction terms:   ... + gamma_k * f_i(x_i) * f_j(x_j)
 
-Each f_j is a natural cubic spline on quantile knots with an exact
-curvature penalty (see ``smoothing``), refit in turn against the partial
-residuals of the other components.  Components are re-centered to mean zero
-over the training sample after every update, the freed constant moving into
-the intercept.  Features with fewer distinct values than the configured knot
-count (the binary flags, typically also claim severity) degrade to a single
-unpenalized linear coefficient.
+Each f_j is a natural cubic spline on quantile knots, f_j = N_j a_j in its
+knot values a_j, with the exact curvature penalty a_j' Omega_j a_j (see
+``smoothing``).  Features with fewer distinct values than the configured
+knot count (the binary flags, typically also claim severity) degrade to a
+single unpenalized linear coefficient.  The fit minimises, over the working
+response z (y, or log y under the log link),
+
+    ||z - b0 - sum_j f_j||^2 + penalty * sum_j a_j' Omega_j a_j.
+
+With the designs column-centred over the training sample, N̄_j = N_j -
+mean(N_j), the components are orthogonal to the intercept, so b0 = mean(z)
+and the a_j solve one ridge-type system
+
+    (D'D + blockdiag(penalty * Omega_j)) theta = D'(z - b0),
+    D = [N̄_1 ... N̄_6].
+
+The constant vector lies in the null space of both N̄_j and Omega_j, so the
+system is singular by one direction per spline block; the min-norm
+least-squares solution fixes that gauge of the knot values, and each
+component stores its training mean as ``center`` so f_j is mean zero on
+train.  No iteration is involved.
 
 Interaction terms follow the literal product form: one scalar gamma scaling
-the product of two already-fitted univariate smooths.  During refits the
-gamma of each term is re-estimated by one-dimensional least squares against
-the current partial residual.
-
-Every cycle is a descent step on the training RSS.  A penalized block
-update can in principle trade fit for smoothness (raise RSS while lowering
-curvature), so each update is line-searched along the segment from the old
-component to its penalized refit and damped to the best-RSS point whenever
-the full step would not descend.  Fresh components (and any unpenalized
-block, e.g. the K=2 or linear ones) always take the full step.
+the product of two fitted univariate smooths.  ``add_interaction`` refits by
+a fixed-point iteration: each cycle takes the least-squares intercept and
+gammas for the current components, then re-solves the additive system with
+the interaction terms held as an offset.  ``SmoothConfig.tol`` and
+``max_cycles`` govern only this iteration.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from .dataset import (
     feature_matrix,
 )
 from .errors import ConvergenceError, ValidationError
-from .glm import GlmModel, LinkKind
+from .glm import LinkKind
 
 _MIN_TRAIN_ROWS = 20
 _LOG_FLOOR = 1.0  # currency floor applied before log-transforming responses
@@ -51,7 +60,11 @@ _LOG_FLOOR = 1.0  # currency floor applied before log-transforming responses
 
 @dataclass(frozen=True)
 class SmoothConfig:
-    """Shape of the univariate smooths used by the backfitter."""
+    """Shape and penalty of the univariate smooths.
+
+    ``max_cycles`` and ``tol`` govern interaction refits only; the base fit
+    is a single solve.
+    """
 
     knots: int = 6
     penalty: float = 1e-3
@@ -141,49 +154,77 @@ class CollinearityReport:
 
 
 # ---------------------------------------------------------------------------
-# Backfitting engine
+# Penalized least-squares engine
 
 
-class _Block:
-    """Per-feature design and solver state, fixed for the whole fit."""
+class _Design:
+    """Centred additive design D = [N̄_1 ... N̄_6] and its penalty, built once per fit.
 
-    def __init__(self, x: np.ndarray, config: SmoothConfig):
-        self.x = x
-        distinct = np.unique(x)
-        use_linear = (
-            config.force_linear
-            or distinct.size < config.knots
-            or smoothing.quantile_knots(x, config.knots).size < 2
-        )
-        if use_linear:
-            self.kind = "linear"
-            self.mean_x = float(np.mean(x))
-            centered = x - self.mean_x
-            denom = float(centered @ centered)
-            self.centered = centered
-            self.denom = denom
-            self.knots = np.empty(0)
-        else:
-            self.kind = "spline"
-            self.knots = smoothing.quantile_knots(x, config.knots)
-            self.design = smoothing.design_matrix(x, self.knots)
-            omega = smoothing.penalty_matrix(self.knots)
-            gram = self.design.T @ self.design + config.penalty * omega
-            self.solver = np.linalg.inv(gram)
+    A linear block is the single column x with no penalty; a spline block is
+    the natural-spline design N_j in the knot values with penalty lambda
+    Omega_j.  Columns are centred over the training sample, so D is
+    orthogonal to the intercept.
+    """
 
-    def fit_raw(self, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Penalized least-squares fit; returns (params, uncentered fitted values)."""
-        if self.kind == "linear":
-            slope = 0.0 if self.denom == 0 else float(self.centered @ residual) / self.denom
-            return np.array([slope]), slope * self.x
-        values = self.solver @ (self.design.T @ residual)
-        return values, self.design @ values
+    def __init__(self, X: np.ndarray, config: SmoothConfig):
+        self.kinds: list[str] = []
+        self.knots: list[np.ndarray] = []
+        self.raw: list[np.ndarray] = []  # uncentred (n, k_j) block designs
+        self.slices: list[slice] = []
+        penalties = []
+        start = 0
+        for j in range(N_FEATURES):
+            x = X[:, j]
+            knots = smoothing.quantile_knots(x, config.knots)
+            if config.force_linear or np.unique(x).size < config.knots or knots.size < 2:
+                self.kinds.append("linear")
+                self.knots.append(np.empty(0))
+                self.raw.append(x[:, None])
+                penalties.append(np.zeros((1, 1)))
+            else:
+                self.kinds.append("spline")
+                self.knots.append(knots)
+                self.raw.append(smoothing.design_matrix(x, knots))
+                penalties.append(config.penalty * smoothing.penalty_matrix(knots))
+            self.slices.append(slice(start, start + penalties[-1].shape[0]))
+            start += penalties[-1].shape[0]
+        self.matrix = np.hstack([raw - raw.mean(axis=0) for raw in self.raw])
+        self.gram = self.matrix.T @ self.matrix
+        for block, omega in zip(self.slices, penalties):
+            self.gram[block, block] += omega
 
-    def raw(self, params: np.ndarray) -> np.ndarray:
-        """Uncentered fitted values on the training sample for given params."""
-        if self.kind == "linear":
-            return params[0] * self.x
-        return self.design @ params
+    def solve(self, target: np.ndarray) -> np.ndarray:
+        """Minimiser of ||target - c - D theta||^2 + theta' P theta over theta.
+
+        The constant is in the null space of each spline block's centred
+        design and penalty, so the system is singular there; the min-norm
+        least-squares solution picks one knot-value gauge.
+        """
+        return np.linalg.lstsq(self.gram, self.matrix.T @ target, rcond=None)[0]
+
+    def components(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Centred per-feature values on the training sample."""
+        values = [raw @ theta[block] for raw, block in zip(self.raw, self.slices)]
+        return [v - np.mean(v) for v in values]
+
+    def smooths(self, theta: np.ndarray) -> tuple[SmoothFunction, ...]:
+        smooths = []
+        for j, (kind, knots, raw, block) in enumerate(
+            zip(self.kinds, self.knots, self.raw, self.slices)
+        ):
+            params = theta[block]
+            center = float(np.mean(raw @ params))
+            if kind == "linear":
+                smooths.append(SmoothFunction(
+                    feature=j, kind="linear", knots=np.empty(0), values=np.empty(0),
+                    slope=float(params[0]), center=center,
+                ))
+            else:
+                smooths.append(SmoothFunction(
+                    feature=j, kind="spline", knots=knots.copy(),
+                    values=params.copy(), slope=0.0, center=center,
+                ))
+        return tuple(smooths)
 
 
 def _working_response(y: np.ndarray, link: LinkKind) -> np.ndarray:
@@ -196,158 +237,19 @@ def _inverse_link(eta, link: LinkKind):
     return np.exp(eta) if link is LinkKind.LOG else eta
 
 
-@dataclass
-class _FitState:
-    intercept: float
-    params: list[np.ndarray]
-    centers: list[float]
-    components: list[np.ndarray]  # centered values on train, one (n,) per feature
-    gammas: list[float]
+def _eta(intercept: float, values, pairs, gammas) -> np.ndarray:
+    """Linear predictor from per-feature values and interaction terms."""
+    eta = intercept + sum(values)
+    for (i, j), gamma in zip(pairs, gammas):
+        eta = eta + gamma * values[i] * values[j]
+    return eta
 
 
-def _state_rss(z: np.ndarray, state: _FitState, pairs: list[tuple[int, int]]) -> float:
-    fitted = state.intercept + np.sum(state.components, axis=0)
-    for (i, j), gamma in zip(pairs, state.gammas):
-        fitted = fitted + gamma * state.components[i] * state.components[j]
-    r = z - fitted
-    return float(r @ r)
-
-
-def _backfit(
-    X: np.ndarray,
-    z: np.ndarray,
-    config: SmoothConfig,
-    pairs: list[tuple[int, int]],
-    warm: _FitState | None = None,
-) -> tuple[_FitState, list[_Block], int, list[float]]:
-    n = X.shape[0]
-    blocks = [_Block(X[:, j], config) for j in range(N_FEATURES)]
-
-    if warm is None:
-        state = _FitState(
-            intercept=float(np.mean(z)),
-            params=[np.zeros(1 if b.kind == "linear" else b.knots.size) for b in blocks],
-            centers=[0.0] * N_FEATURES,
-            components=[np.zeros(n) for _ in range(N_FEATURES)],
-            gammas=[0.0] * len(pairs),
-        )
-    else:
-        state = warm
-
-    def interaction_total(exclude: int | None = None) -> np.ndarray:
-        total = np.zeros(n)
-        for k, (i, j) in enumerate(pairs):
-            if k == exclude:
-                continue
-            total += state.gammas[k] * state.components[i] * state.components[j]
-        return total
-
-    trajectory: list[float] = []
-    cycles_run = 0
-
-    for cycle in range(1, config.max_cycles + 1):
-        cycles_run = cycle
-        max_change = 0.0
-        additive = state.intercept + np.sum(state.components, axis=0)
-
-        for j, block in enumerate(blocks):
-            partial = z - (additive - state.components[j]) - interaction_total()
-            params_new, raw_new = block.fit_raw(partial)
-            raw_old = block.raw(state.params[j])
-            step = raw_new - raw_old
-            step_sq = float(step @ step)
-            if step_sq == 0.0:
-                continue
-            # Exact line search on the training RSS along old -> new.  The
-            # full penalized step is kept whenever it does not ascend
-            # (t* >= 1/2); otherwise damp to the segment's RSS minimizer.
-            resid = partial - state.components[j]
-            t_star = float(resid @ step) / step_sq
-            if t_star <= 0.0:
-                continue
-            t = 1.0 if t_star >= 0.5 else t_star
-            params = state.params[j] + t * (params_new - state.params[j])
-            raw = raw_old + t * step
-            center = float(np.mean(raw))
-            component = raw - center
-            max_change = max(max_change, float(np.max(np.abs(component - state.components[j]))))
-            additive += t * step
-            state.intercept += center - state.centers[j]
-            state.params[j] = params
-            state.centers[j] = center
-            state.components[j] = component
-
-        for k, (i, j) in enumerate(pairs):
-            # Products of two diverging components can overflow float64 a
-            # cycle before the RSS check below notices the blow-up; the
-            # resulting infs are just another non-finite iterate.
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = state.components[i] * state.components[j]
-                denom = float(u @ u)
-                residual = z - additive - interaction_total(exclude=k)
-                gamma = 0.0 if denom < 1e-12 else float(u @ residual) / denom
-                max_change = max(max_change, float(np.max(np.abs((gamma - state.gammas[k]) * u))))
-            state.gammas[k] = gamma
-
-        # Let the intercept absorb any residual mean (interaction products
-        # are not centered), keeping the components themselves mean zero.
-        residual_mean = float(np.mean(z - additive - interaction_total()))
-        state.intercept += residual_mean
-        additive += residual_mean
-        max_change = max(max_change, abs(residual_mean))
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            rss = _state_rss(z, state, pairs)
-        trajectory.append(rss)
-        if not np.isfinite(rss):
-            raise ConvergenceError(
-                "backfitting diverged to non-finite values",
-                trajectory=tuple(trajectory),
-            )
-        if max_change < config.tol:
-            return state, blocks, cycles_run, trajectory
-
-    raise ConvergenceError(
-        f"backfitting did not converge in {config.max_cycles} cycles",
-        trajectory=tuple(trajectory),
-    )
-
-
-def _build_smooths(blocks: list[_Block], state: _FitState) -> tuple[SmoothFunction, ...]:
-    smooths = []
-    for j, block in enumerate(blocks):
-        if block.kind == "linear":
-            smooths.append(
-                SmoothFunction(
-                    feature=j, kind="linear", knots=np.empty(0), values=np.empty(0),
-                    slope=float(state.params[j][0]), center=state.centers[j],
-                )
-            )
-        else:
-            smooths.append(
-                SmoothFunction(
-                    feature=j, kind="spline", knots=block.knots.copy(),
-                    values=state.params[j].copy(), slope=0.0, center=state.centers[j],
-                )
-            )
-    return tuple(smooths)
-
-
-def _state_from_model(model: GamModel, X: np.ndarray) -> _FitState:
-    components = [model.smooths[j](X[:, j]) for j in range(N_FEATURES)]
-    params = []
-    for smooth in model.smooths:
-        if smooth.kind == "linear":
-            params.append(np.array([smooth.slope]))
-        else:
-            params.append(smooth.values.copy())
-    return _FitState(
-        intercept=model.intercept,
-        params=params,
-        centers=[s.center for s in model.smooths],
-        components=components,
-        gammas=[t.gamma for t in model.interactions],
-    )
+def _working_data(encoding: EncodingConfig, link: LinkKind, train: Dataset):
+    X, y = encode_dataset(train, encoding)
+    if y is None:
+        raise ValidationError("cannot fit on records without expenditure")
+    return X, _working_response(y, link)
 
 
 def fit_gam(
@@ -356,26 +258,25 @@ def fit_gam(
     link: LinkKind = LinkKind.IDENTITY,
     smooth: SmoothConfig = SmoothConfig(),
 ) -> GamModel:
-    """Backfit the additive model on encoded features.
+    """Fit the additive model by one penalized least-squares solve.
 
-    The intercept starts at the mean of the (link-transformed) response with
-    all components zero; cycles stop when no component moved more than
-    ``smooth.tol`` anywhere on the training sample.
+    The intercept is the mean of the (link-transformed) response; the
+    components are the centred minimiser of the penalized objective.
     """
     if train.n < _MIN_TRAIN_ROWS:
         raise ValidationError(f"fit_gam needs at least {_MIN_TRAIN_ROWS} rows, got {train.n}")
-    X, y = encode_dataset(train, config)
-    if y is None:
-        raise ValidationError("cannot fit on records without expenditure")
-    z = _working_response(y, link)
-    state, blocks, cycles, trajectory = _backfit(X, z, smooth, pairs=[])
+    X, z = _working_data(config, link, train)
+    design = _Design(X, smooth)
+    intercept = float(np.mean(z))
+    theta = design.solve(z - intercept)
+    r = z - intercept - sum(design.components(theta))
     return GamModel(
-        intercept=state.intercept,
+        intercept=intercept,
         link=link,
-        smooths=_build_smooths(blocks, state),
+        smooths=design.smooths(theta),
         interactions=(),
-        cycles=cycles,
-        rss=trajectory[-1],
+        cycles=1,
+        rss=float(r @ r),
         smooth_config=smooth,
         encoding=config,
     )
@@ -385,17 +286,21 @@ def predict_gam(model: GamModel, X: np.ndarray) -> np.ndarray:
     """Predictions at the rows of an (n, 6) encoded feature matrix."""
     X = feature_matrix(X)
     values = [model.smooths[j](X[:, j]) for j in range(N_FEATURES)]
-    eta = model.intercept + sum(values)
-    for term in model.interactions:
-        eta += term.gamma * values[term.i] * values[term.j]
+    pairs = [(t.i, t.j) for t in model.interactions]
+    eta = _eta(model.intercept, values, pairs, [t.gamma for t in model.interactions])
     return _inverse_link(eta, model.link)
 
 
 def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel:
     """Extend the model with one gamma * f_i * f_j term and refit.
 
-    Backfitting restarts from the current components, so the refit training
-    RSS never exceeds the original model's (up to 1e-9 float slack).
+    Each cycle takes the least-squares (intercept, gammas) for the current
+    components, then re-solves the additive part jointly with the
+    interaction terms held as an offset.  Cycles start from the model's own
+    smooths and stop once no fitted term moved more than ``tol`` on the
+    training sample.  The first (intercept, gammas) step keeps the model's
+    smooths, so its RSS is never above the model's; it is returned instead
+    whenever the converged refit ends with a higher RSS.
     """
     if i == j:
         raise ValidationError(f"interaction needs two distinct features, got ({i}, {j})")
@@ -405,42 +310,62 @@ def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel
         raise ValidationError(f"interaction ({i}, {j}) already present")
     InteractionTerm(i, j, 0.0)  # bounds check
 
-    X, y = encode_dataset(train, model.encoding)
-    if y is None:
-        raise ValidationError("cannot fit on records without expenditure")
-    z = _working_response(y, model.link)
+    X, z = _working_data(model.encoding, model.link, train)
+    config = model.smooth_config
     pairs = existing + [(i, j)]
-    warm = _state_from_model(model, X)
-    warm.gammas = warm.gammas + [0.0]
-    state, blocks, cycles, trajectory = _backfit(X, z, model.smooth_config, pairs, warm=warm)
-    rss = trajectory[-1]
-    if rss > model.rss + 1e-9:
-        # The full refit drifted above the starting point (possible in
-        # principle because the spline penalty is not part of the RSS);
-        # fall back to the original components with a single exact gamma
-        # update, which cannot increase the RSS.
-        state = _state_from_model(model, X)
-        u = state.components[i] * state.components[j]
-        denom = float(u @ u)
-        residual = z - (state.intercept + np.sum(state.components, axis=0))
-        for (a, b), gamma in zip(existing, state.gammas):
-            residual -= gamma * state.components[a] * state.components[b]
-        state.gammas = state.gammas + [0.0 if denom < 1e-12 else float(u @ residual) / denom]
-        blocks = [_Block(X[:, col], model.smooth_config) for col in range(N_FEATURES)]
-        rss = _state_rss(z, state, pairs)
-        cycles = 1
-    return GamModel(
-        intercept=state.intercept,
-        link=model.link,
-        smooths=_build_smooths(blocks, state),
-        interactions=tuple(
-            InteractionTerm(a, b, g) for (a, b), g in zip(pairs, state.gammas)
-        ),
-        cycles=cycles,
-        rss=rss,
-        smooth_config=model.smooth_config,
-        encoding=model.encoding,
-    )
+    design = _Design(X, config)
+    ones = np.ones((X.shape[0], 1))
+
+    def products(values):
+        return np.column_stack([values[a] * values[b] for a, b in pairs])
+
+    def refit(intercept, smooths, gammas, values, cycles):
+        r = z - _eta(intercept, values, pairs, gammas)
+        return replace(
+            model, intercept=intercept, smooths=smooths, cycles=cycles, rss=float(r @ r),
+            interactions=tuple(InteractionTerm(a, b, float(g)) for (a, b), g in zip(pairs, gammas)),
+        )
+
+    components = [smooth(X[:, col]) for col, smooth in enumerate(model.smooths)]
+    intercept = model.intercept
+    gammas = np.array([t.gamma for t in model.interactions] + [0.0])
+    first = None
+    trajectory: list[float] = []
+    # Products of two diverging components can overflow float64 before the
+    # RSS check notices the blow-up; the infs are just a non-finite iterate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = products(components) * gammas
+        for cycle in range(1, config.max_cycles + 1):
+            u = products(components)
+            coef = np.linalg.lstsq(np.hstack([ones, u]), z - sum(components), rcond=None)[0]
+            if first is None:
+                first = refit(float(coef[0]), model.smooths, coef[1:], components, 1)
+            theta = design.solve(z - coef[0] - u @ coef[1:])
+            new_components = design.components(theta)
+            new_terms = products(new_components) * coef[1:]
+            r = z - _eta(coef[0], new_components, pairs, coef[1:])
+            trajectory.append(float(r @ r))
+            if not np.isfinite(trajectory[-1]):
+                raise ConvergenceError(
+                    "interaction refit diverged to non-finite values",
+                    trajectory=tuple(trajectory),
+                )
+            change = max(
+                abs(coef[0] - intercept),
+                float(np.max(np.abs(np.subtract(new_components, components)))),
+                float(np.max(np.abs(new_terms - terms))),
+            )
+            intercept, gammas = float(coef[0]), coef[1:]
+            components, terms = new_components, new_terms
+            if change < config.tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"interaction refit did not converge in {config.max_cycles} cycles",
+                trajectory=tuple(trajectory),
+            )
+    last = refit(intercept, design.smooths(theta), gammas, components, cycle)
+    return first if last.rss > first.rss else last
 
 
 def interaction_scan(
@@ -463,18 +388,15 @@ def interaction_scan(
     if y is None:
         raise ValidationError("cannot scan records without expenditure")
     z = _working_response(y, base.link)
-    base_state = _state_from_model(base, X)
-    base_pairs = [(t.i, t.j) for t in base.interactions]
-    base_rss = _state_rss(z, base_state, base_pairs)
-    fitted = base_state.intercept + np.sum(base_state.components, axis=0)
-    for (a, b), gamma in zip(base_pairs, base_state.gammas):
-        fitted += gamma * base_state.components[a] * base_state.components[b]
-    residual = z - fitted
+    components = [smooth(X[:, j]) for j, smooth in enumerate(base.smooths)]
+    pairs = [(t.i, t.j) for t in base.interactions]
+    residual = z - _eta(base.intercept, components, pairs, [t.gamma for t in base.interactions])
+    base_rss = float(residual @ residual)
 
     rng = np.random.default_rng(seed)
     results = []
     for i, j in itertools.combinations(range(N_FEATURES), 2):
-        u = base_state.components[i] * base_state.components[j]
+        u = components[i] * components[j]
         u = u - np.mean(u)
         denom = float(u @ u)
         if denom < 1e-12:

@@ -30,7 +30,6 @@ from pricelab.dataset import (
     load_csv,
     split_half,
 )
-from pricelab.errors import ConvergenceError
 from pricelab.evaluation import (
     FAMILIES,
     AnnFamily,
@@ -93,9 +92,10 @@ def test_glm_exact_recovery_and_normal_equations_oracle():
     assert elapsed < 1.0
 
 
-def test_gam_reduces_to_glm_and_backfitting_descends():
+def test_gam_reduces_to_glm_and_reaches_penalized_optimum(gam_oracle):
     """Forced-linear GAM reproduces the GLM on every training point, and
-    backfitting RSS never increases across cycles on 10 random datasets."""
+    on 10 random datasets the fit's penalized objective is no higher than
+    scipy's minimum of it beyond float noise."""
     start = time.perf_counter()
     data = generate_synthetic(GeneratorParams(n=100, seed=0))
     gam = fit_gam(data, smooth=SmoothConfig(force_linear=True))
@@ -104,18 +104,15 @@ def test_gam_reduces_to_glm_and_backfitting_descends():
     gap = np.max(np.abs(predict_gam(gam, X) - predict_glm(glm, X)))
     assert gap < 1e-4
 
-    # unreachable tolerance forces the full trajectory out via the error
-    strict = SmoothConfig(tol=1e-300, max_cycles=30)
+    worst = 0.0
     for seed in range(10):
         noisy = generate_synthetic(GeneratorParams(n=80, seed=seed))
-        with pytest.raises(ConvergenceError) as err:
-            fit_gam(noisy, smooth=strict)
-        trajectory = err.value.trajectory
-        assert len(trajectory) == 30
-        for prev, cur in zip(trajectory, trajectory[1:]):
-            assert cur <= prev + 1e-9 + 1e-11 * prev
+        objective, minimum = gam_oracle.objective_and_minimum(fit_gam(noisy), noisy)
+        worst = max(worst, objective / minimum - 1.0)
     elapsed = time.perf_counter() - start
-    print(f"max prediction gap {gap:.2e}; 10 descent trajectories in {elapsed:.1f}s")
+    print(f"max prediction gap {gap:.2e}; worst excess over the scipy optimum "
+          f"{worst:.1e} on 10 datasets in {elapsed:.1f}s")
+    assert worst <= 1e-9
     assert elapsed < 30.0
 
 

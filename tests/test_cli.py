@@ -166,13 +166,22 @@ def test_compare_end_to_end(tmp_path, data_csv):
     ("fit", "force_linear = maybe"),
     ("compare", "trim_fraction = x"),
     ("compare", "# garbled test index"),
+    ("fit", "# missing config file"),
+    ("predict", "# missing input file"),
+    ("predict", "# missing model file"),
 ])
 def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, command, config):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")
+    missing = tmp_path / "missing"
     if command == "fit":
-        argv = ["fit", "--family", "glm", "--in", data_csv, "--config", cfg,
-                "-o", tmp_path / "m.model"]
+        argv = ["fit", "--family", "glm", "--in", data_csv,
+                "--config", missing if "missing" in config else cfg, "-o", tmp_path / "m.model"]
+    elif command == "predict":
+        model = tmp_path / "m.model"
+        assert run("fit", "--family", "glm", "--in", data_csv, "-o", model) == 0
+        argv = ["predict", "--model", missing if "model" in config else model,
+                "--in", missing if "input" in config else data_csv, "-o", tmp_path / "p.csv"]
     else:
         a, b = tmp_path / "a.model", tmp_path / "b.model"
         for path in (a, b):
@@ -187,6 +196,56 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, comma
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def fitted_artifacts(tmp_path_factory):
+    """One fitted artifact per family, on a 100-row portfolio."""
+    d = tmp_path_factory.mktemp("artifacts")
+    assert run("gen", "--n", 100, "--seed", 3, "-o", d / "data.csv") == 0
+    (d / "ann.cfg").write_text("max_epochs = 50\n")
+    for family in ("glm", "gam", "ann"):
+        config = ["--config", d / "ann.cfg"] if family == "ann" else []
+        assert run("fit", "--family", family, "--in", d / "data.csv", *config,
+                   "-o", d / f"{family}.model") == 0
+    return d
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("glm", "link", "cubic"),
+    ("glm", "rss", None),
+    ("gam", "knot_values", "1.0 x"),
+    ("gam", "rss", None),
+    ("ann", "hidden", "8,x"),
+    ("ann", "stopped_epoch", None),
+])
+def test_damaged_artifact_exits_3_with_one_error_line(
+    tmp_path, fitted_artifacts, capsys, family, key, value
+):
+    """A garbled value (or a removed line, ``value`` None) in a fitted
+    artifact makes predict exit 3 with one error line naming the key."""
+    lines = (fitted_artifacts / f"{family}.model").read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(f"{key} = "))
+    if value is None:
+        del lines[at]
+    else:
+        lines[at] = f"{key} = {value}"
+    damaged = tmp_path / "damaged.model"
+    damaged.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("predict", "--model", damaged, "--in", fitted_artifacts / "data.csv",
+               "-o", tmp_path / "p.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("portfolio", [8, 18, 19, 26, 47])
+def test_fit_gam_on_portfolios_that_once_did_not_converge(tmp_path, portfolio):
+    csv = tmp_path / "portfolio.csv"
+    assert run("gen", "--n", 200, "--seed", portfolio, "-o", csv) == 0
+    assert run("fit", "--family", "gam", "--in", csv, "--seed", portfolio,
+               "-o", tmp_path / "gam.model") == 0
 
 
 def test_compare_needs_two_models(tmp_path, data_csv):
