@@ -22,14 +22,13 @@ from .ann import (
 )
 from .artifacts import load_model, save_model
 from .dataset import (
-    CustomerRecord,
+    CLAIMS,
     Dataset,
     EncodingConfig,
     FEATURE_NAMES,
     Gender,
     GeneratorParams,
     PriorClaim,
-    encode,
     encode_dataset,
     generate_synthetic,
     load_csv,
@@ -69,13 +68,13 @@ from .glm import GlmModel, LinkKind, fit_glm, predict_glm
 __all__ = [
     "__version__",
     "AccuracyBand", "AnnFamily", "AnnModel", "CollinearityReport",
-    "ComparisonReport", "CustomerRecord", "Dataset", "EncodingConfig",
+    "CLAIMS", "ComparisonReport", "Dataset", "EncodingConfig",
     "FEATURE_NAMES", "GamFamily", "GamModel", "Gender", "GeneratorParams",
     "GlmFamily", "GlmModel", "InteractionTerm", "LinkKind", "NetworkTopology",
     "OverfitReport", "PriorClaim", "SmoothConfig", "SmoothFunction",
     "TargetScaler", "TrainingConfig", "Weights",
     "accuracy_band", "add_interaction", "collinearity_report", "compare",
-    "encode", "encode_dataset", "fit_gam", "fit_glm", "format_band",
+    "encode_dataset", "fit_gam", "fit_glm", "format_band",
     "forward", "generate_synthetic", "gradient_check", "init_weights",
     "interaction_scan", "learning_curve", "learning_curve_csv", "load_csv",
     "load_model", "overfit_scan", "predict_ann", "predict_gam", "predict_glm",

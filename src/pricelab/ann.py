@@ -21,7 +21,7 @@ from .dataset import (
     Dataset,
     EncodingConfig,
     N_FEATURES,
-    encode_dataset,
+    encode_with_response,
     feature_matrix,
 )
 from .errors import DivergenceError, NumericError, ValidationError
@@ -288,9 +288,7 @@ def train(
     """
     if train_data.n < 10:
         raise ValidationError(f"train needs at least 10 rows, got {train_data.n}")
-    X, y = encode_dataset(train_data, config)
-    if y is None:
-        raise ValidationError("cannot fit on records without expenditure")
+    X, y = encode_with_response(train_data, config)
     if X.shape[1] != topology.inputs:
         raise ValidationError(
             f"topology expects {topology.inputs} inputs, features have {X.shape[1]}"
@@ -345,9 +343,7 @@ def train_trajectory(
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValidationError("checkpoints must be positive epochs")
-    X, y = encode_dataset(train_data, config)
-    if y is None:
-        raise ValidationError("cannot fit on records without expenditure")
+    X, y = encode_with_response(train_data, config)
     scaler = training.target_scaler or TargetScaler.fit(y)
     weights = init_weights(topology, training.seed)
     result = _descend(

@@ -30,7 +30,7 @@ from .config import (
     parse_sections,
 )
 from .dataset import FEATURE_NAMES
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 from .gam import GamModel, InteractionTerm, SmoothConfig, SmoothFunction
 from .glm import GlmModel
 
@@ -275,8 +275,7 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
-    sections = parse_sections(text)
+    sections = parse_sections(read_text(path))
     family = dict(sections[0][1]).get("family")
     codec = _CODECS.get(family)
     if codec is None:

@@ -20,6 +20,8 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .artifacts import load_model, save_model
 from .config import (
@@ -29,20 +31,17 @@ from .config import (
     model_settings_from_mapping,
     read_config,
 )
-from .dataset import Dataset, encode_dataset, load_csv, split_half, write_csv, generate_synthetic
+from .dataset import encode_dataset, load_csv, split_half, write_csv, generate_synthetic
 from .errors import (
     ConvergenceError,
     DivergenceError,
     NumericError,
-    ParseError,
     PricelabError,
-    SchemaError,
-    SingularityError,
     ValidationError,
+    read_text,
 )
 from .evaluation import FAMILIES, compare, render_markdown, report_csv
 
-_DATA_ERRORS = (SchemaError, ParseError, ValidationError, SingularityError)
 _FIT_ERRORS = (ConvergenceError, DivergenceError, NumericError)
 
 
@@ -82,7 +81,7 @@ def replay_manifest(path: str | Path) -> int:
     if not Path(path).is_file():
         raise ValidationError(f"{path}: no such manifest")
     fields = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
     if "argv" not in fields:
@@ -131,8 +130,6 @@ def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
     family_type = FAMILIES[args.family]
     family = family_type(**{f.name: settings[f.name] for f in dataclasses.fields(family_type)})
     data = load_csv(args.input)
-    if any(r.expenditure is None for r in data.records):
-        raise ValidationError("fit needs the expenditure column")
     train_half, test_half = split_half(data, args.seed)
     model = family.fit(train_half, encoding)
 
@@ -140,7 +137,7 @@ def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
     save_model(model, out)
     index_path = Path(str(out) + ".test-index")
     index_path.write_text(
-        "\n".join(str(r.id) for r in test_half.records) + "\n", encoding="utf-8"
+        "\n".join(map(str, test_half.ids.tolist())) + "\n", encoding="utf-8"
     )
     _write_manifest(
         out, "fit", argv, seed=args.seed, config_path=args.config,
@@ -155,14 +152,16 @@ def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
     data = load_csv(args.input)
     X, actual = encode_dataset(data, model.encoding)
     predictions = FAMILIES[model.family].predict(model, X).tolist()
-    has_actuals = actual is not None
-    lines = ["id,predicted_expenditure,ratio" if has_actuals else "id,predicted_expenditure"]
-    for record, prediction in zip(data.records, predictions):
-        if has_actuals:
-            ratio = "" if record.expenditure == 0 else repr(prediction / record.expenditure)
-            lines.append(f"{record.id},{prediction!r},{ratio}")
-        else:
-            lines.append(f"{record.id},{prediction!r}")
+    ids = data.ids.tolist()
+    if actual is None:
+        lines = ["id,predicted_expenditure"]
+        lines += [f"{i},{p!r}" for i, p in zip(ids, predictions)]
+    else:
+        lines = ["id,predicted_expenditure,ratio"]
+        lines += [
+            f"{i},{p!r}," + ("" if a == 0 else repr(p / a))
+            for i, p, a in zip(ids, predictions, actual.tolist())
+        ]
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(
@@ -184,23 +183,21 @@ def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
         if not index_path.exists():
             raise ValidationError(f"missing test index file {index_path}")
         try:
-            ids = [int(line) for line in index_path.read_text().split()]
-        except ValueError as exc:
+            ids = [int(line) for line in read_text(index_path).split()]
+            index_sets.append(np.unique(np.array(ids, dtype=np.int64)))
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"{index_path}: {exc}") from None
-        index_sets.append(ids)
-    if any(set(ids) != set(index_sets[0]) for ids in index_sets[1:]):
+    if any(not np.array_equal(ids, index_sets[0]) for ids in index_sets[1:]):
         raise ValidationError(
             "leakage: model artifacts disagree about the held-out test records"
         )
-    test_ids = set(index_sets[0])
 
     data = load_csv(args.input)
-    test_records = tuple(r for r in data.records if r.id in test_ids)
-    train_records = tuple(r for r in data.records if r.id not in test_ids)
-    if len(test_records) != len(test_ids):
+    in_test = np.isin(data.ids, index_sets[0])
+    if np.count_nonzero(in_test) != index_sets[0].size:
         raise ValidationError("test index references ids missing from the input file")
-    test = Dataset(test_records)
-    train = Dataset(train_records)
+    test = data.take(in_test)
+    train = data.take(~in_test)
 
     report = compare(models, test, train=train, seed=args.seed, **band)
     out_md = Path(args.out + ".md")
@@ -273,19 +270,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except _FIT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, message = 4, str(exc)
     except PricelabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, str(exc)
     except OSError as exc:  # missing or unreadable input, config or model file
-        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 3
+        code, message = 3, f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    # One line, whatever bytes of a damaged file the message quotes.
+    message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .ann import NetworkTopology, TrainingConfig
 from .dataset import DEFAULT_ENCODING, EncodingConfig, GeneratorParams, PriorClaim
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 from .gam import SmoothConfig
 from .glm import LinkKind
 
@@ -54,8 +54,7 @@ def dump_sections(sections: Sections) -> str:
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Read a flat config file; section headers are not allowed here."""
-    text = Path(path).read_text(encoding="utf-8")
-    sections = parse_sections(text)
+    sections = parse_sections(read_text(path))
     if len(sections) > 1:
         raise ValidationError(f"{path}: config files must not contain [section] headers")
     pairs = sections[0][1]

@@ -1,4 +1,15 @@
-"""Customer records, feature encoding, CSV files and the synthetic generator.
+"""The customer table, feature encoding, CSV files and the synthetic generator.
+
+A ``Dataset`` holds the table as read-only numpy columns, one entry per
+customer in file order:
+
+    ids          int64    record id, unique
+    male         bool     gender
+    age          int64    years, in [18, 100]
+    income       float64  finite, >= 0
+    smoker       bool
+    claim        int64    previous claim, a code into ``CLAIMS`` (0 is none)
+    expenditure  float64  finite, >= 0; None when the response column is absent
 
 Every model in the package consumes the same six-component feature vector,
 all components scaled into [0, 1]:
@@ -16,13 +27,13 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, SchemaError, ValidationError, not_utf8
 
 CSV_COLUMNS = ("id", "gender", "age", "income", "smoke", "previous_claim", "expenditure")
 FEATURE_NAMES = ("gender", "age", "income", "smoker", "claim_present", "claim_severity")
@@ -34,8 +45,7 @@ N_FEATURES = len(FEATURE_NAMES)
 # between the two flags is exactly phi.
 _SMOKE_RATE = 0.35
 _CLAIM_RATE = 0.35
-_CLAIM_CATEGORIES = ("diabetes", "copd", "lung_cancer", "other")
-_CLAIM_CATEGORY_PROBS = (0.35, 0.25, 0.15, 0.25)
+_CLAIM_CATEGORY_PROBS = (0.35, 0.25, 0.15, 0.25)  # of claim codes 1-4
 
 class Gender(enum.Enum):
     FEMALE = "female"
@@ -50,6 +60,8 @@ class PriorClaim(enum.Enum):
     OTHER = "other"
 
 
+CLAIMS = tuple(PriorClaim)  # the ``Dataset.claim`` codes; code 0 is NONE
+
 _DEFAULT_SEVERITY: dict[PriorClaim, float] = {
     PriorClaim.NONE: 0.0,
     PriorClaim.DIABETES: 0.4,
@@ -60,41 +72,8 @@ _DEFAULT_SEVERITY: dict[PriorClaim, float] = {
 
 
 @dataclass(frozen=True)
-class CustomerRecord:
-    """One row of the customer table.
-
-    ``expenditure`` may be None for prediction-only inputs (a CSV without the
-    response column); such records are rejected by every fitting routine.
-    """
-
-    id: int
-    gender: Gender
-    age: int
-    income: float
-    smoker: bool
-    prior_claim: PriorClaim
-    expenditure: float | None
-
-    def __post_init__(self) -> None:
-        if not (18 <= self.age <= 100):
-            raise ValidationError(
-                f"record id={self.id}: age {self.age} outside [18, 100]"
-            )
-        if not math.isfinite(self.income) or self.income < 0:
-            raise ValidationError(
-                f"record id={self.id}: income {self.income} must be finite and >= 0"
-            )
-        if self.expenditure is not None:
-            if not math.isfinite(self.expenditure) or self.expenditure < 0:
-                raise ValidationError(
-                    f"record id={self.id}: expenditure {self.expenditure} "
-                    "must be finite and >= 0"
-                )
-
-
-@dataclass(frozen=True)
 class EncodingConfig:
-    """Scaling ranges and the claim-severity lookup used by ``encode``."""
+    """Scaling ranges and the claim-severity lookup used by ``encode_dataset``."""
 
     age_range: tuple[float, float] = (18.0, 80.0)
     income_range: tuple[float, float] = (0.0, 150000.0)
@@ -203,64 +182,105 @@ class GeneratorParams:
         return float(np.logaddexp(0.0, self.eta(np.asarray(features, dtype=float))))
 
 
-@dataclass(frozen=True)
+# Column name -> dtype; ``expenditure`` may also be None.
+_COLUMNS = {
+    "ids": np.int64, "male": bool, "age": np.int64, "income": float,
+    "smoker": bool, "claim": np.int64, "expenditure": float,
+}
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: tuple[CustomerRecord, ...]
+    """The customer table as read-only columns (see the module docstring).
+
+    Constructing one is the only validation of customer data: failures name
+    the first offending ``record id=...`` in row order.
+    """
+
+    ids: np.ndarray
+    male: np.ndarray
+    age: np.ndarray
+    income: np.ndarray
+    smoker: np.ndarray
+    claim: np.ndarray
+    expenditure: np.ndarray | None = None
     provenance: str = "loaded"
     generator_params: GeneratorParams | None = None
 
     def __post_init__(self) -> None:
-        if not self.records:
+        for name in self._columns():
+            try:
+                column = np.array(getattr(self, name), dtype=_COLUMNS[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"column {name}: {exc}") from None
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if {getattr(self, name).shape for name in self._columns()} != {(self.n,)}:
+            raise ValidationError("columns must be one-dimensional and of equal length")
+        if self.n == 0:
             raise ValidationError("empty dataset")
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate record ids in dataset")
+
+        checks = [
+            ((self.age < 18) | (self.age > 100), self.age, "age {} outside [18, 100]"),
+            (~(np.isfinite(self.income) & (self.income >= 0)), self.income,
+             "income {} must be finite and >= 0"),
+            ((self.claim < 0) | (self.claim >= len(CLAIMS)), self.claim,
+             f"previous_claim code {{}} outside [0, {len(CLAIMS)})"),
+        ]
+        if self.expenditure is not None:
+            checks.append((~(np.isfinite(self.expenditure) & (self.expenditure >= 0)),
+                           self.expenditure, "expenditure {} must be finite and >= 0"))
+        bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+        if bad.any():
+            i = int(np.argmax(bad))
+            column, text = next((c, t) for mask, c, t in checks if mask[i])
+            raise ValidationError(f"record id={self.ids[i]}: " + text.format(column[i].item()))
+
+        repeated = np.ones(self.n, dtype=bool)
+        repeated[np.unique(self.ids, return_index=True)[1]] = False
+        if repeated.any():
+            raise ValidationError(
+                f"duplicate record ids in dataset: record id={self.ids[np.argmax(repeated)]} "
+                "appears more than once"
+            )
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.ids.size
 
-    def ids(self) -> frozenset[int]:
-        return frozenset(r.id for r in self.records)
+    def _columns(self) -> list[str]:
+        return [name for name in _COLUMNS if name != "expenditure" or self.expenditure is not None]
 
-
-def encode(record: CustomerRecord, config: EncodingConfig = DEFAULT_ENCODING) -> np.ndarray:
-    """Map a record to the six-component feature vector, clamped into [0, 1]."""
-    return encode_dataset(Dataset((record,)), config)[0][0]
-
-
-def _encode_columns(
-    male, age, income, smoker, claims: list[PriorClaim], config: EncodingConfig
-) -> np.ndarray:
-    """The (n, 6) feature matrix of n customers given column by column."""
-    age_lo, age_hi = config.age_range
-    inc_lo, inc_hi = config.income_range
-    X = np.empty((len(claims), N_FEATURES))
-    X[:, 0] = male
-    X[:, 1] = np.clip((age - age_lo) / (age_hi - age_lo), 0.0, 1.0)
-    X[:, 2] = np.clip((income - inc_lo) / (inc_hi - inc_lo), 0.0, 1.0)
-    X[:, 3] = smoker
-    X[:, 4] = [claim is not PriorClaim.NONE for claim in claims]
-    X[:, 5] = [config.claim_severity[claim] for claim in claims]
-    return X
+    def take(self, index) -> "Dataset":
+        """The rows at ``index`` (positions or a boolean mask), in that order."""
+        return replace(self, **{name: getattr(self, name)[index] for name in self._columns()})
 
 
 def encode_dataset(
     dataset: Dataset, config: EncodingConfig = DEFAULT_ENCODING
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Encode every record; returns (X, y) with y=None if any response is absent."""
-    records = dataset.records
-    X = _encode_columns(
-        np.array([r.gender is Gender.MALE for r in records]),
-        np.array([r.age for r in records], dtype=float),
-        np.array([r.income for r in records], dtype=float),
-        np.array([r.smoker for r in records]),
-        [r.prior_claim for r in records],
-        config,
-    )
-    if any(r.expenditure is None for r in records):
-        return X, None
-    y = np.array([r.expenditure for r in records], dtype=float)
+    """(X, y): the (n, 6) feature matrix, clamped into [0, 1], and the
+    expenditure column (None when absent)."""
+    age_lo, age_hi = config.age_range
+    inc_lo, inc_hi = config.income_range
+    severity = np.array([config.claim_severity[claim] for claim in CLAIMS])
+    X = np.empty((dataset.n, N_FEATURES))
+    X[:, 0] = dataset.male
+    X[:, 1] = np.clip((dataset.age - age_lo) / (age_hi - age_lo), 0.0, 1.0)
+    X[:, 2] = np.clip((dataset.income - inc_lo) / (inc_hi - inc_lo), 0.0, 1.0)
+    X[:, 3] = dataset.smoker
+    X[:, 4] = dataset.claim != 0
+    X[:, 5] = severity[dataset.claim]
+    return X, dataset.expenditure
+
+
+def encode_with_response(
+    dataset: Dataset, config: EncodingConfig = DEFAULT_ENCODING
+) -> tuple[np.ndarray, np.ndarray]:
+    """``encode_dataset`` for fitting and scoring, which need the response."""
+    X, y = encode_dataset(dataset, config)
+    if y is None:
+        raise ValidationError("no expenditure column: fitting and scoring need the response")
     return X, y
 
 
@@ -280,7 +300,7 @@ def _severity_attenuation(config: EncodingConfig) -> float:
     and kappa depends only on the claim rate and the severity distribution.
     """
     p = _CLAIM_RATE
-    sev = np.array([config.claim_severity[PriorClaim(c)] for c in _CLAIM_CATEGORIES])
+    sev = np.array([config.claim_severity[claim] for claim in CLAIMS[1:]])
     probs = np.array(_CLAIM_CATEGORY_PROBS)
     mean_s = float(probs @ sev)
     mean_s2 = float(probs @ sev**2)
@@ -305,8 +325,11 @@ def generate_synthetic(
     inc_lo, inc_hi = (int(round(v)) for v in config.income_range)
 
     genders = rng.integers(0, 2, size=n)
-    ages = rng.integers(age_lo, age_hi + 1, size=n)
-    incomes = rng.integers(inc_lo, inc_hi + 1, size=n).astype(float)
+    try:
+        ages = rng.integers(age_lo, age_hi + 1, size=n)
+        incomes = rng.integers(inc_lo, inc_hi + 1, size=n).astype(float)
+    except ValueError as exc:  # a bound outside the 64-bit integers
+        raise ValidationError(f"encoding ranges too wide to draw from: {exc}") from None
     smokers = rng.random(n) < _SMOKE_RATE
 
     kappa = _severity_attenuation(config)
@@ -314,7 +337,7 @@ def generate_synthetic(
     copy_smoker = rng.random(n) < phi
     fresh_claims = rng.random(n) < _CLAIM_RATE
     claim_present = np.where(copy_smoker, smokers, fresh_claims)
-    categories = rng.choice(len(_CLAIM_CATEGORIES), size=n, p=_CLAIM_CATEGORY_PROBS)
+    categories = rng.choice(len(_CLAIM_CATEGORY_PROBS), size=n, p=_CLAIM_CATEGORY_PROBS)
     if params.noise_scale > 0:
         noise = rng.normal(0.0, params.noise_scale, size=n)
         heavy = rng.random(n) < params.noise_outlier_rate
@@ -322,24 +345,14 @@ def generate_synthetic(
     else:
         noise = np.zeros(n)
 
-    claims = [
-        PriorClaim(_CLAIM_CATEGORIES[c]) if present else PriorClaim.NONE
-        for c, present in zip(categories, claim_present)
-    ]
-    X = _encode_columns(genders, ages.astype(float), incomes, smokers, claims, config)
-    records = [
-        CustomerRecord(
-            id=i + 1,
-            gender=Gender.MALE if genders[i] else Gender.FEMALE,
-            age=int(ages[i]),
-            income=float(incomes[i]),
-            smoker=bool(smokers[i]),
-            prior_claim=claims[i],
-            expenditure=float(np.logaddexp(0.0, params.eta(X[i]) + noise[i])),
-        )
-        for i in range(n)
-    ]
-    return Dataset(tuple(records), provenance="synthetic", generator_params=params)
+    data = Dataset(
+        ids=np.arange(1, n + 1), male=genders == 1, age=ages, income=incomes,
+        smoker=smokers, claim=np.where(claim_present, categories + 1, 0),
+        provenance="synthetic", generator_params=params,
+    )
+    X, _ = encode_dataset(data, config)
+    eta = np.array([params.eta(x) for x in X])
+    return replace(data, expenditure=np.logaddexp(0.0, eta + noise))
 
 
 def split_half(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
@@ -348,10 +361,7 @@ def split_half(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
         raise ValidationError("split_half needs at least 2 records")
     perm = np.random.default_rng(seed).permutation(dataset.n)
     k = math.ceil(dataset.n / 2)
-    train = tuple(dataset.records[i] for i in perm[:k])
-    test = tuple(dataset.records[i] for i in perm[k:])
-    common = dict(provenance=dataset.provenance, generator_params=dataset.generator_params)
-    return Dataset(train, **common), Dataset(test, **common)
+    return dataset.take(perm[:k]), dataset.take(perm[k:])
 
 
 def _format_number(value: float) -> str:
@@ -362,23 +372,22 @@ def _format_number(value: float) -> str:
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write records in the canonical column order (UTF-8, no currency symbols)."""
-    has_expenditure = all(r.expenditure is not None for r in dataset.records)
-    columns = CSV_COLUMNS if has_expenditure else CSV_COLUMNS[:-1]
+    columns = [
+        dataset.ids.tolist(),
+        [Gender.MALE.value if m else Gender.FEMALE.value for m in dataset.male.tolist()],
+        dataset.age.tolist(),
+        [_format_number(v) for v in dataset.income.tolist()],
+        ["yes" if s else "no" for s in dataset.smoker.tolist()],
+        [CLAIMS[c].value for c in dataset.claim.tolist()],
+    ]
+    header = CSV_COLUMNS[:-1]
+    if dataset.expenditure is not None:
+        header = CSV_COLUMNS
+        columns.append([_format_number(v) for v in dataset.expenditure.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in dataset.records:
-            row = [
-                str(r.id),
-                r.gender.value,
-                str(r.age),
-                _format_number(r.income),
-                "yes" if r.smoker else "no",
-                r.prior_claim.value,
-            ]
-            if has_expenditure:
-                row.append(_format_number(r.expenditure))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def _parse_enum(cls, text: str, column: str, row: int):
@@ -391,6 +400,14 @@ def _parse_enum(cls, text: str, column: str, row: int):
         ) from None
 
 
+def _lines(fh, path: Path):
+    """The lines of an open text file; undecodable bytes raise ``ParseError``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
 def load_csv(path: str | Path) -> Dataset:
     """Load and validate a customer CSV.
 
@@ -400,7 +417,7 @@ def load_csv(path: str | Path) -> Dataset:
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -419,7 +436,7 @@ def load_csv(path: str | Path) -> Dataset:
             raise SchemaError(f"{path}: bad header; " + "; ".join(detail))
         has_expenditure = header == CSV_COLUMNS
 
-        records = []
+        columns: list[list] = [[] for _ in header]
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -443,23 +460,15 @@ def load_csv(path: str | Path) -> Dataset:
                     row=row_no,
                 )
             claim = _parse_enum(PriorClaim, cells[5], "previous_claim", row_no)
-            expenditure: float | None = None
+            values = [rec_id, gender is Gender.MALE, age, income, smoke == "yes",
+                      CLAIMS.index(claim)]
             if has_expenditure:
                 try:
-                    expenditure = float(cells[6])
+                    values.append(float(cells[6]))
                 except ValueError as exc:
                     raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
-            records.append(
-                CustomerRecord(
-                    id=rec_id,
-                    gender=gender,
-                    age=age,
-                    income=income,
-                    smoker=smoke == "yes",
-                    prior_claim=claim,
-                    expenditure=expenditure,
-                )
-            )
-    if not records:
+            for column, value in zip(columns, values):
+                column.append(value)
+    if not columns[0]:
         raise ValidationError(f"{path}: empty dataset")
-    return Dataset(tuple(records), provenance="loaded")
+    return Dataset(*columns, provenance="loaded")

@@ -8,6 +8,8 @@ numeric blow-ups).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class PricelabError(Exception):
     """Base class for all errors raised by this package."""
@@ -54,3 +56,16 @@ class DivergenceError(PricelabError):
 
 class NumericError(PricelabError):
     """A non-finite value appeared; message carries the epoch or step index."""
+
+
+def not_utf8(path) -> ParseError:
+    """The error for an input file that is not UTF-8 text."""
+    return ParseError(f"{path}: not a UTF-8 text file")
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a config, artifact, index or manifest file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None

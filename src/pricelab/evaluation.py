@@ -31,7 +31,7 @@ from .dataset import (
     Dataset,
     EncodingConfig,
     GeneratorParams,
-    encode_dataset,
+    encode_with_response,
     generate_synthetic,
 )
 from .errors import ValidationError
@@ -76,9 +76,7 @@ def accuracy_band(
         raise ValidationError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
     if floor < 0:
         raise ValidationError(f"floor must be >= 0, got {floor}")
-    X, actual = encode_dataset(test, config)
-    if actual is None:
-        raise ValidationError("accuracy_band needs actual expenditures")
+    X, actual = encode_with_response(test, config)
     evaluable = (actual >= floor) & (actual != 0)
     if not evaluable.any():
         raise ValidationError("no evaluable records above the currency floor")
@@ -110,7 +108,8 @@ class Family:
 @dataclass(frozen=True)
 class GlmFamily(Family):
     link: LinkKind = LinkKind.IDENTITY
-    name = "glm"  # class constant, not a field
+    name = "glm"  # class constants, not fields
+    assumption = "normal"  # response distribution, for the report
 
     def fit(self, train: Dataset, config: EncodingConfig):
         return glm_mod.fit_glm(train, config, self.link)
@@ -132,7 +131,8 @@ class GlmFamily(Family):
 class GamFamily(Family):
     link: LinkKind = LinkKind.IDENTITY
     smooth: gam_mod.SmoothConfig = field(default_factory=gam_mod.SmoothConfig)
-    name = "gam"  # class constant, not a field
+    name = "gam"  # class constants, not fields
+    assumption = "normal"
 
     def fit(self, train: Dataset, config: EncodingConfig):
         return gam_mod.fit_gam(train, config, self.link, self.smooth)
@@ -171,7 +171,8 @@ class GamFamily(Family):
 class AnnFamily(Family):
     topology: ann_mod.NetworkTopology = field(default_factory=ann_mod.NetworkTopology)
     training: ann_mod.TrainingConfig = field(default_factory=ann_mod.TrainingConfig)
-    name = "ann"  # class constant, not a field
+    name = "ann"  # class constants, not fields
+    assumption = "none"
 
     def fit(self, train: Dataset, config: EncodingConfig):
         return ann_mod.train(train, config, self.topology, self.training)
@@ -241,9 +242,7 @@ def _split_for_scan(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
         raise ValidationError("overfit_scan needs at least 10 rows")
     perm = np.random.default_rng(seed).permutation(train.n)
     n_val = max(1, int(round(train.n * 0.2)))
-    val = tuple(train.records[i] for i in perm[:n_val])
-    fit = tuple(train.records[i] for i in perm[n_val:])
-    return Dataset(fit, provenance=train.provenance), Dataset(val, provenance=train.provenance)
+    return train.take(perm[n_val:]), train.take(perm[:n_val])
 
 
 def overfit_scan(
@@ -257,10 +256,8 @@ def overfit_scan(
 ) -> OverfitReport:
     """Walk the family's capacity ladder and look for a validation upturn."""
     fit_half, val_half = _split_for_scan(train, seed)
-    X_fit, y_fit = encode_dataset(fit_half, config)
-    X_val, y_val = encode_dataset(val_half, config)
-    if y_fit is None or y_val is None:
-        raise ValidationError("cannot scan records without expenditure")
+    X_fit, y_fit = encode_with_response(fit_half, config)
+    X_val, y_val = encode_with_response(val_half, config)
 
     ladder = list(family.ladder(fit_half, config, steps))
     train_err = [_relative_rmse(family.predict(model, X_fit), y_fit) for _, model in ladder]
@@ -355,9 +352,6 @@ class ComparisonReport:
     floor: float
 
 
-_DISTRIBUTION_ASSUMPTION = {"ann": "none", "gam": "normal", "glm": "normal"}
-
-
 def compare(
     models: Sequence,
     test: Dataset,
@@ -381,8 +375,8 @@ def compare(
     if any(e != config for e in encodings):
         raise ValidationError("models were fit with different encoding configs")
     if train is not None:
-        overlap = train.ids() & test.ids()
-        if overlap:
+        overlap = np.intersect1d(train.ids, test.ids)
+        if overlap.size:
             raise ValidationError(
                 f"leakage: {len(overlap)} record id(s) appear in both train and test"
             )
@@ -434,8 +428,7 @@ def render_markdown(report: ComparisonReport) -> str:
         "| --- | --- | --- |",
     ]
     for r in report.results:
-        assumption = _DISTRIBUTION_ASSUMPTION.get(r.name, "none")
-        lines.append(f"| {r.name} | {assumption} | {_threshold_text(r)} |")
+        lines.append(f"| {r.name} | {FAMILIES[r.name].assumption} | {_threshold_text(r)} |")
     lines.append("")
     return "\n".join(lines)
 

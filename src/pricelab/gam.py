@@ -49,6 +49,7 @@ from .dataset import (
     EncodingConfig,
     N_FEATURES,
     encode_dataset,
+    encode_with_response,
     feature_matrix,
 )
 from .errors import ConvergenceError, ValidationError
@@ -246,9 +247,7 @@ def _eta(intercept: float, values, pairs, gammas) -> np.ndarray:
 
 
 def _working_data(encoding: EncodingConfig, link: LinkKind, train: Dataset):
-    X, y = encode_dataset(train, encoding)
-    if y is None:
-        raise ValidationError("cannot fit on records without expenditure")
+    X, y = encode_with_response(train, encoding)
     return X, _working_response(y, link)
 
 
@@ -384,10 +383,7 @@ def interaction_scan(
     product must beat ``permutations`` shuffled replicas at p < 0.05.
     A pair whose refit fails to converge is reported with score None.
     """
-    X, y = encode_dataset(train, base.encoding)
-    if y is None:
-        raise ValidationError("cannot scan records without expenditure")
-    z = _working_response(y, base.link)
+    X, z = _working_data(base.encoding, base.link, train)
     components = [smooth(X[:, j]) for j, smooth in enumerate(base.smooths)]
     pairs = [(t.i, t.j) for t in base.interactions]
     residual = z - _eta(base.intercept, components, pairs, [t.gamma for t in base.interactions])

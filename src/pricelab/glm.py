@@ -20,7 +20,7 @@ from .dataset import (
     Dataset,
     EncodingConfig,
     N_FEATURES,
-    encode_dataset,
+    encode_with_response,
     feature_matrix,
 )
 from .errors import ConvergenceError, SingularityError, ValidationError
@@ -92,9 +92,7 @@ def fit_glm(
     ridge: bool = True,
 ) -> GlmModel:
     """Least-squares fit of the linear predictor on encoded features."""
-    X, y = encode_dataset(train, config)
-    if y is None:
-        raise ValidationError("cannot fit on records without expenditure")
+    X, y = encode_with_response(train, config)
     n, p = X.shape[0], N_FEATURES + 1
     if n <= p:
         raise SingularityError(

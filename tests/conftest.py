@@ -1,6 +1,12 @@
-"""Shared test oracle for the additive model's penalized objective.
+"""Shared test helpers: hand-written datasets, and an oracle for the
+additive model's penalized objective.
 
-The objective of an identity-link GAM on its training data is
+``make_dataset`` builds a ``Dataset`` from rows written by hand and
+``rows_of`` reads one back as rows; both use the row layout
+
+    (id, Gender, age, income, smoker, PriorClaim, expenditure or None)
+
+The penalized objective of an identity-link GAM on its training data is
 
     ||y - b0 - sum_j N_j a_j||^2 + sum_j a_j' (lambda Omega_j) a_j
 
@@ -17,8 +23,29 @@ import pytest
 import scipy.linalg
 
 from pricelab import smoothing
-from pricelab.dataset import encode_dataset
+from pricelab.dataset import CLAIMS, Dataset, Gender, encode_dataset
 from pricelab.gam import predict_gam
+
+
+def make_dataset(rows) -> Dataset:
+    """A dataset of hand-written rows; the expenditure column is absent
+    when every row's expenditure is None."""
+    ids, genders, ages, incomes, smokers, claims, spend = zip(*rows)
+    return Dataset(
+        ids=ids, male=[g is Gender.MALE for g in genders], age=ages, income=incomes,
+        smoker=smokers, claim=[CLAIMS.index(c) for c in claims],
+        expenditure=None if all(e is None for e in spend) else spend,
+    )
+
+
+def rows_of(data: Dataset) -> list[tuple]:
+    """The rows of a dataset, in the layout ``make_dataset`` takes."""
+    spend = [None] * data.n if data.expenditure is None else data.expenditure.tolist()
+    return list(zip(
+        data.ids.tolist(), [Gender.MALE if m else Gender.FEMALE for m in data.male.tolist()],
+        data.age.tolist(), data.income.tolist(), data.smoker.tolist(),
+        [CLAIMS[c] for c in data.claim.tolist()], spend,
+    ))
 
 
 def _blocks(model, X):

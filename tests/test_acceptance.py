@@ -283,8 +283,8 @@ def test_cli_predictions_equal_library_predictions(cli_pipeline):
         expected = FAMILIES[model.family].predict(model, X)
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == data.n
-        for line, record, prediction in zip(lines, data.records, expected):
+        for line, record_id, prediction in zip(lines, data.ids.tolist(), expected):
             cells = line.split(",")
-            assert int(cells[0]) == record.id
+            assert int(cells[0]) == record_id
             assert float(cells[1]) == prediction
     print("cli predictions identical to library for glm, gam, ann")

@@ -1,6 +1,7 @@
 """Backprop network: forward/gradient correctness, training behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,6 @@ from pricelab.ann import (
 from pricelab.artifacts import load_model, save_model
 from pricelab.dataset import (
     DEFAULT_ENCODING,
-    CustomerRecord,
-    Dataset,
     GeneratorParams,
     encode_dataset,
     generate_synthetic,
@@ -38,12 +37,8 @@ DEFAULT_TOPOLOGY = NetworkTopology()  # 6-8-1
 
 
 def constant_expenditure_data(value=4200.0, n=30, seed=1):
-    rows = tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, r.smoker,
-                       r.prior_claim, value)
-        for r in generate_synthetic(GeneratorParams(n=n, seed=seed)).records
-    )
-    return Dataset(rows)
+    data = generate_synthetic(GeneratorParams(n=n, seed=seed))
+    return replace(data, expenditure=np.full(n, value))
 
 
 # ------------------------------------------------------------------ pieces
@@ -260,13 +255,9 @@ def test_train_validates_inputs():
     small = generate_synthetic(GeneratorParams(n=9, seed=0))
     with pytest.raises(ValidationError, match="at least 10"):
         train(small)
-    rows = tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, r.smoker,
-                       r.prior_claim, None)
-        for r in generate_synthetic(GeneratorParams(n=20, seed=0)).records
-    )
+    headless = replace(generate_synthetic(GeneratorParams(n=20, seed=0)), expenditure=None)
     with pytest.raises(ValidationError, match="expenditure"):
-        train(Dataset(rows))
+        train(headless)
     with pytest.raises(ValidationError, match="inputs"):
         train(generate_synthetic(GeneratorParams(n=20, seed=0)),
               topology=NetworkTopology(inputs=4))

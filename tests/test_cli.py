@@ -1,8 +1,14 @@
 """End-to-end command pipeline: gen, fit, predict, compare, manifests."""
 
+import contextlib
+import io
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pricelab.ann import AnnModel
 from pricelab.artifacts import load_model
@@ -114,14 +120,15 @@ def test_predict_matches_library(tmp_path, data_csv):
     model = load_model(model_path)
     predictions = predict_glm(model, encode_dataset(data, model.encoding)[0])
     assert len(lines) == data.n + 1
-    for line, record, expected in zip(lines[1:], data.records, predictions):
+    rows = zip(lines[1:], data.ids.tolist(), data.expenditure.tolist(), predictions)
+    for line, record_id, actual, expected in rows:
         cells = line.split(",")
-        assert int(cells[0]) == record.id
+        assert int(cells[0]) == record_id
         assert float(cells[1]) == expected  # exact repr round-trip
-        if record.expenditure == 0:
+        if actual == 0:
             assert cells[2] == ""
         else:
-            assert float(cells[2]) == expected / record.expenditure
+            assert float(cells[2]) == expected / actual
 
 
 def test_predict_without_actuals_drops_ratio_column(tmp_path, data_csv):
@@ -158,6 +165,10 @@ def test_compare_end_to_end(tmp_path, data_csv):
     assert (tmp_path / "report.md.manifest").exists()
 
 
+# Bytes that are not UTF-8 text, as at the start of an executable.
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
+
+
 @pytest.mark.parametrize("command, config", [
     ("fit", "knots = abc"),
     ("fit", "link = cubic"),
@@ -169,33 +180,52 @@ def test_compare_end_to_end(tmp_path, data_csv):
     ("fit", "# missing config file"),
     ("predict", "# missing input file"),
     ("predict", "# missing model file"),
+    ("fit", "# non-UTF-8 input file"),
+    ("fit", "# non-UTF-8 config file"),
+    ("predict", "# non-UTF-8 model file"),
+    ("compare", "# non-UTF-8 test index"),
+    ("gen", "income_max = 1e30"),
 ])
 def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, command, config):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")
-    missing = tmp_path / "missing"
-    if command == "fit":
-        argv = ["fit", "--family", "glm", "--in", data_csv,
-                "--config", missing if "missing" in config else cfg, "-o", tmp_path / "m.model"]
+    damaged = tmp_path / ("missing" if "missing" in config else "binary")
+    if "non-UTF-8" in config:
+        damaged.write_bytes(NOT_UTF8)
+
+    def pick(role, good):
+        """The damaged file for the input the case names, else ``good``."""
+        return damaged if f"{role} file" in config else good
+
+    if command == "gen":
+        argv = ["gen", "--n", 20, "--config", cfg, "-o", tmp_path / "g.csv"]
+    elif command == "fit":
+        argv = ["fit", "--family", "glm", "--in", pick("input", data_csv),
+                "--config", pick("config", cfg), "-o", tmp_path / "m.model"]
     elif command == "predict":
         model = tmp_path / "m.model"
         assert run("fit", "--family", "glm", "--in", data_csv, "-o", model) == 0
-        argv = ["predict", "--model", missing if "model" in config else model,
-                "--in", missing if "input" in config else data_csv, "-o", tmp_path / "p.csv"]
+        argv = ["predict", "--model", pick("model", model),
+                "--in", pick("input", data_csv), "-o", tmp_path / "p.csv"]
     else:
         a, b = tmp_path / "a.model", tmp_path / "b.model"
         for path in (a, b):
             assert run("fit", "--family", "glm", "--in", data_csv, "--seed", 1, "-o", path) == 0
+        index = tmp_path / "a.model.test-index"
         if "garbled" in config:
-            index = tmp_path / "a.model.test-index"
             ids = index.read_text().split()
             index.write_text("\n".join([ids[0] + "a", *ids[1:]]) + "\n")
+        elif "non-UTF-8" in config:
+            index.write_bytes(NOT_UTF8)
+            damaged = index
         argv = ["compare", "--model", a, "--model", b, "--in", data_csv,
                 "--config", cfg, "-o", tmp_path / "r"]
     capsys.readouterr()
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "non-UTF-8" in config:
+        assert f"{damaged}: not a UTF-8 text file" in err
 
 
 @pytest.fixture(scope="module")
@@ -322,3 +352,91 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+# -- robustness: damaged inputs never end in a traceback ------------------------
+
+VALID_CONFIG = (
+    "# every command reads the keys it knows\n"
+    "link = identity\nknots = 4\nhidden = 4,3\nmax_epochs = 50\n"
+    "trim_fraction = 0.05\nfloor = 500\n"
+    "noise_scale = 600\ninteraction = 5000\nage_max = 80\nseverity_copd = 0.6\n"
+)
+# input kind -> file name; the b model shares the a model's split.
+FILES = {"csv": "data.csv", "config": "run.cfg", "model": "a.model", "index": "a.model.test-index"}
+READS = {
+    "gen": ("config",),
+    "fit": ("csv", "config"),
+    "predict": ("model", "csv"),
+    "compare": ("model", "index", "csv", "config"),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The bytes of a valid CSV, config, glm artifact and test index."""
+    d = tmp_path_factory.mktemp("valid")
+    (d / "run.cfg").write_text(VALID_CONFIG)
+    assert run("gen", "--n", 24, "--seed", 3, "-o", d / "data.csv") == 0
+    assert run("fit", "--family", "glm", "--in", d / "data.csv", "--config", d / "run.cfg",
+               "-o", d / "a.model") == 0
+    return {kind: (d / name).read_bytes() for kind, name in FILES.items()}
+
+
+def mangled(valid: bytes):
+    """``valid`` with a few byte ranges cut out and replaced by random bytes."""
+    edit = st.tuples(st.integers(0, len(valid)), st.integers(0, 12), st.binary(max_size=6))
+
+    def apply(edits):
+        out = valid
+        for at, cut, payload in edits:
+            out = out[:at] + payload + out[at + cut:]
+        return out
+
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def argv_for(command: str, d: Path) -> list:
+    return {
+        "gen": ["gen", "--n", 24, "--seed", 3, "--config", d / "run.cfg", "-o", d / "out.csv"],
+        "fit": ["fit", "--family", "glm", "--in", d / "data.csv", "--config", d / "run.cfg",
+                "-o", d / "out.model"],
+        "predict": ["predict", "--model", d / "a.model", "--in", d / "data.csv",
+                    "-o", d / "out.csv"],
+        "compare": ["compare", "--model", d / "a.model", "--model", d / "b.model",
+                    "--in", d / "data.csv", "--config", d / "run.cfg", "-o", d / "report"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", READS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_input_exits_with_a_code_and_one_error_line(valid_inputs, command, data):
+    """Arbitrary bytes or a mangled copy of a valid file, as any input a
+    command reads: exit 0, 2, 3 or 4, and stderr holds at most one error
+    line (after argparse's usage line for exit 2), never a traceback."""
+    target = data.draw(st.sampled_from(READS[command]), label="damaged input")
+    damaged = data.draw(
+        st.one_of(st.binary(max_size=400), mangled(valid_inputs[target])), label="bytes"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for kind, name in FILES.items():
+            (d / name).write_bytes(damaged if kind == target else valid_inputs[kind])
+        (d / "b.model").write_bytes(valid_inputs["model"])
+        (d / "b.model.test-index").write_bytes(valid_inputs["index"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = run(*argv_for(command, d))
+            except SystemExit as exc:
+                code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        assert lines == []
+    elif code == 2:
+        assert lines[0].startswith("usage: ") and "error: " in lines[-1], err.getvalue()
+        assert sum("error:" in line for line in lines) == 1, err.getvalue()
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

@@ -1,6 +1,8 @@
-"""Dataset layer: record validation, encoding, generator, CSV round-trips."""
+"""Dataset layer: column validation, encoding, generator, subsets, CSV round-trips."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from conftest import make_dataset, rows_of
 from pricelab.dataset import (
     CSV_COLUMNS,
     DEFAULT_ENCODING,
-    CustomerRecord,
     Dataset,
     EncodingConfig,
     Gender,
     GeneratorParams,
     PriorClaim,
-    encode,
     encode_dataset,
+    encode_with_response,
     generate_synthetic,
     load_csv,
     split_half,
@@ -29,63 +31,105 @@ from pricelab.errors import ParseError, SchemaError, ValidationError
 # Reference customers used throughout the suite.  Expenditures span the
 # full dynamic range from a zero-claim year to a catastrophic one.
 FIXTURE_ROWS = (
-    CustomerRecord(1, Gender.FEMALE, 58, 0.0, True, PriorClaim.COPD, 10250.0),
-    CustomerRecord(2, Gender.MALE, 32, 83000.0, False, PriorClaim.NONE, 0.0),
-    CustomerRecord(3, Gender.MALE, 45, 67000.0, True, PriorClaim.LUNG_CANCER, 148765.0),
-    CustomerRecord(4, Gender.FEMALE, 24, 45000.0, False, PriorClaim.NONE, 100.0),
-    CustomerRecord(5, Gender.FEMALE, 37, 30000.0, False, PriorClaim.DIABETES, 5200.0),
+    (1, Gender.FEMALE, 58, 0.0, True, PriorClaim.COPD, 10250.0),
+    (2, Gender.MALE, 32, 83000.0, False, PriorClaim.NONE, 0.0),
+    (3, Gender.MALE, 45, 67000.0, True, PriorClaim.LUNG_CANCER, 148765.0),
+    (4, Gender.FEMALE, 24, 45000.0, False, PriorClaim.NONE, 100.0),
+    (5, Gender.FEMALE, 37, 30000.0, False, PriorClaim.DIABETES, 5200.0),
 )
+FIXTURE = make_dataset(FIXTURE_ROWS)
 
 
-def records_strategy():
-    return st.builds(
-        CustomerRecord,
-        id=st.integers(min_value=1, max_value=10**6),
-        gender=st.sampled_from(Gender),
-        age=st.integers(min_value=18, max_value=100),
-        income=st.floats(min_value=0, max_value=5e5, allow_nan=False),
-        smoker=st.booleans(),
-        prior_claim=st.sampled_from(PriorClaim),
-        expenditure=st.floats(min_value=0, max_value=1e7, allow_nan=False),
+def rows_strategy(max_size=25):
+    row = st.tuples(
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from(Gender),
+        st.integers(min_value=18, max_value=100),
+        st.floats(min_value=0, max_value=5e5, allow_nan=False),
+        st.booleans(),
+        st.sampled_from(PriorClaim),
+        st.floats(min_value=0, max_value=1e7, allow_nan=False),
     )
+    return st.lists(row, min_size=1, max_size=max_size, unique_by=lambda r: r[0])
 
 
-# ---------------------------------------------------------------- records
+def with_values(column, rows, value):
+    """A copy of ``column`` with ``value`` at the given rows."""
+    out = column.copy()
+    out[rows] = value
+    return out
+
+
+# ---------------------------------------------------------------- validation
 
 
 def test_record_validation_bounds():
-    good = dict(
-        id=1, gender=Gender.MALE, income=0.0, smoker=False,
-        prior_claim=PriorClaim.NONE, expenditure=None,
-    )
-    CustomerRecord(age=18, **good)
-    CustomerRecord(age=100, **good)
-    with pytest.raises(ValidationError):
-        CustomerRecord(age=17, **good)
-    with pytest.raises(ValidationError):
-        CustomerRecord(age=101, **good)
+    for age in (18, 100):
+        replace(FIXTURE, age=with_values(FIXTURE.age, 2, age))
+    for age in (17, 101):
+        with pytest.raises(ValidationError, match="id=3: age"):
+            replace(FIXTURE, age=with_values(FIXTURE.age, 2, age))
 
 
 def test_record_validation_income_and_expenditure():
-    base = dict(id=7, gender=Gender.FEMALE, age=40, smoker=True,
-                prior_claim=PriorClaim.OTHER)
+    data = replace(FIXTURE, ids=[3, 1, 7, 4, 5])
     with pytest.raises(ValidationError, match="id=7"):
-        CustomerRecord(income=-1.0, expenditure=None, **base)
+        replace(data, income=with_values(data.income, 2, -1.0))
     with pytest.raises(ValidationError):
-        CustomerRecord(income=math.inf, expenditure=None, **base)
+        replace(data, income=with_values(data.income, 2, math.inf))
     with pytest.raises(ValidationError):
-        CustomerRecord(income=1000.0, expenditure=-5.0, **base)
-    # missing response is legal; zero response is legal
-    CustomerRecord(income=1000.0, expenditure=None, **base)
-    CustomerRecord(income=1000.0, expenditure=0.0, **base)
+        replace(data, expenditure=with_values(data.expenditure, 2, -5.0))
+    # a missing response column is legal; zero response is legal
+    replace(data, expenditure=None)
+    replace(data, expenditure=with_values(data.expenditure, 2, 0.0))
+
+
+@pytest.mark.parametrize("column, value, words, named", [
+    ("age", 17, "age 17 outside [18, 100]", 20),
+    ("age", 101, "age 101 outside [18, 100]", 20),
+    ("income", -1.0, "income -1.0 must be finite and >= 0", 20),
+    ("income", math.inf, "income inf must be finite and >= 0", 20),
+    ("income", math.nan, "income nan must be finite and >= 0", 20),
+    ("expenditure", -5.0, "expenditure -5.0 must be finite and >= 0", 20),
+    ("expenditure", math.inf, "expenditure inf must be finite and >= 0", 20),
+    ("ids", 99, "duplicate record ids in dataset", 99),
+])
+def test_dataset_error_names_the_first_bad_record(column, value, words, named):
+    """One broken value at rows 1 and 3 of a column: the message names the
+    record by id, in the words of the per-record checks it replaced."""
+    data = replace(FIXTURE, ids=[10, 20, 30, 40, 50])
+    broken = with_values(getattr(data, column), [1, 3], value)
+    with pytest.raises(ValidationError, match=re.escape(words)) as err:
+        replace(data, **{column: broken})
+    assert f"record id={named}" in str(err.value)
+
+
+def test_dataset_error_follows_row_order_across_columns():
+    data = replace(FIXTURE, ids=[10, 20, 30, 40, 50])
+    with pytest.raises(ValidationError, match=re.escape("record id=20: income -1.0")):
+        replace(data, age=with_values(data.age, 2, 17), income=with_values(data.income, 1, -1.0))
+    with pytest.raises(ValidationError, match=re.escape("record id=20: age 17")):
+        replace(data, age=with_values(data.age, 1, 17), income=with_values(data.income, 1, -1.0))
 
 
 def test_dataset_rejects_duplicates_and_empty():
-    with pytest.raises(ValidationError):
-        Dataset(())
+    with pytest.raises(ValidationError, match="empty"):
+        Dataset(ids=[], male=[], age=[], income=[], smoker=[], claim=[])
     dup = (FIXTURE_ROWS[0], FIXTURE_ROWS[0])
     with pytest.raises(ValidationError, match="duplicate"):
-        Dataset(dup)
+        make_dataset(dup)
+    with pytest.raises(ValidationError, match="equal length"):
+        replace(FIXTURE, age=FIXTURE.age[:4])
+
+
+def test_columns_are_read_only_copies():
+    ages = np.array([40, 41, 42, 43, 44])
+    data = replace(FIXTURE, age=ages)
+    ages[0] = 99
+    assert data.age[0] == 40
+    for column in (data.ids, data.age, data.income, data.claim, data.expenditure):
+        with pytest.raises(ValueError):
+            column[0] = 1
 
 
 # ---------------------------------------------------------------- encoding
@@ -97,46 +141,50 @@ def test_encode_hand_examples():
     age scales by (age-18)/62, income by income/150000, severity is the
     lookup value; gender/smoker/claim-present are raw indicators.
     """
-    x = encode(FIXTURE_ROWS[0])  # female, 58, 0, smoker, copd
-    assert x == approx([0.0, 40 / 62, 0.0, 1.0, 1.0, 0.6])
-    x = encode(FIXTURE_ROWS[1])  # male, 32, 83000, non-smoker, no claim
-    assert x == approx([1.0, 14 / 62, 83 / 150, 0.0, 0.0, 0.0])
-    x = encode(FIXTURE_ROWS[2])  # male, 45, 67000, smoker, lung cancer
-    assert x == approx([1.0, 27 / 62, 67 / 150, 1.0, 1.0, 1.0])
-    x = encode(FIXTURE_ROWS[4])  # female, 37, 30000, non-smoker, diabetes
-    assert x == approx([0.0, 19 / 62, 0.2, 0.0, 1.0, 0.4])
+    X, _ = encode_dataset(FIXTURE)
+    assert X[0] == approx([0.0, 40 / 62, 0.0, 1.0, 1.0, 0.6])  # female, 58, 0, smoker, copd
+    assert X[1] == approx([1.0, 14 / 62, 83 / 150, 0.0, 0.0, 0.0])  # male, 32, 83000, no claim
+    assert X[2] == approx([1.0, 27 / 62, 67 / 150, 1.0, 1.0, 1.0])  # male, 45, 67000, lung cancer
+    assert X[4] == approx([0.0, 19 / 62, 0.2, 0.0, 1.0, 0.4])  # female, 37, 30000, diabetes
 
 
 def test_encode_clamps_out_of_range():
-    r = CustomerRecord(1, Gender.MALE, 100, 300000.0, False, PriorClaim.NONE, None)
-    x = encode(r)
+    old_and_rich = make_dataset([(1, Gender.MALE, 100, 300000.0, False, PriorClaim.NONE, None)])
+    x = encode_dataset(old_and_rich)[0][0]
     assert x[1] == 1.0  # (100-18)/62 > 1 clamps
     assert x[2] == 1.0
     narrow = EncodingConfig(age_range=(30.0, 40.0), income_range=(0.0, 1000.0))
-    x = encode(FIXTURE_ROWS[3], narrow)  # age 24 below range, income 45000 above
+    x = encode_dataset(FIXTURE, narrow)[0][3]  # age 24 below range, income 45000 above
     assert x[1] == 0.0
     assert x[2] == 1.0
 
 
-@given(records_strategy())
-def test_encode_always_in_unit_cube(record):
-    x = encode(record)
-    assert x.shape == (6,)
-    assert np.all(x >= 0.0) and np.all(x <= 1.0)
-    assert x[0] in (0.0, 1.0) and x[3] in (0.0, 1.0) and x[4] in (0.0, 1.0)
-    assert x[5] == DEFAULT_ENCODING.claim_severity[record.prior_claim]
-    assert (x[4] == 0.0) == (record.prior_claim is PriorClaim.NONE)
+@given(rows_strategy())
+def test_encode_always_in_unit_cube(rows):
+    X, _ = encode_dataset(make_dataset(rows))
+    assert X.shape == (len(rows), 6)
+    assert np.all(X >= 0.0) and np.all(X <= 1.0)
+    for x, (_, gender, _, _, smoker, claim, _) in zip(X, rows):
+        assert x[0] == (gender is Gender.MALE) and x[3] == smoker
+        assert x[4] in (0.0, 1.0)
+        assert x[5] == DEFAULT_ENCODING.claim_severity[claim]
+        assert (x[4] == 0.0) == (claim is PriorClaim.NONE)
 
 
 def test_encode_dataset_missing_response():
-    rows = list(FIXTURE_ROWS)
-    rows[2] = CustomerRecord(3, Gender.MALE, 45, 67000.0, True,
-                             PriorClaim.LUNG_CANCER, None)
-    X, y = encode_dataset(Dataset(tuple(rows)))
+    """The response is a whole column: present for every row, or absent."""
+    headless = replace(FIXTURE, expenditure=None)
+    X, y = encode_dataset(headless)
     assert X.shape == (5, 6)
     assert y is None
-    X, y = encode_dataset(Dataset(FIXTURE_ROWS))
+    with pytest.raises(ValidationError, match="expenditure"):
+        encode_with_response(headless)
+    X, y = encode_dataset(FIXTURE)
     assert y == approx([10250.0, 0.0, 148765.0, 100.0, 5200.0])
+    one_missing = list(FIXTURE_ROWS)
+    one_missing[2] = (*FIXTURE_ROWS[2][:-1], None)
+    with pytest.raises(ValidationError, match="expenditure"):
+        make_dataset(one_missing)
 
 
 def test_encoding_config_validation():
@@ -154,7 +202,7 @@ def test_encoding_config_validation():
 def test_generate_shape_and_ids():
     data = generate_synthetic(GeneratorParams(n=57, seed=3))
     assert data.n == 57
-    assert sorted(r.id for r in data.records) == list(range(1, 58))
+    assert data.ids.tolist() == list(range(1, 58))
     assert data.provenance == "synthetic"
     assert data.generator_params == GeneratorParams(n=57, seed=3)
 
@@ -162,17 +210,17 @@ def test_generate_shape_and_ids():
 def test_generate_deterministic():
     a = generate_synthetic(GeneratorParams(n=40, seed=11))
     b = generate_synthetic(GeneratorParams(n=40, seed=11))
-    assert a.records == b.records
+    assert rows_of(a) == rows_of(b)
     c = generate_synthetic(GeneratorParams(n=40, seed=12))
-    assert a.records != c.records
+    assert rows_of(a) != rows_of(c)
 
 
 def test_generate_expenditure_nonnegative():
     """Soft-plus keeps expenditures >= 0; deep-negative linear scores
     underflow to exactly 0.0, the no-claims-this-year case."""
     data = generate_synthetic(GeneratorParams(n=300, seed=0, noise_scale=5000.0))
-    assert all(r.expenditure >= 0 for r in data.records)
-    assert any(r.expenditure == 0.0 for r in data.records)
+    assert np.all(data.expenditure >= 0)
+    assert np.any(data.expenditure == 0.0)
 
 
 def test_generate_degenerate_softplus():
@@ -185,7 +233,7 @@ def test_generate_degenerate_softplus():
     )
     data = generate_synthetic(flat)
     expected = math.log1p(math.exp(5.0))
-    assert all(r.expenditure == approx(expected, abs=1e-12) for r in data.records)
+    assert data.expenditure == approx(np.full(20, expected), abs=1e-12)
 
 
 def test_generate_collinearity_targets_sample_correlation():
@@ -196,7 +244,7 @@ def test_generate_collinearity_targets_sample_correlation():
     """
     for rho in (0.0, 0.3, 0.8):
         data = generate_synthetic(GeneratorParams(n=2000, seed=1, collinearity_rho=rho))
-        X = np.vstack([encode(r) for r in data.records])
+        X, _ = encode_dataset(data)
         sample = np.corrcoef(X[:, 3], X[:, 5])[0, 1]
         assert sample == approx(rho, abs=0.1)
 
@@ -208,17 +256,10 @@ def test_generate_noise_outliers_touch_a_minority_of_rows():
     plain = GeneratorParams(n=400, seed=9, noise_scale=600.0, noise_outlier_rate=0.0)
     with_tail = generate_synthetic(base)
     without = generate_synthetic(plain)
-    changed = sum(
-        a.expenditure != b.expenditure
-        for a, b in zip(with_tail.records, without.records)
-    )
+    changed = with_tail.expenditure != without.expenditure
     # rate 0.1 of 400 rows, binomial: expect ~40, fail only far outside
-    assert 15 <= changed <= 80
-    untouched = [
-        (a, b) for a, b in zip(with_tail.records, without.records)
-        if a.expenditure == b.expenditure
-    ]
-    assert all(a == b for a, b in untouched)
+    assert 15 <= np.count_nonzero(changed) <= 80
+    assert rows_of(with_tail.take(~changed)) == rows_of(without.take(~changed))
 
 
 def test_generator_params_validation():
@@ -254,15 +295,29 @@ def test_split_half_sizes():
 def test_split_half_partition(n, seed):
     data = generate_synthetic(GeneratorParams(n=n, seed=0))
     train, test = split_half(data, seed=seed)
-    assert train.ids() | test.ids() == data.ids()
-    assert train.ids() & test.ids() == frozenset()
+    assert set(train.ids.tolist()) | set(test.ids.tolist()) == set(data.ids.tolist())
+    assert np.intersect1d(train.ids, test.ids).size == 0
     again_train, again_test = split_half(data, seed=seed)
-    assert train.records == again_train.records
-    assert test.records == again_test.records
+    assert rows_of(train) == rows_of(again_train)
+    assert rows_of(test) == rows_of(again_test)
+
+
+def test_take_keeps_the_order_asked_for(tmp_path):
+    """A boolean mask keeps file order; positions keep their own order."""
+    path = tmp_path / "shuffled.csv"
+    data = generate_synthetic(GeneratorParams(n=12, seed=4))
+    write_csv(replace(data, ids=np.random.default_rng(1).permutation(12) + 100), path)
+    loaded = load_csv(path)
+    wanted = [111, 100, 105, 103]
+    picked = loaded.take(np.isin(loaded.ids, wanted))
+    assert picked.ids.tolist() == [i for i in loaded.ids.tolist() if i in wanted]
+    assert rows_of(picked) == [row for row in rows_of(loaded) if row[0] in wanted]
+    assert rows_of(loaded.take([5, 0, 7])) == [rows_of(loaded)[k] for k in (5, 0, 7)]
+    assert picked.provenance == "loaded"
 
 
 def test_split_half_too_small():
-    solo = Dataset((FIXTURE_ROWS[0],))
+    solo = make_dataset(FIXTURE_ROWS[:1])
     with pytest.raises(ValidationError):
         split_half(solo, seed=0)
 
@@ -272,33 +327,36 @@ def test_split_half_too_small():
 
 def test_csv_round_trip_fixture(tmp_path):
     path = tmp_path / "customers.csv"
-    write_csv(Dataset(FIXTURE_ROWS), path)
+    write_csv(FIXTURE, path)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     back = load_csv(path)
-    assert back.records == FIXTURE_ROWS
+    assert rows_of(back) == list(FIXTURE_ROWS)
 
 
-@given(st.lists(records_strategy(), min_size=1, max_size=25,
-                unique_by=lambda r: r.id))
+@given(rows_strategy())
 @settings(max_examples=40, deadline=None)
-def test_csv_round_trip_property(tmp_path_factory, records):
+def test_csv_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
-    data = Dataset(tuple(records))
+    data = make_dataset(rows)
     write_csv(data, path)
-    assert load_csv(path).records == data.records
+    assert rows_of(load_csv(path)) == rows_of(data)
 
 
 def test_csv_without_response_column(tmp_path):
-    rows = tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, r.smoker, r.prior_claim, None)
-        for r in FIXTURE_ROWS
-    )
     path = tmp_path / "predict_me.csv"
-    write_csv(Dataset(rows), path)
+    write_csv(replace(FIXTURE, expenditure=None), path)
     assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS[:-1])
     back = load_csv(path)
-    assert all(r.expenditure is None for r in back.records)
+    assert back.expenditure is None
+    assert rows_of(back) == [(*row[:-1], None) for row in FIXTURE_ROWS]
+
+
+def test_csv_round_trip_is_byte_identical_at_20000_rows(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_csv(generate_synthetic(GeneratorParams(n=20000, seed=2)), first)
+    write_csv(load_csv(first), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_load_csv_bad_header(tmp_path):

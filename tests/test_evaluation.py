@@ -1,14 +1,15 @@
 """Evaluation harness: accuracy bands, overfit scans, learning curves,
 comparison reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from pytest import approx
 
+from conftest import make_dataset
 from pricelab.ann import TrainingConfig, train
 from pricelab.dataset import (
-    CustomerRecord,
-    Dataset,
     EncodingConfig,
     Gender,
     GeneratorParams,
@@ -41,11 +42,10 @@ from pricelab.glm import LinkKind, fit_glm
 
 def flat_records(expenditures, age0=20):
     """One record per expenditure, ages distinct so tests can key on them."""
-    return Dataset(tuple(
-        CustomerRecord(i + 1, Gender.FEMALE, age0 + i, 1000.0, False,
-                       PriorClaim.NONE, float(e))
+    return make_dataset([
+        (i + 1, Gender.FEMALE, age0 + i, 1000.0, False, PriorClaim.NONE, float(e))
         for i, e in enumerate(expenditures)
-    ))
+    ])
 
 
 def age_keyed_predictor(mapping, age0=20):
@@ -114,10 +114,8 @@ def test_band_validation():
     with pytest.raises(ValidationError):
         AccuracyBand(ratio_min=1.2, ratio_max=0.8, n_evaluated=1,
                      n_excluded=0, trim_fraction=0.0)
-    missing = Dataset((CustomerRecord(1, Gender.MALE, 30, 0.0, False,
-                                      PriorClaim.NONE, None),))
-    with pytest.raises(ValidationError):
-        accuracy_band(predict, missing)
+    with pytest.raises(ValidationError, match="expenditure"):
+        accuracy_band(predict, replace(test, expenditure=None))
 
 
 def test_format_band_rounds_to_integer_percent():

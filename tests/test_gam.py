@@ -1,6 +1,7 @@
 """Additive model: penalized fit, interaction diagnostics, collinearity."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,7 @@ from pytest import approx
 
 from pricelab.artifacts import load_model, save_model
 from pricelab.dataset import (
-    CustomerRecord,
-    Dataset,
     GeneratorParams,
-    encode,
     encode_dataset,
     generate_synthetic,
     split_half,
@@ -61,12 +59,8 @@ def test_noiseless_additive_fit_is_exact():
 
 
 def test_constant_response():
-    rows = tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, r.smoker,
-                       r.prior_claim, 4200.0)
-        for r in generate_synthetic(GeneratorParams(n=30, seed=1)).records
-    )
-    model = fit_gam(Dataset(rows))
+    data = generate_synthetic(GeneratorParams(n=30, seed=1))
+    model = fit_gam(replace(data, expenditure=np.full(30, 4200.0)))
     assert model.intercept == 4200.0
     assert model.cycles == 1
     grid = np.linspace(0.0, 1.0, 11)
@@ -266,12 +260,8 @@ def test_collinearity_matrix_shape_and_symmetry():
 
 
 def test_collinearity_degenerate_feature():
-    rows = tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, smoker=False,
-                       prior_claim=r.prior_claim, expenditure=r.expenditure)
-        for r in generate_synthetic(GeneratorParams(n=50, seed=2)).records
-    )
-    report = collinearity_report(Dataset(rows))
+    data = generate_synthetic(GeneratorParams(n=50, seed=2))
+    report = collinearity_report(replace(data, smoker=np.zeros(50, dtype=bool)))
     assert 3 in report.degenerate
     assert report.correlation[3] == approx(np.zeros(6) + np.eye(6)[3])
     assert report.vif[3] == 1.0

@@ -1,19 +1,18 @@
 """Linear model: exact recovery, independent solver oracle, failure modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from conftest import make_dataset
 from pricelab.artifacts import load_model, save_model
 from pricelab.dataset import (
-    CustomerRecord,
-    Dataset,
     Gender,
     GeneratorParams,
     PriorClaim,
-    encode,
     encode_dataset,
     generate_synthetic,
 )
@@ -81,24 +80,24 @@ def test_matches_gauss_jordan_oracle():
 def test_underdetermined_raises():
     data = generate_synthetic(GeneratorParams(n=30, seed=1))
     with pytest.raises(SingularityError, match="underdetermined"):
-        fit_glm(Dataset(data.records[:7]))
-    fit_glm(Dataset(data.records[:8]))  # one extra row suffices (full rank here)
+        fit_glm(data.take(slice(7)))
+    fit_glm(data.take(slice(8)))  # one extra row suffices (full rank here)
 
 
 def constant_column_records(n=20):
     rng = np.random.default_rng(4)
-    return Dataset(tuple(
-        CustomerRecord(
-            id=i + 1,
-            gender=Gender.MALE if rng.integers(2) else Gender.FEMALE,
-            age=int(rng.integers(18, 81)),
-            income=float(rng.integers(0, 150001)),
-            smoker=False,                 # constant zero column
-            prior_claim=PriorClaim.NONE,  # two more constant zero columns
-            expenditure=float(rng.integers(100, 50000)),
+    return make_dataset([
+        (
+            i + 1,
+            Gender.MALE if rng.integers(2) else Gender.FEMALE,
+            int(rng.integers(18, 81)),
+            float(rng.integers(0, 150001)),
+            False,            # constant zero column
+            PriorClaim.NONE,  # two more constant zero columns
+            float(rng.integers(100, 50000)),
         )
         for i in range(n)
-    ))
+    ])
 
 
 def test_rank_deficiency_names_columns():
@@ -121,21 +120,19 @@ def test_log_link_recovers_multiplicative_structure():
     for i in range(40):
         gender = Gender.MALE if rng.integers(2) else Gender.FEMALE
         smoker = bool(rng.integers(2))
-        rec = CustomerRecord(i + 1, gender, int(rng.integers(18, 81)),
-                             float(rng.integers(0, 150001)), smoker,
-                             PriorClaim.NONE, None)
-        x = encode(rec)
-        y = math.exp(0.5 + 1.2 * x[0] + 2.0 * x[3])
-        rows.append(CustomerRecord(rec.id, rec.gender, rec.age, rec.income,
-                                   rec.smoker, rec.prior_claim, y))
-    model = fit_glm(Dataset(tuple(rows)), link=LinkKind.LOG)
+        rows.append((i + 1, gender, int(rng.integers(18, 81)),
+                     float(rng.integers(0, 150001)), smoker, PriorClaim.NONE, None))
+    data = make_dataset(rows)
+    X, _ = encode_dataset(data)
+    data = replace(data, expenditure=np.exp(0.5 + 1.2 * X[:, 0] + 2.0 * X[:, 3]))
+    model = fit_glm(data, link=LinkKind.LOG)
     assert model.link is LinkKind.LOG
     assert model.intercept == approx(0.5, abs=1e-6)
     assert model.coef[0] == approx(1.2, abs=1e-6)
     assert model.coef[3] == approx(2.0, abs=1e-6)
     assert model.rss == approx(0.0, abs=1e-8)
     assert model.iterations >= 1
-    assert predict_glm(model, encode(rows[0])[None, :])[0] > 0
+    assert predict_glm(model, X[:1])[0] > 0
 
 
 def test_log_link_on_generated_data_stays_positive():
@@ -147,9 +144,7 @@ def test_log_link_on_generated_data_stays_positive():
 
 def test_permutation_invariance():
     data = generate_synthetic(GeneratorParams(n=50, seed=6))
-    shuffled = Dataset(tuple(
-        data.records[i] for i in np.random.default_rng(0).permutation(50)
-    ))
+    shuffled = data.take(np.random.default_rng(0).permutation(50))
     a = fit_glm(data)
     b = fit_glm(shuffled)
     assert a.intercept == approx(b.intercept, rel=1e-9)
@@ -159,11 +154,7 @@ def test_permutation_invariance():
 def test_affine_response_invariance():
     """y -> a*y + b must map the solution to a*beta (+ b on the intercept)."""
     data = generate_synthetic(GeneratorParams(n=64, seed=8))
-    scaled = Dataset(tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, r.smoker,
-                       r.prior_claim, 2.5 * r.expenditure + 300.0)
-        for r in data.records
-    ))
+    scaled = replace(data, expenditure=2.5 * data.expenditure + 300.0)
     base = fit_glm(data)
     moved = fit_glm(scaled)
     assert moved.intercept == approx(2.5 * base.intercept + 300.0, rel=1e-12)
@@ -171,24 +162,16 @@ def test_affine_response_invariance():
 
 
 def test_constant_response_gives_flat_model():
-    rows = tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, r.smoker,
-                       r.prior_claim, 4242.0)
-        for r in generate_synthetic(GeneratorParams(n=30, seed=9)).records
-    )
-    model = fit_glm(Dataset(rows))
+    data = generate_synthetic(GeneratorParams(n=30, seed=9))
+    model = fit_glm(replace(data, expenditure=np.full(30, 4242.0)))
     assert model.intercept == approx(4242.0, abs=1e-8)
     assert model.coef == approx(np.zeros(6), abs=1e-8)
 
 
 def test_refuses_missing_response():
-    rows = tuple(
-        CustomerRecord(r.id, r.gender, r.age, r.income, r.smoker,
-                       r.prior_claim, None)
-        for r in generate_synthetic(GeneratorParams(n=12, seed=0)).records
-    )
+    data = generate_synthetic(GeneratorParams(n=12, seed=0))
     with pytest.raises(ValidationError, match="expenditure"):
-        fit_glm(Dataset(rows))
+        fit_glm(replace(data, expenditure=None))
 
 
 def test_predict_validates_shape():
