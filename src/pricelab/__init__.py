@@ -14,7 +14,6 @@ from .ann import (
     TargetScaler,
     TrainingConfig,
     Weights,
-    forward,
     gradient_check,
     init_weights,
     predict_ann,
@@ -75,7 +74,7 @@ __all__ = [
     "TargetScaler", "TrainingConfig", "Weights",
     "accuracy_band", "add_interaction", "collinearity_report", "compare",
     "encode_dataset", "fit_gam", "fit_glm", "format_band",
-    "forward", "generate_synthetic", "gradient_check", "init_weights",
+    "generate_synthetic", "gradient_check", "init_weights",
     "interaction_scan", "learning_curve", "learning_curve_csv", "load_csv",
     "load_model", "overfit_scan", "predict_ann", "predict_gam", "predict_glm",
     "render_markdown", "report_csv", "save_model", "split_half", "train",

@@ -31,13 +31,20 @@ _DIVERGENCE_PATIENCE = 10
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function ``1 / (1 + exp(-z))``.
+
+    With ``e = exp(-|z|)``, which never overflows, it is ``1 / (1 + e)`` for
+    z >= 0 and ``e / (1 + e)`` below (NaN stays NaN).  Each branch is the
+    textbook stable form, so the bits equal a two-branch masked evaluation.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.empty_like(z)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -152,17 +159,6 @@ def _forward_batch(weights: Weights, X: np.ndarray) -> tuple[np.ndarray, list[np
     return out[:, 0], activations
 
 
-def forward(weights: Weights, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Single-sample pass; returns the scaled output and per-layer activations."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != weights.matrices[0].shape[1]:
-        raise ValidationError(
-            f"feature vector must have length {weights.matrices[0].shape[1]}"
-        )
-    out, activations = _forward_batch(weights, x[None, :])
-    return float(out[0]), [a[0] for a in activations]
-
-
 def _gradients(
     weights: Weights, X: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -201,16 +197,19 @@ def _descend(
 ) -> dict:
     """Gradient-descent engine shared by ``train`` and the overfit scans.
 
-    Losses are recorded after each epoch's update.  Divergence (loss above
-    ten times the initial loss for ten straight epochs) and non-finite losses
-    raise; early stopping tracks the best validation epoch when a validation
-    set and a patience are given.
+    Each epoch runs one forward and backward pass: it scores the updated
+    weights, records that loss, and its gradient drives the next epoch's
+    update (the first update uses the gradient of the initial pass, which
+    also gives the initial loss).  Divergence (loss above ten times the
+    initial loss for ten straight epochs) and NaN losses raise; early
+    stopping tracks the best validation epoch when a validation set and a
+    patience are given.
     """
     matrices = [m.copy() for m in weights.matrices]
     biases = [b.copy() for b in weights.biases]
     current = Weights(tuple(matrices), tuple(biases))
 
-    initial_loss, _, _ = _gradients(current, X, targets)
+    initial_loss, grad_w, grad_b = _gradients(current, X, targets)
     train_hist: list[float] = []
     val_hist: list[float] = []
     snapshots: dict[int, Weights] = {}
@@ -223,12 +222,11 @@ def _descend(
     high_streak = 0
 
     for epoch in range(1, max_epochs + 1):
-        _, grad_w, grad_b = _gradients(current, X, targets)
         matrices = [m - learning_rate * g for m, g in zip(matrices, grad_w)]
         biases = [b - learning_rate * g for b, g in zip(biases, grad_b)]
         current = Weights(tuple(matrices), tuple(biases))
 
-        loss, _, _ = _gradients(current, X, targets)
+        loss, grad_w, grad_b = _gradients(current, X, targets)
         if math.isnan(loss):
             raise NumericError(f"training loss became NaN at epoch {epoch}")
         train_hist.append(loss)

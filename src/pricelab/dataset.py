@@ -177,10 +177,6 @@ class GeneratorParams:
             + self.interaction * x[3] * x[5]
         )
 
-    def mean_expenditure(self, features: np.ndarray) -> float:
-        """Noise-free ground-truth expenditure at an encoded feature vector."""
-        return float(np.logaddexp(0.0, self.eta(np.asarray(features, dtype=float))))
-
 
 # Column name -> dtype; ``expenditure`` may also be None.
 _COLUMNS = {

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from pricelab import ann
 from pricelab.ann import (
     AnnModel,
     NetworkTopology,
     TargetScaler,
     TrainingConfig,
     Weights,
-    forward,
+    _forward_batch,
     gradient_check,
     init_weights,
     loss_history_csv,
@@ -52,6 +53,34 @@ def test_sigmoid_values_and_stability():
     assert sigmoid(-z) == approx(1.0 - sigmoid(z), abs=1e-15)
 
 
+def two_branch_sigmoid(z):
+    """The masked reference: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z))
+    below; each branch evaluates exp only where it cannot overflow."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_two_branch_formula_bit_for_bit():
+    edges = [0.0, 1e-300, 1.0, 709.0, 745.0, 800.0, np.inf]
+    grid = np.array(edges + [-v for v in edges] + [np.nan])
+    rng = np.random.default_rng(0)
+    wide = rng.normal(size=(500, 8)) * rng.choice([1e-3, 1.0, 10.0, 300.0], size=(500, 1))
+    for z in (grid, grid.reshape(3, 5), wide):
+        before = z.copy()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(z)
+        want = two_branch_sigmoid(z)
+        assert got.shape == z.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(z, before, equal_nan=True)  # input left alone
+    assert sigmoid(0.0) == 0.5
+
+
 def test_init_weights_shapes_and_bounds():
     w = init_weights(DEFAULT_TOPOLOGY, seed=0)
     assert [m.shape for m in w.matrices] == [(8, 6), (1, 8)]
@@ -74,15 +103,16 @@ def test_forward_zero_and_unit_weights():
         matrices=(np.zeros((8, 6)), np.zeros((1, 8))),
         biases=(np.zeros(8), np.zeros(1)),
     )
-    out, acts = forward(zero, np.full(6, 0.3))
-    assert out == 0.0
-    assert acts[1] == approx(np.full(8, 0.5))
+    x = np.full(6, 0.3)
+    out, acts = _forward_batch(zero, x[None, :])
+    assert out.shape == (1,) and out[0] == 0.0
+    assert acts[1][0] == approx(np.full(8, 0.5))
     ones_out = Weights(
         matrices=(np.zeros((8, 6)), np.ones((1, 8))),
         biases=(np.zeros(8), np.zeros(1)),
     )
-    out, _ = forward(ones_out, np.full(6, 0.3))
-    assert out == approx(4.0)
+    out, _ = _forward_batch(ones_out, x[None, :])
+    assert out[0] == approx(4.0)
 
 
 def test_forward_matches_handwritten_pass():
@@ -95,15 +125,9 @@ def test_forward_matches_handwritten_pass():
         z = sum(w.matrices[0][unit][k] * x[k] for k in range(6)) + w.biases[0][unit]
         hidden.append(1.0 / (1.0 + math.exp(-z)))
     expected = sum(w.matrices[1][0][u] * hidden[u] for u in range(8)) + w.biases[1][0]
-    out, acts = forward(w, x)
-    assert out == approx(expected, abs=1e-12)
-    assert acts[1] == approx(hidden, abs=1e-12)
-
-
-def test_forward_validates_input_length():
-    w = init_weights(DEFAULT_TOPOLOGY, seed=0)
-    with pytest.raises(ValidationError):
-        forward(w, np.zeros(5))
+    out, acts = _forward_batch(w, x[None, :])
+    assert out[0] == approx(expected, abs=1e-12)
+    assert acts[1][0] == approx(hidden, abs=1e-12)
 
 
 def test_gradient_check_small_across_seeds():
@@ -276,6 +300,101 @@ def test_train_trajectory_checkpoints_match_shorter_runs():
     w_short = short[0][1]
     assert all(np.array_equal(a, b)
                for a, b in zip(w_long.matrices, w_short.matrices))
+
+
+def two_pass_descend(weights, X, targets, learning_rate, max_epochs, *,
+                     X_val=None, val_targets=None, patience=None, checkpoints=()):
+    """The loop ``_descend`` replaced: each epoch takes a fresh gradient at
+    the current weights, then a second full pass scores the update.  Its
+    divergence and NaN checks are left out, since they can only raise."""
+    current = weights.copy()
+    train_hist, val_hist, snapshots = [], [], {}
+    best_val, best_epoch, best_weights, stale = math.inf, 0, current.copy(), 0
+    for epoch in range(1, max_epochs + 1):
+        _, grad_w, grad_b = ann._gradients(current, X, targets)
+        current = Weights(
+            tuple(m - learning_rate * g for m, g in zip(current.matrices, grad_w)),
+            tuple(b - learning_rate * g for b, g in zip(current.biases, grad_b)),
+        )
+        loss, _, _ = ann._gradients(current, X, targets)
+        train_hist.append(loss)
+        if epoch in checkpoints:
+            snapshots[epoch] = current.copy()
+        if X_val is not None:
+            vout, _ = _forward_batch(current, X_val)
+            vres = vout - val_targets
+            vloss = float(vres @ vres) / X_val.shape[0]
+            val_hist.append(vloss)
+            if patience is not None:
+                if vloss < best_val:
+                    best_val, best_epoch, best_weights, stale = vloss, epoch, current.copy(), 0
+                else:
+                    stale += 1
+                    if stale >= patience:
+                        break
+    return {
+        "weights": current, "train_loss": train_hist, "val_loss": val_hist,
+        "best_epoch": best_epoch, "best_weights": best_weights, "snapshots": snapshots,
+    }
+
+
+def same_weights(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.matrices + a.biases, b.matrices + b.biases))
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
+@pytest.mark.parametrize("seed", [3, 5])
+def test_descend_equals_two_pass_loop(monkeypatch, seed, hidden):
+    """Reusing the post-update gradient changes no bit of any result, for
+    ``train`` (early stopping) and ``train_trajectory`` (snapshots)."""
+    real = ann._descend
+    epochs_run = []
+
+    def both(*args, **kwargs):
+        got = real(*args, **kwargs)
+        want = two_pass_descend(*args, **kwargs)
+        assert same_weights(got["weights"], want["weights"])
+        assert got["train_loss"] == want["train_loss"]
+        assert got["val_loss"] == want["val_loss"]
+        assert got["best_epoch"] == want["best_epoch"]
+        assert same_weights(got["best_weights"], want["best_weights"])
+        assert got["snapshots"].keys() == want["snapshots"].keys()
+        assert all(same_weights(got["snapshots"][e], want["snapshots"][e])
+                   for e in want["snapshots"])
+        epochs_run.append(len(got["train_loss"]))
+        return got
+
+    monkeypatch.setattr(ann, "_descend", both)
+    data = generate_synthetic(GeneratorParams(n=60, seed=seed))
+    topology = NetworkTopology(hidden=hidden)
+    cfg = TrainingConfig(learning_rate=0.3, max_epochs=800, early_stop_patience=15, seed=seed)
+    train(data, topology=topology, training=cfg)
+    train_trajectory(data, DEFAULT_ENCODING, topology, cfg, [1, 40, 150])
+    assert 100 < epochs_run[0] < 800  # early stopping ended the run
+    assert epochs_run[1] == 150
+
+
+def test_one_gradient_pass_per_epoch(monkeypatch):
+    real = ann._gradients
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ann, "_gradients", counted)
+    X, y = encode_dataset(generate_synthetic(GeneratorParams(n=60, seed=3)))
+    targets = TargetScaler.fit(y).scale(y)
+    result = ann._descend(
+        init_weights(DEFAULT_TOPOLOGY, 3), X[12:], targets[12:], 0.3, 800,
+        X_val=X[:12], val_targets=targets[:12], patience=15,
+    )
+    epochs = len(result["train_loss"])
+    assert epochs < 800 and len(calls) == epochs + 1
+    calls.clear()
+    data = generate_synthetic(GeneratorParams(n=40, seed=3))
+    train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, TrainingConfig(), [25, 60])
+    assert len(calls) == 61
 
 
 def test_train_trajectory_validates_checkpoints():
