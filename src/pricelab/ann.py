@@ -10,9 +10,10 @@ of the module, not wrappers around a framework.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import DivergenceError, NumericError, ValidationError
 
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_PATIENCE = 10
+# Largest hidden layer: a bound on the weight and activation arrays, checked
+# before any of them is allocated.
+MAX_HIDDEN = 1024
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -57,8 +61,10 @@ class NetworkTopology:
     def __post_init__(self) -> None:
         if self.inputs < 1 or self.outputs != 1:
             raise ValidationError("topology needs inputs >= 1 and exactly one output")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValidationError("hidden layer sizes must all be >= 1")
+        if not self.hidden or any(not 1 <= h <= MAX_HIDDEN for h in self.hidden):
+            raise ValidationError(
+                f"hidden layer sizes must all lie in [1, {MAX_HIDDEN}], got {self.hidden}"
+            )
 
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.inputs,) + tuple(self.hidden) + (self.outputs,)
@@ -183,53 +189,31 @@ def _gradients(
     return loss, grad_w, grad_b
 
 
-def _descend(
-    weights: Weights,
-    X: np.ndarray,
-    targets: np.ndarray,
-    learning_rate: float,
-    max_epochs: int,
-    *,
-    X_val: np.ndarray | None = None,
-    val_targets: np.ndarray | None = None,
-    patience: int | None = None,
-    checkpoints: Sequence[int] = (),
-) -> dict:
-    """Gradient-descent engine shared by ``train`` and the overfit scans.
+def _epochs(
+    weights: Weights, X: np.ndarray, targets: np.ndarray, learning_rate: float
+) -> Iterator[tuple[int, float, Weights]]:
+    """Full-batch gradient descent, one ``(epoch, loss, weights)`` per epoch.
 
     Each epoch runs one forward and backward pass: it scores the updated
-    weights, records that loss, and its gradient drives the next epoch's
-    update (the first update uses the gradient of the initial pass, which
-    also gives the initial loss).  Divergence (loss above ten times the
-    initial loss for ten straight epochs) and NaN losses raise; early
-    stopping tracks the best validation epoch when a validation set and a
-    patience are given.
+    weights, and that pass's gradient drives the next epoch's update (the
+    first update uses the gradient of the initial pass, which also gives the
+    initial loss).  Divergence (loss above ten times the initial loss for ten
+    straight epochs) and NaN losses raise.  The descent never ends by
+    itself: ``train`` stops it early or at ``max_epochs``, ``train_trajectory``
+    at its last checkpoint.  Each epoch's weights are fresh arrays that are
+    never written to again.
     """
-    matrices = [m.copy() for m in weights.matrices]
-    biases = [b.copy() for b in weights.biases]
-    current = Weights(tuple(matrices), tuple(biases))
-
+    current = weights
     initial_loss, grad_w, grad_b = _gradients(current, X, targets)
-    train_hist: list[float] = []
-    val_hist: list[float] = []
-    snapshots: dict[int, Weights] = {}
-    wanted = set(checkpoints)
-
-    best_val = math.inf
-    best_epoch = 0
-    best_weights = current.copy()
-    stale = 0
     high_streak = 0
-
-    for epoch in range(1, max_epochs + 1):
-        matrices = [m - learning_rate * g for m, g in zip(matrices, grad_w)]
-        biases = [b - learning_rate * g for b, g in zip(biases, grad_b)]
-        current = Weights(tuple(matrices), tuple(biases))
-
+    for epoch in itertools.count(1):
+        current = Weights(
+            tuple(m - learning_rate * g for m, g in zip(current.matrices, grad_w)),
+            tuple(b - learning_rate * g for b, g in zip(current.biases, grad_b)),
+        )
         loss, grad_w, grad_b = _gradients(current, X, targets)
         if math.isnan(loss):
             raise NumericError(f"training loss became NaN at epoch {epoch}")
-        train_hist.append(loss)
         if loss > _DIVERGENCE_FACTOR * max(initial_loss, 1e-300):
             high_streak += 1
             if high_streak >= _DIVERGENCE_PATIENCE:
@@ -240,36 +224,7 @@ def _descend(
                 )
         else:
             high_streak = 0
-
-        if epoch in wanted:
-            snapshots[epoch] = current.copy()
-
-        if X_val is not None:
-            vout, _ = _forward_batch(current, X_val)
-            vres = vout - val_targets
-            vloss = float(vres @ vres) / X_val.shape[0]
-            if math.isnan(vloss):
-                raise NumericError(f"validation loss became NaN at epoch {epoch}")
-            val_hist.append(vloss)
-            if patience is not None:
-                if vloss < best_val:
-                    best_val = vloss
-                    best_epoch = epoch
-                    best_weights = current.copy()
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
-
-    return {
-        "weights": current,
-        "train_loss": train_hist,
-        "val_loss": val_hist,
-        "best_epoch": best_epoch,
-        "best_weights": best_weights,
-        "snapshots": snapshots,
-    }
+        yield epoch, loss, current
 
 
 def train(
@@ -282,7 +237,9 @@ def train(
 
     The validation slice is carved off the given training half with the
     training seed, so identical (data, config, seed) rebuild bit-identical
-    models.  Loss histories are truncated at the returned epoch.
+    models.  Descent stops ``early_stop_patience`` epochs after the best
+    validation epoch, or at ``max_epochs``.  Loss histories are truncated at
+    the returned epoch.
     """
     if train_data.n < 10:
         raise ValidationError(f"train needs at least 10 rows, got {train_data.n}")
@@ -301,26 +258,34 @@ def train(
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
     if fit_idx.size < 1:
         raise ValidationError("validation slice leaves no training rows")
+    X_val, val_targets = X[val_idx], targets[val_idx]
 
     weights = init_weights(topology, training.seed)
-    result = _descend(
-        weights,
-        X[fit_idx],
-        targets[fit_idx],
-        training.learning_rate,
-        training.max_epochs,
-        X_val=X[val_idx],
-        val_targets=targets[val_idx],
-        patience=training.early_stop_patience,
-    )
-    stopped = result["best_epoch"]
+    train_hist: list[float] = []
+    val_hist: list[float] = []
+    best_val, best_epoch, best_weights, stale = math.inf, 0, weights, 0
+    descent = _epochs(weights, X[fit_idx], targets[fit_idx], training.learning_rate)
+    for epoch, loss, current in itertools.islice(descent, training.max_epochs):
+        train_hist.append(loss)
+        vout, _ = _forward_batch(current, X_val)
+        vres = vout - val_targets
+        vloss = float(vres @ vres) / X_val.shape[0]
+        if math.isnan(vloss):
+            raise NumericError(f"validation loss became NaN at epoch {epoch}")
+        val_hist.append(vloss)
+        if vloss < best_val:
+            best_val, best_epoch, best_weights, stale = vloss, epoch, current, 0
+        else:
+            stale += 1
+            if stale >= training.early_stop_patience:
+                break
     return AnnModel(
         topology=topology,
-        weights=result["best_weights"],
+        weights=best_weights,
         scaler=scaler,
-        train_loss=tuple(result["train_loss"][:stopped]),
-        val_loss=tuple(result["val_loss"][:stopped]),
-        stopped_epoch=stopped,
+        train_loss=tuple(train_hist[:best_epoch]),
+        val_loss=tuple(val_hist[:best_epoch]),
+        stopped_epoch=best_epoch,
         encoding=config,
     )
 
@@ -331,10 +296,13 @@ def train_trajectory(
     topology: NetworkTopology,
     training: TrainingConfig,
     checkpoints: Sequence[int],
-) -> tuple[TargetScaler, list[tuple[int, Weights]]]:
+) -> tuple[TargetScaler, Iterator[tuple[int, Weights]]]:
     """Train on the whole given set (no validation split, no early stop),
-    returning weight snapshots at the requested epochs.
+    yielding ``(epoch, weights)`` snapshots at the requested epochs.
 
+    The snapshots are lazy: descent advances only when the next one is
+    asked for, so a caller that stops early runs only the epochs up to the
+    last snapshot it took.  Checkpoints and data are validated at call time.
     Full-batch descent is deterministic, so the snapshot at epoch e equals a
     separate run stopped at e; the scan ladder needs only one run.
     """
@@ -343,16 +311,19 @@ def train_trajectory(
         raise ValidationError("checkpoints must be positive epochs")
     X, y = encode_with_response(train_data, config)
     scaler = training.target_scaler or TargetScaler.fit(y)
-    weights = init_weights(topology, training.seed)
-    result = _descend(
-        weights,
-        X,
-        scaler.scale(y),
-        training.learning_rate,
-        checkpoints[-1],
-        checkpoints=checkpoints,
+    descent = _epochs(
+        init_weights(topology, training.seed), X, scaler.scale(y), training.learning_rate
     )
-    return scaler, [(e, result["snapshots"][e]) for e in checkpoints]
+    wanted, last = set(checkpoints), checkpoints[-1]
+
+    def snapshots() -> Iterator[tuple[int, Weights]]:
+        for epoch, _, weights in descent:
+            if epoch in wanted:
+                yield epoch, weights
+            if epoch == last:
+                return
+
+    return scaler, snapshots()
 
 
 def predict_ann(model: AnnModel, X: np.ndarray) -> np.ndarray:
@@ -405,11 +376,3 @@ def gradient_check(
         rel = abs(analytic[k] - numeric) / max(abs(analytic[k]) + abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
-
-
-def loss_history_csv(model: AnnModel) -> str:
-    """CSV of the recorded loss trajectories: epoch, train_mse, val_mse."""
-    lines = ["epoch,train_mse,val_mse"]
-    for epoch, (tr, va) in enumerate(zip(model.train_loss, model.val_loss), start=1):
-        lines.append(f"{epoch},{tr!r},{va!r}")
-    return "\n".join(lines) + "\n"

@@ -104,8 +104,8 @@ def _load_mapping(config_path: str | None) -> dict[str, str]:
 def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
     mapping = _load_mapping(args.config)
     encoding = encoding_from_mapping(mapping)
-    try:
-        params = generator_from_mapping(mapping)
+    params = generator_from_mapping(mapping)
+    try:  # a bad --n or --seed is a usage error, a bad config value a data error
         if args.n is not None:
             params = dataclasses.replace(params, n=args.n)
         if args.seed is not None:

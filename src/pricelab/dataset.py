@@ -38,6 +38,9 @@ from .errors import ParseError, SchemaError, ValidationError, not_utf8
 CSV_COLUMNS = ("id", "gender", "age", "income", "smoke", "previous_claim", "expenditure")
 FEATURE_NAMES = ("gender", "age", "income", "smoker", "claim_present", "claim_severity")
 N_FEATURES = len(FEATURE_NAMES)
+# Largest synthetic portfolio: a bound on the generated columns, checked
+# before any of them is allocated.
+MAX_ROWS = 1_000_000
 
 # Design constants of the generator population.  Smoking and claim rates are
 # equal on purpose: copying the smoker flag into the claim flag with
@@ -140,8 +143,8 @@ class GeneratorParams:
     noise_outlier_factor: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+        if not (1 <= self.n <= MAX_ROWS):
+            raise ValidationError(f"n must lie in [1, {MAX_ROWS}], got {self.n}")
         if not (0.0 <= self.collinearity_rho < 1.0):
             raise ValidationError(
                 f"collinearity_rho must lie in [0, 1), got {self.collinearity_rho}"

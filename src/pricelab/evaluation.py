@@ -7,7 +7,11 @@ family-specific capacity ladder (epoch checkpoints for the network, a
 decreasing smoothing penalty for the additive model, a single point for the
 linear one) on an internal 80/20 split: the reported threshold is the
 training relative error at the first step where validation error rises for
-``patience`` consecutive steps while training error still falls.
+``patience`` consecutive steps while training error still falls.  The ladder
+is walked lazily and the scan stops at that first upturn, so an
+``OverfitReport`` holds the scanned prefix of the ladder: up to the
+threshold step plus ``patience`` steps, or the whole ladder when no
+threshold is found.
 
 ``FAMILIES[model.family]`` is the family of a fitted model; its batch
 ``predict(model, X)`` maps an (n, 6) feature matrix to n predictions.
@@ -186,7 +190,8 @@ class AnnFamily(Family):
         return ann_mod.predict_ann(model, X)
 
     def ladder(self, train: Dataset, config: EncodingConfig, steps):
-        """Epoch checkpoints of one descent run on the whole given set."""
+        """Epoch checkpoints of one descent run on the whole given set; each
+        snapshot is passed on as the descent reaches it."""
         epochs = [int(s) for s in (steps if steps is not None else DEFAULT_ANN_STEPS)]
         if len(epochs) < 2 or any(b <= a for a, b in zip(epochs, epochs[1:])):
             raise ValidationError("ANN scan steps must be strictly increasing epochs")
@@ -207,6 +212,8 @@ FAMILIES: dict[str, type[Family]] = {f.name: f for f in (GlmFamily, GamFamily, A
 
 @dataclass(frozen=True)
 class OverfitReport:
+    """One scan; ``steps`` and the errors cover the scanned prefix of the ladder."""
+
     family: str
     steps: tuple[float, ...]
     train_error: tuple[float, ...]
@@ -225,14 +232,22 @@ def _relative_rmse(predictions: np.ndarray, actual: np.ndarray) -> float:
     return rmse / denom
 
 
+def _upturn_at(
+    train_err: Sequence[float], val_err: Sequence[float], t: int, patience: int
+) -> bool:
+    """Whether val rises for ``patience`` straight steps from index t while
+    train falls at t; it reads indices t - 1 … t + patience - 1 only."""
+    rising = all(val_err[t + k] > val_err[t + k - 1] for k in range(patience))
+    return rising and train_err[t] < train_err[t - 1]
+
+
 def _detect_threshold(
     train_err: Sequence[float], val_err: Sequence[float], patience: int
 ) -> int | None:
     """First index t where val rises for ``patience`` straight steps while
     train falls at the upturn."""
     for t in range(1, len(val_err) - patience + 1):
-        rising = all(val_err[t + k] > val_err[t + k - 1] for k in range(patience))
-        if rising and train_err[t] < train_err[t - 1]:
+        if _upturn_at(train_err, val_err, t, patience):
             return t
     return None
 
@@ -254,19 +269,35 @@ def overfit_scan(
     seed: int = 0,
     patience: int = 3,
 ) -> OverfitReport:
-    """Walk the family's capacity ladder and look for a validation upturn."""
+    """Walk the family's capacity ladder until the first validation upturn.
+
+    Each step is scored as the ladder yields it.  Index t is decided once
+    step t + patience - 1 is in, and every earlier index was decided
+    before, so only that index is checked; the threshold equals the one a
+    scan of the whole ladder would find.
+    """
+    if patience < 1:
+        raise ValidationError(f"patience must be >= 1, got {patience}")
     fit_half, val_half = _split_for_scan(train, seed)
     X_fit, y_fit = encode_with_response(fit_half, config)
     X_val, y_val = encode_with_response(val_half, config)
 
-    ladder = list(family.ladder(fit_half, config, steps))
-    train_err = [_relative_rmse(family.predict(model, X_fit), y_fit) for _, model in ladder]
-    val_err = [_relative_rmse(family.predict(model, X_val), y_val) for _, model in ladder]
+    scanned: list[float] = []
+    train_err: list[float] = []
+    val_err: list[float] = []
+    t = None
+    for step, model in family.ladder(fit_half, config, steps):
+        scanned.append(step)
+        train_err.append(_relative_rmse(family.predict(model, X_fit), y_fit))
+        val_err.append(_relative_rmse(family.predict(model, X_val), y_val))
+        decidable = len(scanned) - patience
+        if decidable >= 1 and _upturn_at(train_err, val_err, decidable, patience):
+            t = decidable
+            break
 
-    t = _detect_threshold(train_err, val_err, patience)
     return OverfitReport(
         family=family.name,
-        steps=tuple(step for step, _ in ladder),
+        steps=tuple(scanned),
         train_error=tuple(train_err),
         val_error=tuple(val_err),
         threshold=train_err[t] if t is not None else None,

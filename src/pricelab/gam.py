@@ -44,7 +44,6 @@ import numpy as np
 from . import smoothing
 from .dataset import (
     DEFAULT_ENCODING,
-    FEATURE_NAMES,
     Dataset,
     EncodingConfig,
     N_FEATURES,
@@ -462,18 +461,3 @@ def collinearity_report(
         correlation=corr, vif=vif, flagged=flagged,
         degenerate=degenerate, threshold=threshold,
     )
-
-
-def collinearity_csv(report: CollinearityReport) -> str:
-    """Long-form CSV: correlation rows then VIF rows."""
-    lines = ["kind,feature_a,feature_b,value,flagged"]
-    flagged_pairs = {(i, j) for i, j, _ in report.flagged}
-    for i, j in itertools.combinations(range(N_FEATURES), 2):
-        mark = "yes" if (i, j) in flagged_pairs else "no"
-        lines.append(
-            f"corr,{FEATURE_NAMES[i]},{FEATURE_NAMES[j]},{report.correlation[i, j]!r},{mark}"
-        )
-    for j in range(N_FEATURES):
-        note = "degenerate" if j in report.degenerate else ""
-        lines.append(f"vif,{FEATURE_NAMES[j]},,{report.vif[j]!r},{note}")
-    return "\n".join(lines) + "\n"

@@ -19,7 +19,6 @@ from pricelab.ann import (
     _forward_batch,
     gradient_check,
     init_weights,
-    loss_history_csv,
     predict_ann,
     sigmoid,
     train,
@@ -294,6 +293,7 @@ def test_train_trajectory_checkpoints_match_shorter_runs():
     cfg = TrainingConfig(max_epochs=10)  # max_epochs unused by trajectory
     scaler_a, snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30, 60])
     scaler_b, short = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30])
+    snaps, short = list(snaps), list(short)
     assert scaler_a == scaler_b
     assert snaps[0][0] == 30 and snaps[1][0] == 60
     w_long = snaps[0][1]
@@ -304,8 +304,9 @@ def test_train_trajectory_checkpoints_match_shorter_runs():
 
 def two_pass_descend(weights, X, targets, learning_rate, max_epochs, *,
                      X_val=None, val_targets=None, patience=None, checkpoints=()):
-    """The loop ``_descend`` replaced: each epoch takes a fresh gradient at
-    the current weights, then a second full pass scores the update.  Its
+    """The loop the one-pass ``ann._epochs`` replaced: each epoch takes a
+    fresh gradient at the current weights, then a second full pass scores
+    the update; early stopping and snapshots sit in the same loop.  Its
     divergence and NaN checks are left out, since they can only raise."""
     current = weights.copy()
     train_hist, val_hist, snapshots = [], [], {}
@@ -342,36 +343,39 @@ def same_weights(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.matrices + a.biases, b.matrices + b.biases))
 
 
+def scaled_and_split(data, seed):
+    """Encoded rows, scaled targets and ``train``'s (fit, validation) rows
+    for a 60-row set at the default validation fraction."""
+    X, y = encode_dataset(data)
+    perm = np.random.default_rng(seed).permutation(data.n)
+    return X, TargetScaler.fit(y).scale(y), perm[12:], perm[:12]
+
+
 @pytest.mark.parametrize("hidden", [(8,), (4, 3)])
 @pytest.mark.parametrize("seed", [3, 5])
-def test_descend_equals_two_pass_loop(monkeypatch, seed, hidden):
+def test_descend_equals_two_pass_loop(seed, hidden):
     """Reusing the post-update gradient changes no bit of any result, for
     ``train`` (early stopping) and ``train_trajectory`` (snapshots)."""
-    real = ann._descend
-    epochs_run = []
-
-    def both(*args, **kwargs):
-        got = real(*args, **kwargs)
-        want = two_pass_descend(*args, **kwargs)
-        assert same_weights(got["weights"], want["weights"])
-        assert got["train_loss"] == want["train_loss"]
-        assert got["val_loss"] == want["val_loss"]
-        assert got["best_epoch"] == want["best_epoch"]
-        assert same_weights(got["best_weights"], want["best_weights"])
-        assert got["snapshots"].keys() == want["snapshots"].keys()
-        assert all(same_weights(got["snapshots"][e], want["snapshots"][e])
-                   for e in want["snapshots"])
-        epochs_run.append(len(got["train_loss"]))
-        return got
-
-    monkeypatch.setattr(ann, "_descend", both)
     data = generate_synthetic(GeneratorParams(n=60, seed=seed))
     topology = NetworkTopology(hidden=hidden)
     cfg = TrainingConfig(learning_rate=0.3, max_epochs=800, early_stop_patience=15, seed=seed)
-    train(data, topology=topology, training=cfg)
-    train_trajectory(data, DEFAULT_ENCODING, topology, cfg, [1, 40, 150])
-    assert 100 < epochs_run[0] < 800  # early stopping ended the run
-    assert epochs_run[1] == 150
+    X, targets, fit, val = scaled_and_split(data, seed)
+
+    want = two_pass_descend(init_weights(topology, seed), X[fit], targets[fit], 0.3, 800,
+                            X_val=X[val], val_targets=targets[val], patience=15)
+    model = train(data, topology=topology, training=cfg)
+    assert 100 < len(want["train_loss"]) < 800  # early stopping ended the run
+    assert model.stopped_epoch == want["best_epoch"]
+    assert same_weights(model.weights, want["best_weights"])
+    assert model.train_loss == tuple(want["train_loss"][:want["best_epoch"]])
+    assert model.val_loss == tuple(want["val_loss"][:want["best_epoch"]])
+
+    want = two_pass_descend(init_weights(topology, seed), X, targets, 0.3, 150,
+                            checkpoints=[1, 40, 150])
+    _, snaps = train_trajectory(data, DEFAULT_ENCODING, topology, cfg, [1, 40, 150])
+    snaps = list(snaps)
+    assert [e for e, _ in snaps] == [1, 40, 150]
+    assert all(same_weights(w, want["snapshots"][e]) for e, w in snaps)
 
 
 def test_one_gradient_pass_per_epoch(monkeypatch):
@@ -383,18 +387,17 @@ def test_one_gradient_pass_per_epoch(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(ann, "_gradients", counted)
-    X, y = encode_dataset(generate_synthetic(GeneratorParams(n=60, seed=3)))
-    targets = TargetScaler.fit(y).scale(y)
-    result = ann._descend(
-        init_weights(DEFAULT_TOPOLOGY, 3), X[12:], targets[12:], 0.3, 800,
-        X_val=X[:12], val_targets=targets[:12], patience=15,
-    )
-    epochs = len(result["train_loss"])
+    data = generate_synthetic(GeneratorParams(n=60, seed=3))
+    cfg = TrainingConfig(learning_rate=0.3, max_epochs=800, early_stop_patience=15, seed=3)
+    model = train(data, training=cfg)
+    epochs = model.stopped_epoch + 15  # the run ends patience epochs after the best
     assert epochs < 800 and len(calls) == epochs + 1
     calls.clear()
     data = generate_synthetic(GeneratorParams(n=40, seed=3))
-    train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, TrainingConfig(), [25, 60])
-    assert len(calls) == 61
+    _, snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, TrainingConfig(), [25, 60])
+    assert calls == []  # lazy: no descent before the first snapshot is asked for
+    assert next(snaps)[0] == 25 and len(calls) == 26
+    assert [e for e, _ in snaps] == [60] and len(calls) == 61
 
 
 def test_train_trajectory_validates_checkpoints():
@@ -404,16 +407,6 @@ def test_train_trajectory_validates_checkpoints():
         train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [])
     with pytest.raises(ValidationError):
         train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [0, 10])
-
-
-def test_loss_history_csv_shape():
-    model = train(
-        generate_synthetic(GeneratorParams(n=40, seed=1)),
-        training=TrainingConfig(max_epochs=50),
-    )
-    lines = loss_history_csv(model).strip().splitlines()
-    assert lines[0] == "epoch,train_mse,val_mse"
-    assert len(lines) == 1 + model.stopped_epoch
 
 
 def test_artifact_round_trip(tmp_path):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pricelab.ann import AnnModel
+from pricelab.ann import MAX_HIDDEN, AnnModel, NetworkTopology
 from pricelab.artifacts import load_model
 from pricelab.cli import main, replay_manifest
-from pricelab.dataset import CSV_COLUMNS, encode_dataset, load_csv
+from pricelab.dataset import CSV_COLUMNS, MAX_ROWS, GeneratorParams, encode_dataset, load_csv
+from pricelab.errors import ValidationError
 from pricelab.gam import GamModel
 from pricelab.glm import GlmModel, predict_glm
 
@@ -185,6 +186,8 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
     ("predict", "# non-UTF-8 model file"),
     ("compare", "# non-UTF-8 test index"),
     ("gen", "income_max = 1e30"),
+    ("gen", "n = 10000000000"),
+    ("fit", "hidden = 100000000"),
 ])
 def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, command, config):
     cfg = tmp_path / "run.cfg"
@@ -226,6 +229,23 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, comma
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if "non-UTF-8" in config:
         assert f"{damaged}: not a UTF-8 text file" in err
+
+
+def test_size_bounds_refuse_before_allocating(tmp_path, monkeypatch, capsys):
+    """Row counts and hidden sizes past their bounds are refused before any
+    array is made; on the command line a bad ``--n`` is a usage error."""
+    def never(*args, **kwargs):
+        raise AssertionError("generated data past the row bound")
+
+    monkeypatch.setattr("pricelab.cli.generate_synthetic", never)
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--n", 10_000_000_000, "-o", tmp_path / "x.csv")
+    assert exc.value.code == 2
+    assert f"error: n must lie in [1, {MAX_ROWS}]" in capsys.readouterr().err
+    assert GeneratorParams(n=MAX_ROWS).n == MAX_ROWS
+    assert NetworkTopology(hidden=(MAX_HIDDEN, 1)).hidden == (MAX_HIDDEN, 1)
+    with pytest.raises(ValidationError, match="hidden"):
+        NetworkTopology(hidden=(8, MAX_HIDDEN + 1))
 
 
 @pytest.fixture(scope="module")

@@ -8,18 +8,23 @@ import pytest
 from pytest import approx
 
 from conftest import make_dataset
+from pricelab import ann as ann_mod
+from pricelab import gam as gam_mod
 from pricelab.ann import TrainingConfig, train
 from pricelab.dataset import (
+    DEFAULT_ENCODING,
     EncodingConfig,
     Gender,
     GeneratorParams,
     PriorClaim,
+    encode_with_response,
     generate_synthetic,
     split_half,
 )
 from pricelab.errors import ValidationError
 from pricelab.evaluation import (
     AccuracyBand,
+    DEFAULT_GAM_STEPS,
     AnnFamily,
     GamFamily,
     GlmFamily,
@@ -35,6 +40,7 @@ from pricelab.evaluation import (
     report_csv,
     _detect_threshold,
     _relative_rmse,
+    _split_for_scan,
 )
 from pricelab.gam import fit_gam
 from pricelab.glm import LinkKind, fit_glm
@@ -211,7 +217,99 @@ def test_overfit_scan_noisy_data_finds_threshold():
     for k in range(report.patience):
         assert report.val_error[t + k] > report.val_error[t + k - 1]
     assert report.train_error[t] < report.train_error[t - 1]
-    assert report.steps == tuple(float(e) for e in range(200, 4001, 200))
+    # the scan stops once the upturn is detected
+    assert report.steps == tuple(float(e) for e in range(200, 4001, 200))[: t + report.patience]
+
+
+def full_ladder_scan(family, train, steps, seed, patience=3):
+    """The reference scan: score every step of the ladder, then look for the
+    first upturn in the whole sequence."""
+    fit_half, val_half = _split_for_scan(train, seed)
+    X_fit, y_fit = encode_with_response(fit_half)
+    X_val, y_val = encode_with_response(val_half)
+    ladder = list(family.ladder(fit_half, DEFAULT_ENCODING, steps))
+    train_err = [_relative_rmse(family.predict(m, X_fit), y_fit) for _, m in ladder]
+    val_err = [_relative_rmse(family.predict(m, X_val), y_val) for _, m in ladder]
+    return [step for step, _ in ladder], train_err, val_err, _detect_threshold(
+        train_err, val_err, patience
+    )
+
+
+def compare_train_half(portfolio):
+    """The train half ``pricelab compare`` scans for a 200-row portfolio whose
+    models were fit with ``--seed portfolio``."""
+    data = generate_synthetic(GeneratorParams(n=200, seed=portfolio))
+    _, test_half = split_half(data, portfolio)
+    return data.take(~np.isin(data.ids, test_half.ids))
+
+
+HOT_ANN = AnnFamily(training=TrainingConfig(learning_rate=0.4))
+CURVE_PARAMS = GeneratorParams(noise_scale=1500.0, noise_outlier_rate=0.0)
+
+# case -> (family, train set, steps, scan seed, whether a threshold is found)
+SCAN_CASES = {
+    "ann-noisy-half": lambda: (
+        HOT_ANN, split_half(generate_synthetic(GeneratorParams(noise_scale=900.0, seed=2)), 2)[0],
+        range(200, 4001, 200), 2, True,
+    ),
+    "ann-curve-cell": lambda: (
+        HOT_ANN, generate_synthetic(replace(CURVE_PARAMS, n=100, seed=1)),
+        range(100, 4001, 100), 1, True,
+    ),
+    "ann-clean-half": lambda: (
+        HOT_ANN, split_half(generate_synthetic(GeneratorParams(noise_scale=0.0, seed=0)), 0)[0],
+        range(200, 4001, 200), 0, False,
+    ),
+    "gam-portfolio-3": lambda: (GamFamily(), compare_train_half(3), None, 3, True),
+    "gam-portfolio-7": lambda: (GamFamily(), compare_train_half(7), None, 7, True),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_early_stopped_scan_equals_full_ladder(case):
+    """Stopping at the first detected upturn keeps every bit of the threshold,
+    and the report holds exactly the prefix the detection needed."""
+    family, train, steps, seed, found = SCAN_CASES[case]()
+    report = overfit_scan(family, train, steps=steps, seed=seed)
+    all_steps, train_err, val_err, t = full_ladder_scan(family, train, steps, seed)
+    assert report.threshold_found == (t is not None) == found
+    assert report.threshold_step == t
+    assert report.threshold == (None if t is None else train_err[t])
+    end = len(all_steps) if t is None else t + report.patience
+    assert report.steps == tuple(all_steps[:end])
+    assert report.train_error == tuple(train_err[:end])
+    assert report.val_error == tuple(val_err[:end])
+
+
+def counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_scan_work_ends_at_the_detecting_step(monkeypatch):
+    """A threshold found at t costs the ladder up to step t + patience - 1:
+    that many epochs for the network (one gradient pass each, plus the
+    initial pass), t + patience fits for the additive model."""
+    gradient_calls, gam_fits = [], []
+    monkeypatch.setattr(ann_mod, "_gradients", counting(gradient_calls, ann_mod._gradients))
+    monkeypatch.setattr(gam_mod, "fit_gam", counting(gam_fits, gam_mod.fit_gam))
+
+    family, train, steps, seed, _ = SCAN_CASES["ann-noisy-half"]()
+    report = overfit_scan(family, train, steps=steps, seed=seed)
+    last = report.threshold_step + report.patience - 1
+    assert len(gradient_calls) == steps[last] + 1 and steps[last] < steps[-1]
+
+    family, train, steps, seed, _ = SCAN_CASES["gam-portfolio-3"]()
+    report = overfit_scan(family, train, steps=steps, seed=seed)
+    assert len(gam_fits) == report.threshold_step + report.patience < len(DEFAULT_GAM_STEPS)
+
+
+def test_overfit_scan_needs_positive_patience():
+    data = generate_synthetic(GeneratorParams(n=60, seed=0))
+    with pytest.raises(ValidationError, match="patience"):
+        overfit_scan(GlmFamily(), data, patience=0)
 
 
 # ------------------------------------------------------------------- curve

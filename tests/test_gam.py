@@ -20,7 +20,6 @@ from pricelab.gam import (
     GamModel,
     SmoothConfig,
     add_interaction,
-    collinearity_csv,
     collinearity_report,
     fit_gam,
     interaction_scan,
@@ -265,14 +264,6 @@ def test_collinearity_degenerate_feature():
     assert 3 in report.degenerate
     assert report.correlation[3] == approx(np.zeros(6) + np.eye(6)[3])
     assert report.vif[3] == 1.0
-
-
-def test_collinearity_csv_shape():
-    report = collinearity_report(generate_synthetic(GeneratorParams(n=50, seed=0)))
-    lines = collinearity_csv(report).strip().splitlines()
-    assert lines[0] == "kind,feature_a,feature_b,value,flagged"
-    assert sum(l.startswith("corr,") for l in lines) == 15
-    assert sum(l.startswith("vif,") for l in lines) == 6
 
 
 # ------------------------------------------------------------- persistence
