@@ -32,6 +32,9 @@ _DIVERGENCE_PATIENCE = 10
 # Largest hidden layer: a bound on the weight and activation arrays, checked
 # before any of them is allocated.
 MAX_HIDDEN = 1024
+# Most descent epochs per run: a bound on the run time (and the loss
+# histories), checked before training starts.
+MAX_EPOCHS = 1_000_000
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -118,8 +121,12 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 1 <= self.max_epochs <= MAX_EPOCHS:
+            raise ValidationError(
+                f"max_epochs must lie in [1, {MAX_EPOCHS}], got {self.max_epochs}"
+            )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.validation_fraction <= 0.5):
             raise ValidationError(
                 f"validation_fraction must lie in (0, 0.5], got {self.validation_fraction}"

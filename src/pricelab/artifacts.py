@@ -95,7 +95,6 @@ def _gam_sections(model: GamModel) -> Sections:
         ("family", "gam"),
         ("link", model.link.value),
         ("intercept", format_float(model.intercept)),
-        ("cycles", str(model.cycles)),
         ("rss", format_float(model.rss)),
         ("knots", str(model.smooth_config.knots)),
         ("penalty", format_float(model.smooth_config.penalty)),
@@ -163,7 +162,6 @@ def _gam_from_sections(sections: Sections) -> GamModel:
         link=_link_of(head, "link"),
         smooths=tuple(smooths[j] for j in range(len(FEATURE_NAMES))),
         interactions=tuple(interactions),
-        cycles=_int_of(head, "cycles"),
         rss=_float_of(head, "rss"),
         smooth_config=SmoothConfig(
             knots=_int_of(head, "knots"),

@@ -97,6 +97,17 @@ def replay_manifest(path: str | Path) -> int:
         os.chdir(here)
 
 
+def _seed(text: str) -> int:
+    """``--seed`` values: anything but a non-negative integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _load_mapping(config_path: str | None) -> dict[str, str]:
     return read_config(config_path) if config_path else {}
 
@@ -227,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic customer CSV")
     p_gen.add_argument("--n", type=int, default=None, help="number of records")
-    p_gen.add_argument("--seed", type=int, default=None, help="generator seed")
+    p_gen.add_argument("--seed", type=_seed, default=None, help="generator seed")
     p_gen.add_argument("--config", default=None, help="key-value config file")
     p_gen.add_argument("-o", "--out", required=True, help="output CSV path")
     p_gen.set_defaults(func=_cmd_gen, parser=p_gen)
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="split a CSV in half and fit one family")
     p_fit.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p_fit.add_argument("--in", dest="input", required=True, help="input CSV")
-    p_fit.add_argument("--seed", type=int, default=0, help="split seed")
+    p_fit.add_argument("--seed", type=_seed, default=0, help="split seed")
     p_fit.add_argument("--config", default=None, help="key-value config file")
     p_fit.add_argument("-o", "--out", required=True, help="model artifact path")
     p_fit.set_defaults(func=_cmd_fit, parser=p_fit)
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="model artifact path (repeat; at least two)",
     )
     p_cmp.add_argument("--in", dest="input", required=True, help="full data CSV")
-    p_cmp.add_argument("--seed", type=int, default=0, help="seed for the scans")
+    p_cmp.add_argument("--seed", type=_seed, default=0, help="seed for the scans")
     p_cmp.add_argument("--config", default=None, help="key-value config file")
     p_cmp.add_argument("-o", "--out", required=True, help="output prefix (.md/.csv)")
     p_cmp.set_defaults(func=_cmd_compare, parser=p_cmp)

@@ -145,6 +145,8 @@ class GeneratorParams:
     def __post_init__(self) -> None:
         if not (1 <= self.n <= MAX_ROWS):
             raise ValidationError(f"n must lie in [1, {MAX_ROWS}], got {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.collinearity_rho < 1.0):
             raise ValidationError(
                 f"collinearity_rho must lie in [0, 1), got {self.collinearity_rho}"
@@ -358,6 +360,8 @@ def split_half(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Shuffle deterministically and split; the train half gets ceil(n/2) rows."""
     if dataset.n < 2:
         raise ValidationError("split_half needs at least 2 records")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(dataset.n)
     k = math.ceil(dataset.n / 2)
     return dataset.take(perm[:k]), dataset.take(perm[k:])

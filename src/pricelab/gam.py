@@ -26,17 +26,23 @@ component stores its training mean as ``center`` so f_j is mean zero on
 train.  No iteration is involved.
 
 Interaction terms follow the literal product form: one scalar gamma scaling
-the product of two fitted univariate smooths.  ``add_interaction`` refits by
-a fixed-point iteration: each cycle takes the least-squares intercept and
-gammas for the current components, then re-solves the additive system with
-the interaction terms held as an offset.  ``SmoothConfig.tol`` and
-``max_cycles`` govern only this iteration.
+the product of two fitted univariate smooths.  They are fitted with the
+smooths held fixed.  ``add_interaction`` takes the least-squares intercept
+and gammas of all its pairs,
+
+    min over (b0, gamma) of ||z - sum_j f_j - b0 - sum_k gamma_k f_ik f_jk||^2,
+
+one ``lstsq`` solve.  ``interaction_scan`` scores a pair by the exact RSS
+drop of the same step for that one pair on top of the model: with r the
+model's residual and u_c the centred product f_i f_j, regressing r on
+[1, u] lowers the RSS by n * mean(r)^2 + (u_c' r)^2 / (u_c' u_c).  The
+first term vanishes on the model's own fit rows, where r has mean zero;
+the second is the statistic the permutation test shuffles.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,34 +57,29 @@ from .dataset import (
     encode_with_response,
     feature_matrix,
 )
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .glm import LinkKind
 
 _MIN_TRAIN_ROWS = 20
 _LOG_FLOOR = 1.0  # currency floor applied before log-transforming responses
+# Most knots per smooth: a bound on the spline design and penalty arrays,
+# checked before any of them is allocated.
+MAX_KNOTS = 100
 
 
 @dataclass(frozen=True)
 class SmoothConfig:
-    """Shape and penalty of the univariate smooths.
-
-    ``max_cycles`` and ``tol`` govern interaction refits only; the base fit
-    is a single solve.
-    """
+    """Shape and penalty of the univariate smooths."""
 
     knots: int = 6
     penalty: float = 1e-3
     force_linear: bool = False
-    max_cycles: int = 200
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.knots < 2:
-            raise ValidationError(f"knots must be >= 2, got {self.knots}")
+        if not 2 <= self.knots <= MAX_KNOTS:
+            raise ValidationError(f"knots must lie in [2, {MAX_KNOTS}], got {self.knots}")
         if self.penalty < 0:
             raise ValidationError(f"penalty must be >= 0, got {self.penalty}")
-        if self.max_cycles < 1 or self.tol <= 0:
-            raise ValidationError("max_cycles must be >= 1 and tol > 0")
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,6 @@ class GamModel:
     link: LinkKind
     smooths: tuple[SmoothFunction, ...]
     interactions: tuple[InteractionTerm, ...]
-    cycles: int
     rss: float
     smooth_config: SmoothConfig = field(default_factory=SmoothConfig)
     encoding: EncodingConfig = field(default_factory=lambda: DEFAULT_ENCODING)
@@ -139,8 +139,8 @@ class InteractionCandidate:
 
     i: int
     j: int
-    score: float | None
-    p_value: float | None
+    score: float
+    p_value: float
     significant: bool
 
 
@@ -273,7 +273,6 @@ def fit_gam(
         link=link,
         smooths=design.smooths(theta),
         interactions=(),
-        cycles=1,
         rss=float(r @ r),
         smooth_config=smooth,
         encoding=config,
@@ -290,15 +289,16 @@ def predict_gam(model: GamModel, X: np.ndarray) -> np.ndarray:
 
 
 def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel:
-    """Extend the model with one gamma * f_i * f_j term and refit.
+    """Extend the model with one gamma * f_i * f_j term, smooths held fixed.
 
-    Each cycle takes the least-squares (intercept, gammas) for the current
-    components, then re-solves the additive part jointly with the
-    interaction terms held as an offset.  Cycles start from the model's own
-    smooths and stop once no fitted term moved more than ``tol`` on the
-    training sample.  The first (intercept, gammas) step keeps the model's
-    smooths, so its RSS is never above the model's; it is returned instead
-    whenever the converged refit ends with a higher RSS.
+    The intercept b0 and the gammas of every interaction pair, old and new,
+    are the least-squares minimiser on ``train`` of
+
+        ||z - sum_j f_j - b0 - sum_k gamma_k f_ik f_jk||^2,
+
+    with f_j the model's own smooths: one solve, no iteration.  The model
+    itself is a feasible point (its intercept and gammas, the new gamma 0),
+    so the returned RSS is never above the model's own RSS on ``train``.
     """
     if i == j:
         raise ValidationError(f"interaction needs two distinct features, got ({i}, {j})")
@@ -309,61 +309,17 @@ def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel
     InteractionTerm(i, j, 0.0)  # bounds check
 
     X, z = _working_data(model.encoding, model.link, train)
-    config = model.smooth_config
-    pairs = existing + [(i, j)]
-    design = _Design(X, config)
-    ones = np.ones((X.shape[0], 1))
-
-    def products(values):
-        return np.column_stack([values[a] * values[b] for a, b in pairs])
-
-    def refit(intercept, smooths, gammas, values, cycles):
-        r = z - _eta(intercept, values, pairs, gammas)
-        return replace(
-            model, intercept=intercept, smooths=smooths, cycles=cycles, rss=float(r @ r),
-            interactions=tuple(InteractionTerm(a, b, float(g)) for (a, b), g in zip(pairs, gammas)),
-        )
-
     components = [smooth(X[:, col]) for col, smooth in enumerate(model.smooths)]
-    intercept = model.intercept
-    gammas = np.array([t.gamma for t in model.interactions] + [0.0])
-    first = None
-    trajectory: list[float] = []
-    # Products of two diverging components can overflow float64 before the
-    # RSS check notices the blow-up; the infs are just a non-finite iterate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = products(components) * gammas
-        for cycle in range(1, config.max_cycles + 1):
-            u = products(components)
-            coef = np.linalg.lstsq(np.hstack([ones, u]), z - sum(components), rcond=None)[0]
-            if first is None:
-                first = refit(float(coef[0]), model.smooths, coef[1:], components, 1)
-            theta = design.solve(z - coef[0] - u @ coef[1:])
-            new_components = design.components(theta)
-            new_terms = products(new_components) * coef[1:]
-            r = z - _eta(coef[0], new_components, pairs, coef[1:])
-            trajectory.append(float(r @ r))
-            if not np.isfinite(trajectory[-1]):
-                raise ConvergenceError(
-                    "interaction refit diverged to non-finite values",
-                    trajectory=tuple(trajectory),
-                )
-            change = max(
-                abs(coef[0] - intercept),
-                float(np.max(np.abs(np.subtract(new_components, components)))),
-                float(np.max(np.abs(new_terms - terms))),
-            )
-            intercept, gammas = float(coef[0]), coef[1:]
-            components, terms = new_components, new_terms
-            if change < config.tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"interaction refit did not converge in {config.max_cycles} cycles",
-                trajectory=tuple(trajectory),
-            )
-    last = refit(intercept, design.smooths(theta), gammas, components, cycle)
-    return first if last.rss > first.rss else last
+    pairs = existing + [(i, j)]
+    design = np.column_stack(
+        [np.ones(X.shape[0])] + [components[a] * components[b] for a, b in pairs]
+    )
+    coef = np.linalg.lstsq(design, z - sum(components), rcond=None)[0]
+    r = z - _eta(float(coef[0]), components, pairs, coef[1:])
+    return replace(
+        model, intercept=float(coef[0]), rss=float(r @ r),
+        interactions=tuple(InteractionTerm(a, b, float(g)) for (a, b), g in zip(pairs, coef[1:])),
+    )
 
 
 def interaction_scan(
@@ -376,17 +332,25 @@ def interaction_scan(
 ) -> tuple[InteractionCandidate, ...]:
     """Score every unordered feature pair for an interaction term.
 
-    Score is the relative training-RSS reduction of the refit with that one
-    pair added.  Significance additionally requires a permutation check: the
-    squared projection of the base residuals onto the (centered) smooth
-    product must beat ``permutations`` shuffled replicas at p < 0.05.
-    A pair whose refit fails to converge is reported with score None.
+    The score is the relative RSS drop on ``train`` from adding gamma * u,
+    u = f_i * f_j, to ``base`` with its smooths and any existing gammas held
+    fixed: the minimum over (c, gamma) of ||r - c - gamma u||^2, with r the
+    base residual, is below ||r||^2 by exactly
+
+        n * mean(r)^2 + (u_c' r)^2 / (u_c' u_c),    u_c = u - mean(u),
+
+    and that drop is divided by ||r||^2.  For a base without interactions it
+    is the RSS drop of ``add_interaction``.  Significance additionally
+    requires a permutation check: (u_c' r)^2 must beat ``permutations``
+    shuffled replicas at p < 0.05.  A pair whose product is constant scores
+    n * mean(r)^2 alone, with p-value 1.
     """
     X, z = _working_data(base.encoding, base.link, train)
     components = [smooth(X[:, j]) for j, smooth in enumerate(base.smooths)]
     pairs = [(t.i, t.j) for t in base.interactions]
     residual = z - _eta(base.intercept, components, pairs, [t.gamma for t in base.interactions])
     base_rss = float(residual @ residual)
+    mean_term = residual.size * float(np.mean(residual)) ** 2
 
     rng = np.random.default_rng(seed)
     results = []
@@ -395,26 +359,20 @@ def interaction_scan(
         u = u - np.mean(u)
         denom = float(u @ u)
         if denom < 1e-12:
-            results.append(InteractionCandidate(i, j, 0.0, 1.0, False))
-            continue
-        observed = float(u @ residual) ** 2 / denom
-        exceed = 0
-        for _ in range(permutations):
-            shuffled = rng.permutation(residual)
-            if float(u @ shuffled) ** 2 / denom >= observed:
-                exceed += 1
-        p_value = (1 + exceed) / (1 + permutations)
-
-        try:
-            refit = add_interaction(base, i, j, train)
-        except ConvergenceError:
-            results.append(InteractionCandidate(i, j, None, p_value, False))
-            continue
-        score = (base_rss - refit.rss) / base_rss if base_rss > 0 else 0.0
+            observed, p_value = 0.0, 1.0
+        else:
+            observed = float(u @ residual) ** 2 / denom
+            exceed = 0
+            for _ in range(permutations):
+                shuffled = rng.permutation(residual)
+                if float(u @ shuffled) ** 2 / denom >= observed:
+                    exceed += 1
+            p_value = (1 + exceed) / (1 + permutations)
+        score = (mean_term + observed) / base_rss if base_rss > 0 else 0.0
         significant = score > threshold and p_value < 0.05
         results.append(InteractionCandidate(i, j, score, p_value, significant))
 
-    results.sort(key=lambda c: -math.inf if c.score is None else c.score, reverse=True)
+    results.sort(key=lambda c: c.score, reverse=True)
     return tuple(results)
 
 

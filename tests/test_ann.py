@@ -190,6 +190,8 @@ def test_training_config_validation():
         TrainingConfig(learning_rate=math.inf)
     with pytest.raises(ValidationError):
         TrainingConfig(max_epochs=0)
+    with pytest.raises(ValidationError, match="seed"):
+        TrainingConfig(seed=-1)
     with pytest.raises(ValidationError):
         TrainingConfig(validation_fraction=0.0)
     with pytest.raises(ValidationError):

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pricelab.ann import MAX_HIDDEN, AnnModel, NetworkTopology
+from pricelab.ann import MAX_EPOCHS, MAX_HIDDEN, AnnModel, NetworkTopology, TrainingConfig
 from pricelab.artifacts import load_model
 from pricelab.cli import main, replay_manifest
 from pricelab.dataset import CSV_COLUMNS, MAX_ROWS, GeneratorParams, encode_dataset, load_csv
 from pricelab.errors import ValidationError
-from pricelab.gam import GamModel
+from pricelab.gam import MAX_KNOTS, GamModel, SmoothConfig
 from pricelab.glm import GlmModel, predict_glm
 
 
@@ -46,9 +46,18 @@ def test_gen_deterministic_and_manifested(tmp_path):
 
 
 def test_gen_rejects_invalid_count(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run("gen", "--n", 0, "-o", tmp_path / "x.csv")
-    assert exc.value.code == 2
+    """A row count below 1, and a negative ``--seed`` on any command, are
+    usage errors."""
+    for argv in (
+        ["gen", "--n", 0, "-o", tmp_path / "x.csv"],
+        ["gen", "--seed", -1, "-o", tmp_path / "x.csv"],
+        ["fit", "--family", "glm", "--in", tmp_path / "x.csv", "--seed", -1, "-o", tmp_path / "m"],
+        ["compare", "--model", tmp_path / "a", "--model", tmp_path / "b",
+         "--in", tmp_path / "x.csv", "--seed", -1, "-o", tmp_path / "r"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_fit_writes_artifact_index_and_manifest(tmp_path, data_csv):
@@ -188,6 +197,10 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
     ("gen", "income_max = 1e30"),
     ("gen", "n = 10000000000"),
     ("fit", "hidden = 100000000"),
+    ("fit", "knots = 100000000"),
+    ("fit", "max_epochs = 100000000"),
+    ("fit", "train_seed = -1"),
+    ("gen", "seed = -1"),
 ])
 def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, command, config):
     cfg = tmp_path / "run.cfg"
@@ -232,8 +245,9 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, comma
 
 
 def test_size_bounds_refuse_before_allocating(tmp_path, monkeypatch, capsys):
-    """Row counts and hidden sizes past their bounds are refused before any
-    array is made; on the command line a bad ``--n`` is a usage error."""
+    """Row counts, hidden sizes, knot counts and epoch counts past their
+    bounds are refused before any array is made; on the command line a bad
+    ``--n`` is a usage error."""
     def never(*args, **kwargs):
         raise AssertionError("generated data past the row bound")
 
@@ -246,6 +260,12 @@ def test_size_bounds_refuse_before_allocating(tmp_path, monkeypatch, capsys):
     assert NetworkTopology(hidden=(MAX_HIDDEN, 1)).hidden == (MAX_HIDDEN, 1)
     with pytest.raises(ValidationError, match="hidden"):
         NetworkTopology(hidden=(8, MAX_HIDDEN + 1))
+    assert SmoothConfig(knots=MAX_KNOTS).knots == MAX_KNOTS
+    with pytest.raises(ValidationError, match="knots"):
+        SmoothConfig(knots=MAX_KNOTS + 1)
+    assert TrainingConfig(max_epochs=MAX_EPOCHS).max_epochs == MAX_EPOCHS
+    with pytest.raises(ValidationError, match="max_epochs"):
+        TrainingConfig(max_epochs=MAX_EPOCHS + 1)
 
 
 @pytest.fixture(scope="module")

@@ -265,6 +265,8 @@ def test_generate_noise_outliers_touch_a_minority_of_rows():
 def test_generator_params_validation():
     with pytest.raises(ValidationError):
         GeneratorParams(n=0)
+    with pytest.raises(ValidationError, match="seed"):
+        GeneratorParams(seed=-1)
     with pytest.raises(ValidationError):
         GeneratorParams(noise_scale=-1.0)
     with pytest.raises(ValidationError):
@@ -320,6 +322,8 @@ def test_split_half_too_small():
     solo = make_dataset(FIXTURE_ROWS[:1])
     with pytest.raises(ValidationError):
         split_half(solo, seed=0)
+    with pytest.raises(ValidationError, match="seed"):
+        split_half(make_dataset(FIXTURE_ROWS), seed=-1)
 
 
 # ---------------------------------------------------------------- CSV
