@@ -6,6 +6,17 @@ descent on the mean squared error of min-max scaled targets, with early
 stopping on an internal validation slice.  Everything is plain numpy; the
 forward pass, the gradients and the finite-difference checker are the point
 of the module, not wrappers around a framework.
+
+A descent run allocates its arrays once, in a ``_Workspace``: all weights
+live in one flat vector and all gradients in another, with per-layer views
+into both, so an update is ``grad *= lr; theta -= grad``.  Every matrix
+product and elementwise step of an epoch writes into a buffer of that
+workspace, and epochs allocate nothing.  ``train``'s validation loss,
+``predict_ann`` and ``gradient_check`` run the same ``_forward`` (prediction
+holds one layer's buffers at a time), and ``gradient_check`` the same
+``_gradients``.  Each step is the floating-point operation of the textbook
+array code (``a @ W.T + b``, ``delta.T @ a``, ``delta.sum(axis=0)``, the
+stable sigmoid), so results are bit for bit those of that code.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,24 +46,35 @@ MAX_HIDDEN = 1024
 # Most descent epochs per run: a bound on the run time (and the loss
 # histories), checked before training starts.
 MAX_EPOCHS = 1_000_000
+# Read-only 1.0 for the descent's elementwise calls: numpy takes a 0-d array
+# operand in about a third of the time it takes a Python float.
+_ONE = np.ones(())
+_ONE.flags.writeable = False
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function ``1 / (1 + exp(-z))``.
+    """Numerically stable logistic function ``1 / (1 + exp(-z))``, as a new array."""
+    out = np.array(z, dtype=float)
+    _sigmoid_into(out, np.empty_like(out))
+    return out
+
+
+def _sigmoid_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Overwrite ``z`` with ``sigmoid(z)``, using ``scratch`` of its shape.
 
     With ``e = exp(-|z|)``, which never overflows, it is ``1 / (1 + e)`` for
     z >= 0 and ``e / (1 + e)`` below (NaN stays NaN).  Each branch is the
     textbook stable form, so the bits equal a two-branch masked evaluation.
+    The numerator is ``max(e, sign(z))``: 0 <= e <= 1, and e = 1 at z = 0,
+    so it is 1 where z >= 0 and e elsewhere, with no mask.
     """
-    z = np.asarray(z, dtype=float)
-    e = np.empty_like(z)
-    np.abs(z, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
+    np.sign(z, scratch)
+    np.abs(z, z)
+    np.negative(z, z)
+    np.exp(z, z)
+    np.maximum(z, scratch, out=scratch)
+    np.add(z, _ONE, z)
+    np.divide(scratch, z, z)
 
 
 @dataclass(frozen=True)
@@ -160,40 +182,103 @@ def init_weights(topology: NetworkTopology, seed: int) -> Weights:
     return Weights(matrices=tuple(matrices), biases=tuple(biases))
 
 
-def _forward_batch(weights: Weights, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Scaled outputs (n,) plus the activation of every layer (input first)."""
-    activations = [X]
+def _flat_views(flat: np.ndarray, sizes: Sequence[int]) -> Weights:
+    """Weights whose arrays are views into ``flat``: every matrix, then every bias."""
+    shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+    ends = np.cumsum([r * c for r, c in shapes] + [r for r, _ in shapes])
+    pieces = np.split(flat, ends[:-1])
+    return Weights(
+        matrices=tuple(p.reshape(s) for p, s in zip(pieces, shapes)),
+        biases=tuple(pieces[len(shapes):]),
+    )
+
+
+def _layer_buffers(n: int, hidden: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per hidden layer: its (n, h) activation and an (n, h) scratch array."""
+    for h in hidden:
+        yield np.empty((n, h)), np.empty((n, h))
+
+
+def _forward(
+    weights: Weights,
+    X: np.ndarray,
+    layers: Iterable[tuple[np.ndarray, np.ndarray]],
+    out: np.ndarray,
+) -> np.ndarray:
+    """Scaled outputs at the rows of X, written into ``out`` (n,).
+
+    ``layers`` gives each hidden layer's buffers (``_layer_buffers``), and
+    the activations are left in them for the backward pass.  Nothing else
+    is allocated; drawn lazily, ``layers`` holds one layer at a time.
+    """
     a = X
-    for w, b in zip(weights.matrices[:-1], weights.biases[:-1]):
-        a = sigmoid(a @ w.T + b)
-        activations.append(a)
-    out = a @ weights.matrices[-1].T + weights.biases[-1]
-    activations.append(out)
-    return out[:, 0], activations
+    for w, b, (z, scratch) in zip(weights.matrices, weights.biases, layers):
+        np.dot(a, w.T, z)
+        # b tiled into every row: a broadcast add would allocate a buffer.
+        scratch[...] = b
+        np.add(z, scratch, z)
+        _sigmoid_into(z, scratch)
+        a = z
+    np.dot(a, weights.matrices[-1][0], out)
+    np.add(out, weights.biases[-1].reshape(()), out)
+    return out
 
 
-def _gradients(
-    weights: Weights, X: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Full-batch MSE and its gradients w.r.t. every matrix and bias."""
-    n = X.shape[0]
-    out, activations = _forward_batch(weights, X)
-    residual = out - targets
-    loss = float(residual @ residual) / n
+class _Workspace:
+    """Every array one descent run writes, allocated once per run.
 
-    grad_w: list[np.ndarray] = [np.zeros(0)] * len(weights.matrices)
-    grad_b: list[np.ndarray] = [np.zeros(0)] * len(weights.biases)
-    delta = (2.0 / n) * residual[:, None]  # d loss / d output
-    grad_w[-1] = delta.T @ activations[-2]
-    grad_b[-1] = delta.sum(axis=0)
-    upstream = delta @ weights.matrices[-1]
-    for layer in range(len(weights.matrices) - 2, -1, -1):
-        a = activations[layer + 1]
-        delta = upstream * a * (1.0 - a)  # sigmoid'(z) = a (1 - a)
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
-        upstream = delta @ weights.matrices[layer]
-    return loss, grad_w, grad_b
+    ``theta`` holds all weights and ``grad`` all gradients, flat and in the
+    same order, so an update is two in-place calls.  ``weights`` and
+    ``grads`` are per-layer views into them; ``weights`` is read-only.
+    """
+
+    def __init__(self, weights: Weights, X: np.ndarray, targets: np.ndarray):
+        n = X.shape[0]
+        sizes = (X.shape[1],) + tuple(m.shape[0] for m in weights.matrices)
+        self.theta = np.concatenate(
+            [m.ravel() for m in weights.matrices] + [b.ravel() for b in weights.biases]
+        )
+        self.grad = np.empty_like(self.theta)
+        frozen = self.theta.view()
+        frozen.flags.writeable = False
+        self.weights = _flat_views(frozen, sizes)
+        self.grads = _flat_views(self.grad, sizes)
+        self.X, self.targets = X, targets
+        self.layers = list(_layer_buffers(n, sizes[1:-1]))
+        self.deltas = [np.empty_like(z) for z, _ in self.layers]
+        self.out = np.empty(n)
+        self.loss_scale = np.array(2.0 / n)
+
+
+def _gradients(work: _Workspace) -> float:
+    """One forward and backward pass: the full-batch MSE at ``work.theta``,
+    with its gradient written into ``work.grad``."""
+    weights, grads, layers, deltas = work.weights, work.grads, work.layers, work.deltas
+    r = _forward(weights, work.X, layers, work.out)
+    np.subtract(r, work.targets, r)
+    loss = float(r.dot(r)) / r.shape[0]
+    np.multiply(r, work.loss_scale, r)  # d loss / d output = (2 / n) residual
+    column = r[:, None]
+    np.dot(r, layers[-1][0], grads.matrices[-1][0])
+    np.add.reduce(column, 0, None, grads.biases[-1])
+    # One output unit: the upstream gradient of the top hidden layer is the
+    # outer product of r and the output row, which np.dot forms without the
+    # buffers numpy would allocate for a broadcast product.
+    np.dot(column, weights.matrices[-1], deltas[-1])
+    for layer in range(len(layers) - 1, -1, -1):
+        a, one_minus_a = layers[layer]
+        delta = deltas[layer]
+        if layer < len(layers) - 1:
+            np.dot(deltas[layer + 1], weights.matrices[layer + 1], delta)
+        np.multiply(delta, a, delta)
+        np.subtract(_ONE, a, one_minus_a)
+        np.multiply(delta, one_minus_a, delta)  # sigmoid'(z) = a (1 - a)
+        below = layers[layer - 1][0] if layer else work.X
+        np.dot(delta.T, below, grads.matrices[layer])
+        # A row-by-row sum, as delta.sum(axis=0) on this (n, h) C array does;
+        # a pairwise or BLAS sum would change the last bits.
+        np.add.reduce(delta, 0, None, grads.biases[layer])
+    return loss
 
 
 def _epochs(
@@ -207,18 +292,20 @@ def _epochs(
     initial loss).  Divergence (loss above ten times the initial loss for ten
     straight epochs) and NaN losses raise.  The descent never ends by
     itself: ``train`` stops it early or at ``max_epochs``, ``train_trajectory``
-    at its last checkpoint.  Each epoch's weights are fresh arrays that are
-    never written to again.
+    at its last checkpoint.
+
+    The run allocates one ``_Workspace`` and nothing per epoch.  The yielded
+    weights are the same read-only views every epoch, overwritten by the
+    next update: a caller that keeps an epoch's weights copies them.
     """
-    current = weights
-    initial_loss, grad_w, grad_b = _gradients(current, X, targets)
+    work = _Workspace(weights, X, targets)
+    theta, grad, rate = work.theta, work.grad, np.array(learning_rate)
+    initial_loss = _gradients(work)
     high_streak = 0
     for epoch in itertools.count(1):
-        current = Weights(
-            tuple(m - learning_rate * g for m, g in zip(current.matrices, grad_w)),
-            tuple(b - learning_rate * g for b, g in zip(current.biases, grad_b)),
-        )
-        loss, grad_w, grad_b = _gradients(current, X, targets)
+        np.multiply(grad, rate, grad)
+        np.subtract(theta, grad, theta)
+        loss = _gradients(work)
         if math.isnan(loss):
             raise NumericError(f"training loss became NaN at epoch {epoch}")
         if loss > _DIVERGENCE_FACTOR * max(initial_loss, 1e-300):
@@ -231,7 +318,7 @@ def _epochs(
                 )
         else:
             high_streak = 0
-        yield epoch, loss, current
+        yield epoch, loss, work.weights
 
 
 def train(
@@ -266,6 +353,7 @@ def train(
     if fit_idx.size < 1:
         raise ValidationError("validation slice leaves no training rows")
     X_val, val_targets = X[val_idx], targets[val_idx]
+    val_layers, vres = list(_layer_buffers(n_val, topology.hidden)), np.empty(n_val)
 
     weights = init_weights(topology, training.seed)
     train_hist: list[float] = []
@@ -274,14 +362,13 @@ def train(
     descent = _epochs(weights, X[fit_idx], targets[fit_idx], training.learning_rate)
     for epoch, loss, current in itertools.islice(descent, training.max_epochs):
         train_hist.append(loss)
-        vout, _ = _forward_batch(current, X_val)
-        vres = vout - val_targets
-        vloss = float(vres @ vres) / X_val.shape[0]
+        np.subtract(_forward(current, X_val, val_layers, vres), val_targets, vres)
+        vloss = float(vres.dot(vres)) / n_val
         if math.isnan(vloss):
             raise NumericError(f"validation loss became NaN at epoch {epoch}")
         val_hist.append(vloss)
         if vloss < best_val:
-            best_val, best_epoch, best_weights, stale = vloss, epoch, current, 0
+            best_val, best_epoch, best_weights, stale = vloss, epoch, current.copy(), 0
         else:
             stale += 1
             if stale >= training.early_stop_patience:
@@ -305,7 +392,8 @@ def train_trajectory(
     checkpoints: Sequence[int],
 ) -> tuple[TargetScaler, Iterator[tuple[int, Weights]]]:
     """Train on the whole given set (no validation split, no early stop),
-    yielding ``(epoch, weights)`` snapshots at the requested epochs.
+    yielding ``(epoch, weights)`` snapshots at the requested epochs.  Each
+    snapshot is a copy that later epochs leave alone.
 
     The snapshots are lazy: descent advances only when the next one is
     asked for, so a caller that stops early runs only the epochs up to the
@@ -326,7 +414,7 @@ def train_trajectory(
     def snapshots() -> Iterator[tuple[int, Weights]]:
         for epoch, _, weights in descent:
             if epoch in wanted:
-                yield epoch, weights
+                yield epoch, weights.copy()
             if epoch == last:
                 return
 
@@ -335,7 +423,9 @@ def train_trajectory(
 
 def predict_ann(model: AnnModel, X: np.ndarray) -> np.ndarray:
     """Expenditure-scale predictions at the rows of an (n, 6) feature matrix."""
-    out, _ = _forward_batch(model.weights, feature_matrix(X))
+    X = feature_matrix(X)
+    n = X.shape[0]
+    out = _forward(model.weights, X, _layer_buffers(n, model.topology.hidden), np.empty(n))
     return model.scaler.inverse(out)
 
 
@@ -350,35 +440,20 @@ def gradient_check(
     if not (1e-8 <= epsilon <= 1e-4):
         raise ValidationError(f"epsilon must lie in [1e-8, 1e-4], got {epsilon}")
     x, target = sample
-    X = np.asarray(x, dtype=float)[None, :]
-    t = np.array([float(target)])
+    work = _Workspace(weights, np.asarray(x, dtype=float)[None, :], np.array([float(target)]))
+    _gradients(work)
+    analytic, flat = work.grad.copy(), work.theta.copy()
 
-    _, grad_w, grad_b = _gradients(weights, X, t)
-    analytic = np.concatenate([g.ravel() for g in grad_w] + [g.ravel() for g in grad_b])
+    def loss_at(k: int, value: float) -> float:
+        work.theta[k] = value
+        out = _forward(work.weights, work.X, work.layers, work.out)
+        work.theta[k] = flat[k]
+        return float((out[0] - work.targets[0]) ** 2)
 
-    def loss_at(flat: np.ndarray) -> float:
-        mats = []
-        bs = []
-        offset = 0
-        for m in weights.matrices:
-            mats.append(flat[offset : offset + m.size].reshape(m.shape))
-            offset += m.size
-        for b in weights.biases:
-            bs.append(flat[offset : offset + b.size].reshape(b.shape))
-            offset += b.size
-        out, _ = _forward_batch(Weights(tuple(mats), tuple(bs)), X)
-        return float((out[0] - t[0]) ** 2)
-
-    flat = np.concatenate(
-        [m.ravel() for m in weights.matrices] + [b.ravel() for b in weights.biases]
-    )
     worst = 0.0
     for k in range(flat.size):
-        bumped = flat.copy()
-        bumped[k] = flat[k] + epsilon
-        up = loss_at(bumped)
-        bumped[k] = flat[k] - epsilon
-        down = loss_at(bumped)
+        up = loss_at(k, flat[k] + epsilon)
+        down = loss_at(k, flat[k] - epsilon)
         numeric = (up - down) / (2.0 * epsilon)
         rel = abs(analytic[k] - numeric) / max(abs(analytic[k]) + abs(numeric), 1e-8)
         worst = max(worst, rel)

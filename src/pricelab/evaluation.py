@@ -255,6 +255,8 @@ def _detect_threshold(
 def _split_for_scan(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     if train.n < 10:
         raise ValidationError("overfit_scan needs at least 10 rows")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(train.n)
     n_val = max(1, int(round(train.n * 0.2)))
     return train.take(perm[n_val:]), train.take(perm[:n_val])

@@ -345,6 +345,8 @@ def interaction_scan(
     shuffled replicas at p < 0.05.  A pair whose product is constant scores
     n * mean(r)^2 alone, with p-value 1.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     X, z = _working_data(base.encoding, base.link, train)
     components = [smooth(X[:, j]) for j, smooth in enumerate(base.smooths)]
     pairs = [(t.i, t.j) for t in base.interactions]

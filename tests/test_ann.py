@@ -1,6 +1,8 @@
 """Backprop network: forward/gradient correctness, training behavior."""
 
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,6 @@ from pricelab.ann import (
     TargetScaler,
     TrainingConfig,
     Weights,
-    _forward_batch,
     gradient_check,
     init_weights,
     predict_ann,
@@ -80,6 +81,14 @@ def test_sigmoid_equals_two_branch_formula_bit_for_bit():
     assert sigmoid(0.0) == 0.5
 
 
+def forward(weights, X):
+    """Scaled outputs and hidden activations of one ``ann._forward`` pass."""
+    n = X.shape[0]
+    layers = list(ann._layer_buffers(n, [m.shape[0] for m in weights.matrices[:-1]]))
+    out = ann._forward(weights, X, layers, np.empty(n))
+    return out, [a for a, _ in layers]
+
+
 def test_init_weights_shapes_and_bounds():
     w = init_weights(DEFAULT_TOPOLOGY, seed=0)
     assert [m.shape for m in w.matrices] == [(8, 6), (1, 8)]
@@ -103,14 +112,14 @@ def test_forward_zero_and_unit_weights():
         biases=(np.zeros(8), np.zeros(1)),
     )
     x = np.full(6, 0.3)
-    out, acts = _forward_batch(zero, x[None, :])
+    out, acts = forward(zero, x[None, :])
     assert out.shape == (1,) and out[0] == 0.0
-    assert acts[1][0] == approx(np.full(8, 0.5))
+    assert acts[0][0] == approx(np.full(8, 0.5))
     ones_out = Weights(
         matrices=(np.zeros((8, 6)), np.ones((1, 8))),
         biases=(np.zeros(8), np.zeros(1)),
     )
-    out, _ = _forward_batch(ones_out, x[None, :])
+    out, _ = forward(ones_out, x[None, :])
     assert out[0] == approx(4.0)
 
 
@@ -124,9 +133,9 @@ def test_forward_matches_handwritten_pass():
         z = sum(w.matrices[0][unit][k] * x[k] for k in range(6)) + w.biases[0][unit]
         hidden.append(1.0 / (1.0 + math.exp(-z)))
     expected = sum(w.matrices[1][0][u] * hidden[u] for u in range(8)) + w.biases[1][0]
-    out, acts = _forward_batch(w, x[None, :])
+    out, acts = forward(w, x[None, :])
     assert out[0] == approx(expected, abs=1e-12)
-    assert acts[1][0] == approx(hidden, abs=1e-12)
+    assert acts[0][0] == approx(hidden, abs=1e-12)
 
 
 def test_gradient_check_small_across_seeds():
@@ -304,27 +313,62 @@ def test_train_trajectory_checkpoints_match_shorter_runs():
                for a, b in zip(w_long.matrices, w_short.matrices))
 
 
+def allocating_forward(weights, X):
+    """Reference forward pass in textbook array code, fresh arrays for every
+    layer: outputs (n,) plus the activation of every layer."""
+    activations = [X]
+    a = X
+    for w, b in zip(weights.matrices[:-1], weights.biases[:-1]):
+        a = two_branch_sigmoid(a @ w.T + b)  # the bits of ann.sigmoid, tested above
+        activations.append(a)
+    out = a @ weights.matrices[-1].T + weights.biases[-1]
+    activations.append(out)
+    return out[:, 0], activations
+
+
+def allocating_gradients(weights, X, targets):
+    """Reference full-batch MSE and its gradients, fresh arrays throughout."""
+    n = X.shape[0]
+    out, activations = allocating_forward(weights, X)
+    residual = out - targets
+    loss = float(residual @ residual) / n
+    grad_w = [None] * len(weights.matrices)
+    grad_b = [None] * len(weights.biases)
+    delta = (2.0 / n) * residual[:, None]
+    grad_w[-1] = delta.T @ activations[-2]
+    grad_b[-1] = delta.sum(axis=0)
+    upstream = delta @ weights.matrices[-1]
+    for layer in range(len(weights.matrices) - 2, -1, -1):
+        a = activations[layer + 1]
+        delta = upstream * a * (1.0 - a)
+        grad_w[layer] = delta.T @ activations[layer]
+        grad_b[layer] = delta.sum(axis=0)
+        upstream = delta @ weights.matrices[layer]
+    return loss, grad_w, grad_b
+
+
 def two_pass_descend(weights, X, targets, learning_rate, max_epochs, *,
                      X_val=None, val_targets=None, patience=None, checkpoints=()):
-    """The loop the one-pass ``ann._epochs`` replaced: each epoch takes a
-    fresh gradient at the current weights, then a second full pass scores
-    the update; early stopping and snapshots sit in the same loop.  Its
-    divergence and NaN checks are left out, since they can only raise."""
+    """The descent loop written out with fresh arrays and two passes per
+    epoch: each epoch takes a fresh gradient at the current weights, then a
+    second full pass scores the update; early stopping and snapshots sit in
+    the same loop.  Its divergence and NaN checks are left out, since they
+    can only raise."""
     current = weights.copy()
     train_hist, val_hist, snapshots = [], [], {}
     best_val, best_epoch, best_weights, stale = math.inf, 0, current.copy(), 0
     for epoch in range(1, max_epochs + 1):
-        _, grad_w, grad_b = ann._gradients(current, X, targets)
+        _, grad_w, grad_b = allocating_gradients(current, X, targets)
         current = Weights(
             tuple(m - learning_rate * g for m, g in zip(current.matrices, grad_w)),
             tuple(b - learning_rate * g for b, g in zip(current.biases, grad_b)),
         )
-        loss, _, _ = ann._gradients(current, X, targets)
+        loss, _, _ = allocating_gradients(current, X, targets)
         train_hist.append(loss)
         if epoch in checkpoints:
             snapshots[epoch] = current.copy()
         if X_val is not None:
-            vout, _ = _forward_batch(current, X_val)
+            vout, _ = allocating_forward(current, X_val)
             vres = vout - val_targets
             vloss = float(vres @ vres) / X_val.shape[0]
             val_hist.append(vloss)
@@ -347,32 +391,47 @@ def same_weights(a, b):
 
 def scaled_and_split(data, seed):
     """Encoded rows, scaled targets and ``train``'s (fit, validation) rows
-    for a 60-row set at the default validation fraction."""
+    at the default validation fraction."""
     X, y = encode_dataset(data)
     perm = np.random.default_rng(seed).permutation(data.n)
-    return X, TargetScaler.fit(y).scale(y), perm[12:], perm[:12]
+    n_val = round(0.2 * data.n)
+    return X, TargetScaler.fit(y).scale(y), perm[n_val:], perm[:n_val]
 
 
-@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
-@pytest.mark.parametrize("seed", [3, 5])
-def test_descend_equals_two_pass_loop(seed, hidden):
-    """Reusing the post-update gradient changes no bit of any result, for
-    ``train`` (early stopping) and ``train_trajectory`` (snapshots)."""
-    data = generate_synthetic(GeneratorParams(n=60, seed=seed))
+# case -> (rows, learning rate, hidden layers, seed, whether early stopping ends the run)
+DESCENT_CASES = {
+    "3-hidden0": (60, 0.3, (8,), 3, True),
+    "3-hidden1": (60, 0.3, (4, 3), 3, True),
+    "5-hidden0": (60, 0.3, (8,), 5, True),
+    "5-hidden1": (60, 0.3, (4, 3), 5, True),
+    "1-one-unit": (60, 0.3, (1,), 1, True),
+    "6-one-unit": (60, 0.3, (1,), 6, True),
+    "640-rows": (640, 0.4, (8,), 1, False),
+}
+
+
+@pytest.mark.parametrize("case", DESCENT_CASES)
+def test_descend_equals_two_pass_loop(case):
+    """The one-pass descent in its reused workspace changes no bit of any
+    result, for ``train`` (early stopping) and ``train_trajectory``
+    (snapshots)."""
+    n, rate, hidden, seed, stops_early = DESCENT_CASES[case]
+    data = generate_synthetic(GeneratorParams(n=n, seed=seed))
     topology = NetworkTopology(hidden=hidden)
-    cfg = TrainingConfig(learning_rate=0.3, max_epochs=800, early_stop_patience=15, seed=seed)
+    cfg = TrainingConfig(learning_rate=rate, max_epochs=800, early_stop_patience=15, seed=seed)
     X, targets, fit, val = scaled_and_split(data, seed)
 
-    want = two_pass_descend(init_weights(topology, seed), X[fit], targets[fit], 0.3, 800,
+    want = two_pass_descend(init_weights(topology, seed), X[fit], targets[fit], rate, 800,
                             X_val=X[val], val_targets=targets[val], patience=15)
     model = train(data, topology=topology, training=cfg)
-    assert 100 < len(want["train_loss"]) < 800  # early stopping ended the run
+    assert 100 < len(want["train_loss"]) <= 800
+    assert (len(want["train_loss"]) < 800) == stops_early
     assert model.stopped_epoch == want["best_epoch"]
     assert same_weights(model.weights, want["best_weights"])
     assert model.train_loss == tuple(want["train_loss"][:want["best_epoch"]])
     assert model.val_loss == tuple(want["val_loss"][:want["best_epoch"]])
 
-    want = two_pass_descend(init_weights(topology, seed), X, targets, 0.3, 150,
+    want = two_pass_descend(init_weights(topology, seed), X, targets, rate, 150,
                             checkpoints=[1, 40, 150])
     _, snaps = train_trajectory(data, DEFAULT_ENCODING, topology, cfg, [1, 40, 150])
     snaps = list(snaps)
@@ -400,6 +459,44 @@ def test_one_gradient_pass_per_epoch(monkeypatch):
     assert calls == []  # lazy: no descent before the first snapshot is asked for
     assert next(snaps)[0] == 25 and len(calls) == 26
     assert [e for e, _ in snaps] == [60] and len(calls) == 61
+
+
+def test_kept_weights_stay_put_while_descent_goes_on():
+    """Descent overwrites one workspace every epoch, so what a caller keeps
+    must be a copy: a snapshot taken early is unchanged after later epochs,
+    and ``train`` returns its best epoch, not the last one it ran."""
+    data = generate_synthetic(GeneratorParams(n=60, seed=3))
+    _, snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY,
+                                TrainingConfig(learning_rate=0.3), [10, 200])
+    _, early = next(snaps)
+    kept = early.copy()
+    [(_, late)] = list(snaps)
+    assert same_weights(early, kept) and not same_weights(early, late)
+
+    cfg = dict(learning_rate=0.3, early_stop_patience=15, seed=3)
+    model = train(data, training=TrainingConfig(max_epochs=800, **cfg))
+    capped = train(data, training=TrainingConfig(max_epochs=model.stopped_epoch, **cfg))
+    assert model.stopped_epoch < 800 - 15  # the run went on past its best epoch
+    assert same_weights(model.weights, capped.weights)
+
+
+def test_descent_epochs_allocate_nothing():
+    """After warm-up, 200 epochs at n = 640 write only into the run's
+    workspace: the traced peak rises by less than one (n, h) array."""
+    data = generate_synthetic(GeneratorParams(n=640, seed=1))
+    X, targets, _, _ = scaled_and_split(data, 1)
+    descent = ann._epochs(init_weights(DEFAULT_TOPOLOGY, 1), X, targets, 0.05)
+    for _ in itertools.islice(descent, 5):
+        pass
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in itertools.islice(descent, 200):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 640 * 8 * np.dtype(float).itemsize
 
 
 def test_train_trajectory_validates_checkpoints():

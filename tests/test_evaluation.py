@@ -177,6 +177,15 @@ def test_overfit_scan_needs_rows():
         overfit_scan(GlmFamily(), data)
 
 
+def test_negative_scan_seeds_are_refused():
+    data = generate_synthetic(GeneratorParams(n=60, seed=0))
+    with pytest.raises(ValidationError, match="seed"):
+        overfit_scan(GlmFamily(), data, seed=-1)
+    train_half, test_half = split_half(data, seed=0)
+    with pytest.raises(ValidationError, match="seed"):
+        compare([fit_glm(train_half)], test_half, train=train_half, seed=-1)
+
+
 def test_overfit_scan_ladder_validation():
     data = generate_synthetic(GeneratorParams(n=60, seed=0))
     with pytest.raises(ValidationError, match="increasing"):

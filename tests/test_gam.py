@@ -245,6 +245,12 @@ def test_interaction_scan_on_a_model_with_an_interaction():
     assert not next(c for c in candidates if (c.i, c.j) == (3, 5)).significant
 
 
+def test_interaction_scan_refuses_a_negative_seed():
+    data = generate_synthetic(GeneratorParams(n=60, seed=0))
+    with pytest.raises(ValidationError, match="seed"):
+        interaction_scan(data, fit_gam(data), seed=-1)
+
+
 def test_add_interaction_validation():
     data = generate_synthetic(INTERACTION_PARAMS)
     base = fit_gam(data)
