@@ -138,7 +138,6 @@ class TrainingConfig:
     seed: int = 0
     validation_fraction: float = 0.2
     early_stop_patience: int = 100
-    target_scaler: TargetScaler | None = None
 
     def __post_init__(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -343,7 +342,7 @@ def train(
             f"topology expects {topology.inputs} inputs, features have {X.shape[1]}"
         )
 
-    scaler = training.target_scaler or TargetScaler.fit(y)
+    scaler = TargetScaler.fit(y)
     targets = scaler.scale(y)
 
     rng = np.random.default_rng(training.seed)
@@ -405,7 +404,7 @@ def train_trajectory(
     if not checkpoints or checkpoints[0] < 1:
         raise ValidationError("checkpoints must be positive epochs")
     X, y = encode_with_response(train_data, config)
-    scaler = training.target_scaler or TargetScaler.fit(y)
+    scaler = TargetScaler.fit(y)
     descent = _epochs(
         init_weights(topology, training.seed), X, scaler.scale(y), training.learning_rate
     )

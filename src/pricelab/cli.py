@@ -1,10 +1,11 @@
 """Command-line pipeline: gen, fit, predict, compare.
 
 ``predict`` prices a whole input file with one batch call, the same call the
-library makes.  Every command writes a ``<output>.manifest`` next to its
-primary output recording the exact argv, working directory, config path,
-seed and tool version; replaying the manifest from any directory reproduces
-the artifact byte for byte (timestamps aside).
+library makes.  Every command but ``replay`` writes a ``<output>.manifest``
+next to its primary output, in the ``key = value`` syntax of config files,
+recording the exact argv, working directory, config path, seed and tool
+version; replaying the manifest from any directory reproduces the artifact
+byte for byte (timestamps aside).
 
 Exit codes: 0 success, 2 usage, 3 data, file or validation problem, 4 fit
 failure.
@@ -26,9 +27,11 @@ from . import __version__
 from .artifacts import load_model, save_model
 from .config import (
     band_from_mapping,
+    dump_sections,
     encoding_from_mapping,
     generator_from_mapping,
     model_settings_from_mapping,
+    parse_sections,
     read_config,
 )
 from .dataset import encode_dataset, load_csv, split_half, write_csv, generate_synthetic
@@ -43,6 +46,8 @@ from .errors import (
 from .evaluation import FAMILIES, compare, render_markdown, report_csv
 
 _FIT_ERRORS = (ConvergenceError, DivergenceError, NumericError)
+# The commands that write a manifest, and so the only ones replay re-runs.
+_MANIFESTED = ("gen", "fit", "predict", "compare")
 
 
 def _timestamp() -> str:
@@ -59,19 +64,19 @@ def _write_manifest(
     inputs: list[str],
     outputs: list[str],
 ) -> None:
-    lines = [
-        f"command = {command}",
-        f"argv = {shlex.join(argv)}",
-        f"cwd = {os.getcwd()}",
-        f"config = {config_path or 'none'}",
-        f"seed = {seed if seed is not None else 'none'}",
-        f"inputs = {','.join(inputs) or 'none'}",
-        f"outputs = {','.join(outputs)}",
-        f"version = {__version__}",
-        f"timestamp = {_timestamp()}",
+    pairs = [
+        ("command", command),
+        ("argv", shlex.join(argv)),
+        ("cwd", os.getcwd()),
+        ("config", config_path or "none"),
+        ("seed", "none" if seed is None else str(seed)),
+        ("inputs", ",".join(inputs) or "none"),
+        ("outputs", ",".join(outputs)),
+        ("version", __version__),
+        ("timestamp", _timestamp()),
     ]
     Path(str(primary_output) + ".manifest").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
+        dump_sections([("", pairs)]), encoding="utf-8"
     )
 
 
@@ -80,19 +85,25 @@ def replay_manifest(path: str | Path) -> int:
     it was first run in; returns its exit code."""
     if not Path(path).is_file():
         raise ValidationError(f"{path}: no such manifest")
-    fields = {}
-    for line in read_text(path).splitlines():
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+    fields = dict(parse_sections(read_text(path))[0][1])
     if "argv" not in fields:
         raise ValidationError(f"{path}: manifest has no argv line")
+    try:
+        argv = shlex.split(fields["argv"])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: unreadable argv: {exc}") from None
+    command = argv[0] if argv else ""
+    if command not in _MANIFESTED:
+        raise ValidationError(
+            f"{path}: cannot replay {command!r}: only {', '.join(_MANIFESTED)} write manifests"
+        )
     here = os.getcwd()
     try:
         os.chdir(fields.get("cwd", here))
     except OSError as exc:
         raise ValidationError(f"{path}: cannot enter recorded directory: {exc}") from None
     try:
-        return main(shlex.split(fields["argv"]))
+        return main(argv)
     finally:
         os.chdir(here)
 

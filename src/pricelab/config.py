@@ -7,6 +7,7 @@ Floats are serialized with ``repr`` so artifacts round-trip bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from .ann import NetworkTopology, TrainingConfig
@@ -132,6 +133,11 @@ _TRAINING_FIELDS = {
     "train_seed": ("seed", _int_of),
 }
 _BAND_FIELDS = {"trim_fraction": ("trim_fraction", _float_of), "floor": ("floor", _float_of)}
+# one key per GeneratorParams field, read as its declared type
+_GENERATOR_FIELDS = {
+    f.name: (f.name, _int_of if f.type in (int, "int") else _float_of)
+    for f in dataclasses.fields(GeneratorParams)
+}
 
 
 _SEVERITY_KEYS = {
@@ -145,14 +151,7 @@ _SEVERITY_KEYS = {
 ENCODING_KEYS = frozenset(
     {"age_min", "age_max", "income_min", "income_max", *_SEVERITY_KEYS}
 )
-GENERATOR_KEYS = frozenset(
-    {
-        "n", "seed", "base_cost", "coef_gender", "coef_age", "coef_income",
-        "coef_smoker", "coef_claim_present", "coef_claim_severity",
-        "age_curvature", "interaction", "collinearity_rho", "noise_scale",
-        "noise_outlier_rate", "noise_outlier_factor",
-    }
-)
+GENERATOR_KEYS = frozenset(_GENERATOR_FIELDS)
 MODEL_KEYS = frozenset({"link", "hidden", *_SMOOTH_FIELDS, *_TRAINING_FIELDS})
 BAND_KEYS = frozenset(_BAND_FIELDS)
 KNOWN_KEYS = ENCODING_KEYS | GENERATOR_KEYS | MODEL_KEYS | BAND_KEYS
@@ -176,8 +175,7 @@ def encoding_from_mapping(mapping: dict[str, str]) -> EncodingConfig:
 
 
 def generator_from_mapping(mapping: dict[str, str]) -> GeneratorParams:
-    fields = {key: (key, _int_of if key in ("n", "seed") else _float_of) for key in GENERATOR_KEYS}
-    return GeneratorParams(**_present(mapping, fields))
+    return GeneratorParams(**_present(mapping, _GENERATOR_FIELDS))
 
 
 def model_settings_from_mapping(mapping: dict[str, str]) -> dict[str, object]:

@@ -18,8 +18,12 @@ all components scaled into [0, 1]:
 
 The single categorical predictor (previous claim) is split into a presence
 flag and a severity score so that downstream models see purely numeric
-inputs.  Synthetic datasets keep their generating parameters attached, which
-lets tests evaluate the exact ground-truth function behind each record.
+inputs.
+
+``generate_synthetic`` draws a population from ``GeneratorParams``, whose
+``eta`` is the exact noise-free ground truth of a whole feature matrix.  The
+population rates are fixed: ``_SMOKE_RATE``, ``_CLAIM_RATE`` and
+``_CLAIM_CATEGORY_PROBS``; a portfolio has at most ``MAX_ROWS`` records.
 """
 
 from __future__ import annotations
@@ -173,13 +177,20 @@ class GeneratorParams:
              self.coef_smoker, self.coef_claim_present, self.coef_claim_severity]
         )
 
-    def eta(self, x: np.ndarray) -> float:
-        """Noise-free linear predictor at one encoded feature vector."""
+    def eta(self, X: np.ndarray) -> np.ndarray:
+        """Noise-free linear predictor at each row of an (n, 6) feature matrix.
+
+        The coefficient sum is one dot product per row (a stacked matmul of
+        (1, 6) by (6, 1)), so each row gets the bits ``coef @ x`` gives it;
+        ``X @ coef`` sums in another order and differs in the last bit on
+        some rows, which would change generated CSVs.
+        """
+        dot = np.matmul(X[:, None, :], self.coefficients()[:, None])[:, 0, 0]
         return (
             self.base_cost
-            + float(self.coefficients() @ x)
-            + self.age_curvature * x[1] ** 2
-            + self.interaction * x[3] * x[5]
+            + dot
+            + self.age_curvature * X[:, 1] ** 2
+            + self.interaction * X[:, 3] * X[:, 5]
         )
 
 
@@ -205,8 +216,6 @@ class Dataset:
     smoker: np.ndarray
     claim: np.ndarray
     expenditure: np.ndarray | None = None
-    provenance: str = "loaded"
-    generator_params: GeneratorParams | None = None
 
     def __post_init__(self) -> None:
         for name in self._columns():
@@ -316,8 +325,8 @@ def generate_synthetic(
 ) -> Dataset:
     """Draw a synthetic customer population with known ground truth.
 
-    Deterministic for a fixed seed.  The returned dataset keeps ``params``
-    attached so the exact generating function stays available for tests.
+    Deterministic for a fixed seed.  ``params.eta`` of the encoded features
+    is the noise-free ground truth behind each record.
     """
     rng = np.random.default_rng(params.seed)
     n = params.n
@@ -349,11 +358,9 @@ def generate_synthetic(
     data = Dataset(
         ids=np.arange(1, n + 1), male=genders == 1, age=ages, income=incomes,
         smoker=smokers, claim=np.where(claim_present, categories + 1, 0),
-        provenance="synthetic", generator_params=params,
     )
     X, _ = encode_dataset(data, config)
-    eta = np.array([params.eta(x) for x in X])
-    return replace(data, expenditure=np.logaddexp(0.0, eta + noise))
+    return replace(data, expenditure=np.logaddexp(0.0, params.eta(X) + noise))
 
 
 def split_half(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
@@ -474,4 +481,4 @@ def load_csv(path: str | Path) -> Dataset:
                 column.append(value)
     if not columns[0]:
         raise ValidationError(f"{path}: empty dataset")
-    return Dataset(*columns, provenance="loaded")
+    return Dataset(*columns)

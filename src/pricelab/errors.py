@@ -32,22 +32,11 @@ class ValidationError(PricelabError):
 
 
 class SingularityError(PricelabError):
-    """Design matrix is rank deficient or underdetermined.
-
-    ``columns`` names the dependent columns when they could be identified.
-    """
-
-    def __init__(self, message: str, columns: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.columns = columns
+    """Design matrix is underdetermined: no more rows than parameters."""
 
 
 class ConvergenceError(PricelabError):
-    """An iterative fit ran out of iterations; carries the last trajectory."""
-
-    def __init__(self, message: str, trajectory: tuple[float, ...] = ()):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """An iterative fit ran out of iterations."""
 
 
 class DivergenceError(PricelabError):

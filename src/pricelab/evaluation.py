@@ -7,10 +7,10 @@ family-specific capacity ladder (epoch checkpoints for the network, a
 decreasing smoothing penalty for the additive model, a single point for the
 linear one) on an internal 80/20 split: the reported threshold is the
 training relative error at the first step where validation error rises for
-``patience`` consecutive steps while training error still falls.  The ladder
-is walked lazily and the scan stops at that first upturn, so an
+``PATIENCE`` (3) consecutive steps while training error still falls.  The
+ladder is walked lazily and the scan stops at that first upturn, so an
 ``OverfitReport`` holds the scanned prefix of the ladder: up to the
-threshold step plus ``patience`` steps, or the whole ladder when no
+threshold step plus ``PATIENCE`` steps, or the whole ladder when no
 threshold is found.
 
 ``FAMILIES[model.family]`` is the family of a fitted model; its batch
@@ -41,6 +41,7 @@ from .dataset import (
 from .errors import ValidationError
 from .glm import LinkKind
 
+PATIENCE = 3
 DEFAULT_TRIM_FRACTION = 0.05
 DEFAULT_RATIO_FLOOR = 500.0
 DEFAULT_ANN_STEPS: tuple[int, ...] = tuple(range(100, 4001, 100))
@@ -221,7 +222,6 @@ class OverfitReport:
     threshold: float | None
     threshold_found: bool
     threshold_step: int | None
-    patience: int
 
 
 def _relative_rmse(predictions: np.ndarray, actual: np.ndarray) -> float:
@@ -232,22 +232,18 @@ def _relative_rmse(predictions: np.ndarray, actual: np.ndarray) -> float:
     return rmse / denom
 
 
-def _upturn_at(
-    train_err: Sequence[float], val_err: Sequence[float], t: int, patience: int
-) -> bool:
-    """Whether val rises for ``patience`` straight steps from index t while
-    train falls at t; it reads indices t - 1 … t + patience - 1 only."""
-    rising = all(val_err[t + k] > val_err[t + k - 1] for k in range(patience))
+def _upturn_at(train_err: Sequence[float], val_err: Sequence[float], t: int) -> bool:
+    """Whether val rises for ``PATIENCE`` straight steps from index t while
+    train falls at t; it reads indices t - 1 … t + PATIENCE - 1 only."""
+    rising = all(val_err[t + k] > val_err[t + k - 1] for k in range(PATIENCE))
     return rising and train_err[t] < train_err[t - 1]
 
 
-def _detect_threshold(
-    train_err: Sequence[float], val_err: Sequence[float], patience: int
-) -> int | None:
-    """First index t where val rises for ``patience`` straight steps while
+def _detect_threshold(train_err: Sequence[float], val_err: Sequence[float]) -> int | None:
+    """First index t where val rises for ``PATIENCE`` straight steps while
     train falls at the upturn."""
-    for t in range(1, len(val_err) - patience + 1):
-        if _upturn_at(train_err, val_err, t, patience):
+    for t in range(1, len(val_err) - PATIENCE + 1):
+        if _upturn_at(train_err, val_err, t):
             return t
     return None
 
@@ -269,17 +265,14 @@ def overfit_scan(
     steps: Sequence[float] | None = None,
     *,
     seed: int = 0,
-    patience: int = 3,
 ) -> OverfitReport:
     """Walk the family's capacity ladder until the first validation upturn.
 
     Each step is scored as the ladder yields it.  Index t is decided once
-    step t + patience - 1 is in, and every earlier index was decided
+    step t + PATIENCE - 1 is in, and every earlier index was decided
     before, so only that index is checked; the threshold equals the one a
     scan of the whole ladder would find.
     """
-    if patience < 1:
-        raise ValidationError(f"patience must be >= 1, got {patience}")
     fit_half, val_half = _split_for_scan(train, seed)
     X_fit, y_fit = encode_with_response(fit_half, config)
     X_val, y_val = encode_with_response(val_half, config)
@@ -292,8 +285,8 @@ def overfit_scan(
         scanned.append(step)
         train_err.append(_relative_rmse(family.predict(model, X_fit), y_fit))
         val_err.append(_relative_rmse(family.predict(model, X_val), y_val))
-        decidable = len(scanned) - patience
-        if decidable >= 1 and _upturn_at(train_err, val_err, decidable, patience):
+        decidable = len(scanned) - PATIENCE
+        if decidable >= 1 and _upturn_at(train_err, val_err, decidable):
             t = decidable
             break
 
@@ -305,7 +298,6 @@ def overfit_scan(
         threshold=train_err[t] if t is not None else None,
         threshold_found=t is not None,
         threshold_step=t,
-        patience=patience,
     )
 
 
@@ -339,7 +331,6 @@ def learning_curve(
     config: EncodingConfig = DEFAULT_ENCODING,
     *,
     steps: Sequence[float] | None = None,
-    patience: int = 3,
 ) -> LearningCurve:
     """Detected overfitting threshold per (sample size, seed) cell.
 
@@ -354,7 +345,7 @@ def learning_curve(
     for n in sizes:
         for seed in seeds:
             data = generate_synthetic(replace(params, n=n, seed=int(seed)), config)
-            report = overfit_scan(family, data, config, steps, seed=int(seed), patience=patience)
+            report = overfit_scan(family, data, config, steps, seed=int(seed))
             cells.append((n, int(seed), report.threshold))
     return LearningCurve(cells=tuple(cells), sizes=tuple(sizes))
 
@@ -394,7 +385,6 @@ def compare(
     trim_fraction: float = DEFAULT_TRIM_FRACTION,
     floor: float = DEFAULT_RATIO_FLOOR,
     seed: int = 0,
-    scan_steps: dict[str, Sequence[float]] | None = None,
 ) -> ComparisonReport:
     """Bands for every model plus, when the train half is provided,
     overfitting scans and (for the additive model) interaction and
@@ -421,8 +411,7 @@ def compare(
         overfit = None
         findings = ("none", "none")
         if train is not None:
-            steps = (scan_steps or {}).get(family.name)
-            overfit = overfit_scan(family, train, config, steps, seed=seed)
+            overfit = overfit_scan(family, train, config, seed=seed)
             findings = family.findings(model, train, config, seed)
         results.append(FamilyResult(family.name, band, overfit, *findings))
     return ComparisonReport(

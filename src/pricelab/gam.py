@@ -38,6 +38,11 @@ model's residual and u_c the centred product f_i f_j, regressing r on
 [1, u] lowers the RSS by n * mean(r)^2 + (u_c' r)^2 / (u_c' u_c).  The
 first term vanishes on the model's own fit rows, where r has mean zero;
 the second is the statistic the permutation test shuffles.
+
+The scan protocol is fixed by module constants: a pair is significant when
+its relative RSS drop exceeds ``INTERACTION_THRESHOLD`` and its statistic
+beats ``PERMUTATIONS`` shuffles at p < 0.05, and ``collinearity_report``
+flags feature pairs at |correlation| >= ``COLLINEARITY_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -65,6 +70,10 @@ _LOG_FLOOR = 1.0  # currency floor applied before log-transforming responses
 # Most knots per smooth: a bound on the spline design and penalty arrays,
 # checked before any of them is allocated.
 MAX_KNOTS = 100
+# The fixed scan protocol (see the module docstring).
+INTERACTION_THRESHOLD = 0.01
+PERMUTATIONS = 199
+COLLINEARITY_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,6 @@ class CollinearityReport:
     vif: np.ndarray
     flagged: tuple[tuple[int, int, float], ...]
     degenerate: tuple[int, ...]
-    threshold: float
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +334,6 @@ def interaction_scan(
     train: Dataset,
     base: GamModel,
     *,
-    threshold: float = 0.01,
-    permutations: int = 199,
     seed: int = 0,
 ) -> tuple[InteractionCandidate, ...]:
     """Score every unordered feature pair for an interaction term.
@@ -340,10 +346,10 @@ def interaction_scan(
         n * mean(r)^2 + (u_c' r)^2 / (u_c' u_c),    u_c = u - mean(u),
 
     and that drop is divided by ||r||^2.  For a base without interactions it
-    is the RSS drop of ``add_interaction``.  Significance additionally
-    requires a permutation check: (u_c' r)^2 must beat ``permutations``
-    shuffled replicas at p < 0.05.  A pair whose product is constant scores
-    n * mean(r)^2 alone, with p-value 1.
+    is the RSS drop of ``add_interaction``.  A pair is significant when its
+    score exceeds ``INTERACTION_THRESHOLD`` and (u_c' r)^2 beats
+    ``PERMUTATIONS`` shuffled replicas at p < 0.05.  A pair whose product
+    is constant scores n * mean(r)^2 alone, with p-value 1.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -365,13 +371,13 @@ def interaction_scan(
         else:
             observed = float(u @ residual) ** 2 / denom
             exceed = 0
-            for _ in range(permutations):
+            for _ in range(PERMUTATIONS):
                 shuffled = rng.permutation(residual)
                 if float(u @ shuffled) ** 2 / denom >= observed:
                     exceed += 1
-            p_value = (1 + exceed) / (1 + permutations)
+            p_value = (1 + exceed) / (1 + PERMUTATIONS)
         score = (mean_term + observed) / base_rss if base_rss > 0 else 0.0
-        significant = score > threshold and p_value < 0.05
+        significant = score > INTERACTION_THRESHOLD and p_value < 0.05
         results.append(InteractionCandidate(i, j, score, p_value, significant))
 
     results.sort(key=lambda c: c.score, reverse=True)
@@ -381,9 +387,10 @@ def interaction_scan(
 def collinearity_report(
     train: Dataset,
     config: EncodingConfig = DEFAULT_ENCODING,
-    threshold: float = 0.5,
 ) -> CollinearityReport:
-    """Pairwise Pearson correlations and leave-one-out VIFs of the features."""
+    """Pairwise Pearson correlations and leave-one-out VIFs of the features;
+    pairs at |correlation| >= ``COLLINEARITY_THRESHOLD`` are flagged, and
+    constant features are listed as degenerate."""
     if train.n < 3:
         raise ValidationError("collinearity_report needs at least 3 rows")
     X, _ = encode_dataset(train, config)
@@ -415,9 +422,6 @@ def collinearity_report(
     flagged = tuple(
         (i, j, float(corr[i, j]))
         for i, j in itertools.combinations(range(N_FEATURES), 2)
-        if abs(corr[i, j]) >= threshold
+        if abs(corr[i, j]) >= COLLINEARITY_THRESHOLD
     )
-    return CollinearityReport(
-        correlation=corr, vif=vif, flagged=flagged,
-        degenerate=degenerate, threshold=threshold,
-    )
+    return CollinearityReport(correlation=corr, vif=vif, flagged=flagged, degenerate=degenerate)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .dataset import (
     DEFAULT_ENCODING,
-    FEATURE_NAMES,
     Dataset,
     EncodingConfig,
     N_FEATURES,
@@ -52,16 +51,11 @@ class GlmModel:
             raise ValidationError("GLM coefficients must be finite")
 
 
-def _column_names() -> tuple[str, ...]:
-    return ("intercept",) + FEATURE_NAMES
-
-
-def _solve_normal(design: np.ndarray, target: np.ndarray, *, ridge: bool,
+def _solve_normal(design: np.ndarray, target: np.ndarray,
                   weights: np.ndarray | None = None) -> np.ndarray:
     """Solve the (optionally weighted) normal equations.
 
-    Near-singular designs either get a ridge of RIDGE_EPS on the diagonal or,
-    with ridge disabled, raise SingularityError naming the dependent columns.
+    A rank-deficient design gets a ridge of RIDGE_EPS on the diagonal.
     """
     a = design if weights is None else design * np.sqrt(weights)[:, None]
     b = target if weights is None else target * np.sqrt(weights)
@@ -72,24 +66,13 @@ def _solve_normal(design: np.ndarray, target: np.ndarray, *, ridge: bool,
     rhs = a.T @ b
     if rank == design.shape[1]:
         return np.linalg.solve(gram, rhs)
-    if ridge:
-        return np.linalg.solve(gram + RIDGE_EPS * np.eye(design.shape[1]), rhs)
-    _, _, vh = np.linalg.svd(a)
-    null_vectors = vh[rank:]
-    involved = np.max(np.abs(null_vectors), axis=0) > 1e-8
-    names = tuple(n for n, used in zip(_column_names(), involved) if used)
-    raise SingularityError(
-        "design matrix is rank deficient; dependent columns: " + ", ".join(names),
-        columns=names,
-    )
+    return np.linalg.solve(gram + RIDGE_EPS * np.eye(design.shape[1]), rhs)
 
 
 def fit_glm(
     train: Dataset,
     config: EncodingConfig = DEFAULT_ENCODING,
     link: LinkKind = LinkKind.IDENTITY,
-    *,
-    ridge: bool = True,
 ) -> GlmModel:
     """Least-squares fit of the linear predictor on encoded features."""
     X, y = encode_with_response(train, config)
@@ -101,7 +84,7 @@ def fit_glm(
     design = np.hstack([np.ones((n, 1)), X])
 
     if link is LinkKind.IDENTITY:
-        beta = _solve_normal(design, y, ridge=ridge)
+        beta = _solve_normal(design, y)
         residuals = y - design @ beta
         return GlmModel(
             intercept=float(beta[0]),
@@ -113,13 +96,13 @@ def fit_glm(
         )
 
     # Log link: Gauss-Newton on sum (y - exp(eta))^2.
-    beta = _solve_normal(design, np.log(np.clip(y, 1.0, None)), ridge=ridge)
+    beta = _solve_normal(design, np.log(np.clip(y, 1.0, None)))
     for iteration in range(1, _IRLS_MAX_ITER + 1):
         eta = np.clip(design @ beta, -30.0, 30.0)
         mu = np.exp(eta)
         z = eta + (y - mu) / mu
         weights = mu**2
-        new_beta = _solve_normal(design, z, ridge=ridge, weights=weights)
+        new_beta = _solve_normal(design, z, weights=weights)
         change = np.max(np.abs(new_beta - beta)) / max(1.0, np.max(np.abs(new_beta)))
         beta = new_beta
         if change < _IRLS_TOL:

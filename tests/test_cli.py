@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -386,6 +387,19 @@ def test_replay_from_another_directory(tmp_path, monkeypatch):
 def test_replay_missing_manifest_is_a_data_error(tmp_path, capsys):
     assert run("replay", tmp_path / "ghost.manifest") == 3
     assert "no such manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", ["gen --n 5 -o 'unclosed.csv", "replay {manifest}"], ids=["unclosed-quote", "replay"]
+)
+def test_replay_refuses_a_damaged_or_replay_argv(tmp_path, capsys, argv):
+    """An argv with an unclosed quote, or a recorded replay (of the manifest
+    itself here), is a data error on one line, not a traceback."""
+    manifest = tmp_path / "bad.manifest"
+    manifest.write_text("argv = " + argv.format(manifest=shlex.quote(str(manifest))) + "\n")
+    assert run("replay", manifest) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_version_flag():

@@ -38,6 +38,7 @@ from pricelab.evaluation import (
     overfit_scan,
     render_markdown,
     report_csv,
+    PATIENCE,
     _detect_threshold,
     _relative_rmse,
     _split_for_scan,
@@ -141,21 +142,22 @@ def test_relative_rmse():
 
 
 def test_detect_threshold_hand_cases():
+    assert PATIENCE == 3  # the cases below are written for it
     train_err = [5, 4, 3, 2, 1, 0.9, 0.8]
     val_err = [5, 4, 3, 3.1, 3.2, 3.3, 3.4]
-    assert _detect_threshold(train_err, val_err, patience=3) == 3
+    assert _detect_threshold(train_err, val_err) == 3
     # monotone validation: nothing to report
-    assert _detect_threshold(train_err, [5, 4, 3, 2.5, 2, 1.5, 1], patience=3) is None
+    assert _detect_threshold(train_err, [5, 4, 3, 2.5, 2, 1.5, 1]) is None
     # rise too short for the patience
-    assert _detect_threshold(train_err, [5, 4, 3, 3.1, 3.2, 3.1, 3.0], patience=3) is None
+    assert _detect_threshold(train_err, [5, 4, 3, 3.1, 3.2, 3.1, 3.0]) is None
     # validation rises but training is not improving at the upturn
     flat_train = [5, 4, 3, 3, 3, 3, 3]
-    assert _detect_threshold(flat_train, val_err, patience=3) is None
+    assert _detect_threshold(flat_train, val_err) is None
 
 
 def test_detect_threshold_requires_full_window():
     # the rise starts so late the patience window runs off the end
-    assert _detect_threshold([3, 2, 1], [3, 2, 2.5], patience=3) is None
+    assert _detect_threshold([3, 2, 1], [3, 2, 2.5]) is None
 
 
 # ------------------------------------------------------------------- scans
@@ -223,14 +225,14 @@ def test_overfit_scan_noisy_data_finds_threshold():
     t = report.threshold_step
     assert report.threshold == report.train_error[t]
     # the defining property of the detected step
-    for k in range(report.patience):
+    for k in range(PATIENCE):
         assert report.val_error[t + k] > report.val_error[t + k - 1]
     assert report.train_error[t] < report.train_error[t - 1]
     # the scan stops once the upturn is detected
-    assert report.steps == tuple(float(e) for e in range(200, 4001, 200))[: t + report.patience]
+    assert report.steps == tuple(float(e) for e in range(200, 4001, 200))[: t + PATIENCE]
 
 
-def full_ladder_scan(family, train, steps, seed, patience=3):
+def full_ladder_scan(family, train, steps, seed):
     """The reference scan: score every step of the ladder, then look for the
     first upturn in the whole sequence."""
     fit_half, val_half = _split_for_scan(train, seed)
@@ -239,9 +241,7 @@ def full_ladder_scan(family, train, steps, seed, patience=3):
     ladder = list(family.ladder(fit_half, DEFAULT_ENCODING, steps))
     train_err = [_relative_rmse(family.predict(m, X_fit), y_fit) for _, m in ladder]
     val_err = [_relative_rmse(family.predict(m, X_val), y_val) for _, m in ladder]
-    return [step for step, _ in ladder], train_err, val_err, _detect_threshold(
-        train_err, val_err, patience
-    )
+    return [step for step, _ in ladder], train_err, val_err, _detect_threshold(train_err, val_err)
 
 
 def compare_train_half(portfolio):
@@ -284,7 +284,7 @@ def test_early_stopped_scan_equals_full_ladder(case):
     assert report.threshold_found == (t is not None) == found
     assert report.threshold_step == t
     assert report.threshold == (None if t is None else train_err[t])
-    end = len(all_steps) if t is None else t + report.patience
+    end = len(all_steps) if t is None else t + PATIENCE
     assert report.steps == tuple(all_steps[:end])
     assert report.train_error == tuple(train_err[:end])
     assert report.val_error == tuple(val_err[:end])
@@ -298,27 +298,21 @@ def counting(calls, fn):
 
 
 def test_scan_work_ends_at_the_detecting_step(monkeypatch):
-    """A threshold found at t costs the ladder up to step t + patience - 1:
+    """A threshold found at t costs the ladder up to step t + PATIENCE - 1:
     that many epochs for the network (one gradient pass each, plus the
-    initial pass), t + patience fits for the additive model."""
+    initial pass), t + PATIENCE fits for the additive model."""
     gradient_calls, gam_fits = [], []
     monkeypatch.setattr(ann_mod, "_gradients", counting(gradient_calls, ann_mod._gradients))
     monkeypatch.setattr(gam_mod, "fit_gam", counting(gam_fits, gam_mod.fit_gam))
 
     family, train, steps, seed, _ = SCAN_CASES["ann-noisy-half"]()
     report = overfit_scan(family, train, steps=steps, seed=seed)
-    last = report.threshold_step + report.patience - 1
+    last = report.threshold_step + PATIENCE - 1
     assert len(gradient_calls) == steps[last] + 1 and steps[last] < steps[-1]
 
     family, train, steps, seed, _ = SCAN_CASES["gam-portfolio-3"]()
     report = overfit_scan(family, train, steps=steps, seed=seed)
-    assert len(gam_fits) == report.threshold_step + report.patience < len(DEFAULT_GAM_STEPS)
-
-
-def test_overfit_scan_needs_positive_patience():
-    data = generate_synthetic(GeneratorParams(n=60, seed=0))
-    with pytest.raises(ValidationError, match="patience"):
-        overfit_scan(GlmFamily(), data, patience=0)
+    assert len(gam_fits) == report.threshold_step + PATIENCE < len(DEFAULT_GAM_STEPS)
 
 
 # ------------------------------------------------------------------- curve

@@ -268,7 +268,7 @@ def test_add_interaction_validation():
 
 def test_collinearity_flags_planted_correlation():
     data = generate_synthetic(GeneratorParams(n=500, seed=0, collinearity_rho=0.8))
-    report = collinearity_report(data, threshold=0.5)
+    report = collinearity_report(data)
     pairs = {(i, j): c for i, j, c in report.flagged}
     assert (3, 5) in pairs
     assert pairs[(3, 5)] > 0.5
@@ -276,8 +276,7 @@ def test_collinearity_flags_planted_correlation():
     # smoker and severity decouple when rho is 0 (claim/severity stay
     # structurally coupled, so only the planted pair may disappear)
     quiet = collinearity_report(
-        generate_synthetic(GeneratorParams(n=500, seed=0, collinearity_rho=0.0)),
-        threshold=0.5,
+        generate_synthetic(GeneratorParams(n=500, seed=0, collinearity_rho=0.0))
     )
     assert (3, 5) not in {(i, j) for i, j, _ in quiet.flagged}
 

@@ -100,15 +100,8 @@ def constant_column_records(n=20):
     ])
 
 
-def test_rank_deficiency_names_columns():
-    data = constant_column_records()
-    with pytest.raises(SingularityError) as err:
-        fit_glm(data, ridge=False)
-    assert set(err.value.columns) >= {"smoker", "claim_present", "claim_severity"}
-
-
 def test_ridge_fallback_keeps_fitting():
-    model = fit_glm(constant_column_records())  # ridge on by default
+    model = fit_glm(constant_column_records())
     assert math.isfinite(model.intercept)
     assert np.all(np.isfinite(model.coef))
 
