@@ -79,20 +79,18 @@ def _sigmoid_into(z: np.ndarray, scratch: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    inputs: int = N_FEATURES
+    """Hidden layer sizes; the network always maps the six features to one output."""
+
     hidden: tuple[int, ...] = (8,)
-    outputs: int = 1
 
     def __post_init__(self) -> None:
-        if self.inputs < 1 or self.outputs != 1:
-            raise ValidationError("topology needs inputs >= 1 and exactly one output")
         if not self.hidden or any(not 1 <= h <= MAX_HIDDEN for h in self.hidden):
             raise ValidationError(
                 f"hidden layer sizes must all lie in [1, {MAX_HIDDEN}], got {self.hidden}"
             )
 
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.inputs,) + tuple(self.hidden) + (self.outputs,)
+        return (N_FEATURES, *self.hidden, 1)
 
 
 @dataclass(frozen=True)
@@ -337,10 +335,6 @@ def train(
     if train_data.n < 10:
         raise ValidationError(f"train needs at least 10 rows, got {train_data.n}")
     X, y = encode_with_response(train_data, config)
-    if X.shape[1] != topology.inputs:
-        raise ValidationError(
-            f"topology expects {topology.inputs} inputs, features have {X.shape[1]}"
-        )
 
     scaler = TargetScaler.fit(y)
     targets = scaler.scale(y)

@@ -27,10 +27,10 @@ from .config import (
     encoding_from_pairs,
     encoding_to_pairs,
     format_float,
-    parse_sections,
+    read_sections,
 )
 from .dataset import FEATURE_NAMES
-from .errors import ValidationError, read_text
+from .errors import ValidationError
 from .gam import GamModel, InteractionTerm, SmoothConfig, SmoothFunction
 from .glm import GlmModel
 
@@ -101,14 +101,14 @@ def _gam_sections(model: GamModel) -> Sections:
         ("force_linear", "yes" if model.smooth_config.force_linear else "no"),
     ]
     sections: Sections = [("", head), ("encoding", encoding_to_pairs(model.encoding))]
-    for smooth in model.smooths:
+    for name, smooth in zip(FEATURE_NAMES, model.smooths):
         pairs: Pairs = [("kind", smooth.kind), ("center", format_float(smooth.center))]
         if smooth.kind == "linear":
             pairs.append(("slope", format_float(smooth.slope)))
         else:
             pairs.append(("knot_positions", _floats(smooth.knots)))
             pairs.append(("knot_values", _floats(smooth.values)))
-        sections.append((f"smooth {FEATURE_NAMES[smooth.feature]}", pairs))
+        sections.append((f"smooth {name}", pairs))
     for term in model.interactions:
         sections.append(
             (
@@ -133,21 +133,16 @@ def _gam_from_sections(sections: Sections) -> GamModel:
             feature = _feature_index(name.split(" ", 1)[1])
             kind = _value_of(data, "kind")
             if kind == "linear":
-                smooths[feature] = SmoothFunction(
-                    feature=feature, kind="linear", knots=np.empty(0),
-                    values=np.empty(0), slope=_float_of(data, "slope"),
-                    center=_float_of(data, "center"),
-                )
+                knots, values, slope = np.empty(0), np.empty(0), _float_of(data, "slope")
             elif kind == "spline":
                 knots, values = _array_of(data, "knot_positions"), _array_of(data, "knot_values")
                 if knots.size != values.size:
                     raise ValidationError(f"[{name}]: {knots.size} knots but {values.size} values")
-                smooths[feature] = SmoothFunction(
-                    feature=feature, kind="spline", knots=knots, values=values,
-                    slope=0.0, center=_float_of(data, "center"),
-                )
+                slope = 0.0
             else:
                 raise ValidationError(f"[{name}]: unknown smooth kind {kind!r}")
+            center = _float_of(data, "center")
+            smooths[feature] = SmoothFunction(kind, knots, values, slope, center)
         elif name == "interaction":
             names = _value_of(data, "pair").split()
             if len(names) != 2:
@@ -176,11 +171,12 @@ def _gam_from_sections(sections: Sections) -> GamModel:
 
 
 def _ann_sections(model: AnnModel) -> Sections:
+    sizes = model.topology.layer_sizes()
     head: Pairs = [
         ("family", "ann"),
-        ("inputs", str(model.topology.inputs)),
+        ("inputs", str(sizes[0])),
         ("hidden", ",".join(str(h) for h in model.topology.hidden)),
-        ("outputs", str(model.topology.outputs)),
+        ("outputs", str(sizes[-1])),
         ("scaler_lo", format_float(model.scaler.lo)),
         ("scaler_hi", format_float(model.scaler.hi)),
         ("stopped_epoch", str(model.stopped_epoch)),
@@ -206,12 +202,11 @@ def _ann_sections(model: AnnModel) -> Sections:
 def _ann_from_sections(sections: Sections) -> AnnModel:
     head = dict(sections[0][1])
     encoding = encoding_from_pairs(_section(sections, "encoding"))
-    topology = NetworkTopology(
-        inputs=_int_of(head, "inputs"),
-        hidden=_hidden_of(head, "hidden"),
-        outputs=_int_of(head, "outputs"),
-    )
+    topology = NetworkTopology(hidden=_hidden_of(head, "hidden"))
     sizes = topology.layer_sizes()
+    for key, width in (("inputs", sizes[0]), ("outputs", sizes[-1])):
+        if _int_of(head, key) != width:
+            raise ValidationError(f"key {key!r}: the network has {width}, got {head[key]!r}")
     layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     losses: dict[str, np.ndarray] = {"train": np.empty(0), "val": np.empty(0)}
     for name, pairs in sections[1:]:
@@ -273,7 +268,7 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    sections = parse_sections(read_text(path))
+    sections = read_sections(path)
     family = dict(sections[0][1]).get("family")
     codec = _CODECS.get(family)
     if codec is None:

@@ -31,8 +31,8 @@ from .config import (
     encoding_from_mapping,
     generator_from_mapping,
     model_settings_from_mapping,
-    parse_sections,
     read_config,
+    read_sections,
 )
 from .dataset import encode_dataset, load_csv, split_half, write_csv, generate_synthetic
 from .errors import (
@@ -85,7 +85,7 @@ def replay_manifest(path: str | Path) -> int:
     it was first run in; returns its exit code."""
     if not Path(path).is_file():
         raise ValidationError(f"{path}: no such manifest")
-    fields = dict(parse_sections(read_text(path))[0][1])
+    fields = dict(read_sections(path)[0][1])
     if "argv" not in fields:
         raise ValidationError(f"{path}: manifest has no argv line")
     try:
@@ -289,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
+    if any("\n" in arg or "\r" in arg for arg in argv):
+        # Manifests record argv one value per line; refuse before any output.
+        parser.error("arguments must not contain line breaks")
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)

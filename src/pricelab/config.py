@@ -24,13 +24,14 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def parse_sections(text: str) -> Sections:
-    """Split artifact text into ordered (section, pairs) groups.
+def read_sections(path: str | Path) -> Sections:
+    """Split a key-value file into ordered (section, pairs) groups.
 
-    Lines before the first header belong to the unnamed section ``""``.
+    Lines before the first header belong to the unnamed section ``""``.  A
+    syntax error names the file and the line.
     """
     sections: Sections = [("", [])]
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -38,7 +39,7 @@ def parse_sections(text: str) -> Sections:
             sections.append((line[1:-1].strip(), []))
             continue
         if "=" not in line:
-            raise ValidationError(f"line {line_no}: expected 'key = value', got {raw!r}")
+            raise ValidationError(f"{path}: line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         sections[-1][1].append((key.strip(), value.strip()))
     return sections
@@ -55,7 +56,7 @@ def dump_sections(sections: Sections) -> str:
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Read a flat config file; section headers are not allowed here."""
-    sections = parse_sections(read_text(path))
+    sections = read_sections(path)
     if len(sections) > 1:
         raise ValidationError(f"{path}: config files must not contain [section] headers")
     pairs = sections[0][1]

@@ -56,7 +56,6 @@ class AccuracyBand:
     ratio_max: float
     n_evaluated: int
     n_excluded: int
-    trim_fraction: float
 
     def __post_init__(self) -> None:
         if self.ratio_min > self.ratio_max:
@@ -95,7 +94,6 @@ def accuracy_band(
         ratio_max=float(kept[-1]),
         n_evaluated=int(ratios.size),
         n_excluded=int(actual.size - ratios.size),
-        trim_fraction=trim_fraction,
     )
 
 
@@ -372,8 +370,6 @@ class FamilyResult:
 @dataclass(frozen=True)
 class ComparisonReport:
     results: tuple[FamilyResult, ...]
-    trim_fraction: float
-    floor: float
 
 
 def compare(
@@ -414,9 +410,7 @@ def compare(
             overfit = overfit_scan(family, train, config, seed=seed)
             findings = family.findings(model, train, config, seed)
         results.append(FamilyResult(family.name, band, overfit, *findings))
-    return ComparisonReport(
-        results=tuple(results), trim_fraction=trim_fraction, floor=floor
-    )
+    return ComparisonReport(results=tuple(results))
 
 
 def _threshold_text(result: FamilyResult) -> str:

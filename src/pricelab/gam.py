@@ -22,8 +22,11 @@ and the a_j solve one ridge-type system
 The constant vector lies in the null space of both N̄_j and Omega_j, so the
 system is singular by one direction per spline block; the min-norm
 least-squares solution fixes that gauge of the knot values, and each
-component stores its training mean as ``center`` so f_j is mean zero on
-train.  No iteration is involved.
+component stores the training mean of N_j a_j as ``center`` so f_j is mean
+zero on train.  No iteration is involved.  ``fit_gam`` is these equations in
+order: one (N_j, penalty * Omega_j) block per feature, D'D with each penalty
+added to its diagonal block (a NumericError if any entry is not finite),
+the ``lstsq`` solve, then f_j and its center feature by feature.
 
 Interaction terms follow the literal product form: one scalar gamma scaling
 the product of two fitted univariate smooths.  They are fitted with the
@@ -62,7 +65,7 @@ from .dataset import (
     encode_with_response,
     feature_matrix,
 )
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .glm import LinkKind
 
 _MIN_TRAIN_ROWS = 20
@@ -87,15 +90,15 @@ class SmoothConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.knots <= MAX_KNOTS:
             raise ValidationError(f"knots must lie in [2, {MAX_KNOTS}], got {self.knots}")
-        if self.penalty < 0:
-            raise ValidationError(f"penalty must be >= 0, got {self.penalty}")
+        if not 0 <= self.penalty < np.inf:
+            raise ValidationError(f"penalty must be finite and >= 0, got {self.penalty}")
 
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """One fitted component: a centered spline or a centered linear term."""
+    """One fitted component: a centered spline or a centered linear term.
+    Its feature is its position in ``GamModel.smooths``."""
 
-    feature: int
     kind: str  # "spline" or "linear"
     knots: np.ndarray
     values: np.ndarray
@@ -162,100 +165,28 @@ class CollinearityReport:
 
 
 # ---------------------------------------------------------------------------
-# Penalized least-squares engine
-
-
-class _Design:
-    """Centred additive design D = [N̄_1 ... N̄_6] and its penalty, built once per fit.
-
-    A linear block is the single column x with no penalty; a spline block is
-    the natural-spline design N_j in the knot values with penalty lambda
-    Omega_j.  Columns are centred over the training sample, so D is
-    orthogonal to the intercept.
-    """
-
-    def __init__(self, X: np.ndarray, config: SmoothConfig):
-        self.kinds: list[str] = []
-        self.knots: list[np.ndarray] = []
-        self.raw: list[np.ndarray] = []  # uncentred (n, k_j) block designs
-        self.slices: list[slice] = []
-        penalties = []
-        start = 0
-        for j in range(N_FEATURES):
-            x = X[:, j]
-            knots = smoothing.quantile_knots(x, config.knots)
-            if config.force_linear or np.unique(x).size < config.knots or knots.size < 2:
-                self.kinds.append("linear")
-                self.knots.append(np.empty(0))
-                self.raw.append(x[:, None])
-                penalties.append(np.zeros((1, 1)))
-            else:
-                self.kinds.append("spline")
-                self.knots.append(knots)
-                self.raw.append(smoothing.design_matrix(x, knots))
-                penalties.append(config.penalty * smoothing.penalty_matrix(knots))
-            self.slices.append(slice(start, start + penalties[-1].shape[0]))
-            start += penalties[-1].shape[0]
-        self.matrix = np.hstack([raw - raw.mean(axis=0) for raw in self.raw])
-        self.gram = self.matrix.T @ self.matrix
-        for block, omega in zip(self.slices, penalties):
-            self.gram[block, block] += omega
-
-    def solve(self, target: np.ndarray) -> np.ndarray:
-        """Minimiser of ||target - c - D theta||^2 + theta' P theta over theta.
-
-        The constant is in the null space of each spline block's centred
-        design and penalty, so the system is singular there; the min-norm
-        least-squares solution picks one knot-value gauge.
-        """
-        return np.linalg.lstsq(self.gram, self.matrix.T @ target, rcond=None)[0]
-
-    def components(self, theta: np.ndarray) -> list[np.ndarray]:
-        """Centred per-feature values on the training sample."""
-        values = [raw @ theta[block] for raw, block in zip(self.raw, self.slices)]
-        return [v - np.mean(v) for v in values]
-
-    def smooths(self, theta: np.ndarray) -> tuple[SmoothFunction, ...]:
-        smooths = []
-        for j, (kind, knots, raw, block) in enumerate(
-            zip(self.kinds, self.knots, self.raw, self.slices)
-        ):
-            params = theta[block]
-            center = float(np.mean(raw @ params))
-            if kind == "linear":
-                smooths.append(SmoothFunction(
-                    feature=j, kind="linear", knots=np.empty(0), values=np.empty(0),
-                    slope=float(params[0]), center=center,
-                ))
-            else:
-                smooths.append(SmoothFunction(
-                    feature=j, kind="spline", knots=knots.copy(),
-                    values=params.copy(), slope=0.0, center=center,
-                ))
-        return tuple(smooths)
-
-
-def _working_response(y: np.ndarray, link: LinkKind) -> np.ndarray:
-    if link is LinkKind.LOG:
-        return np.log(np.clip(y, _LOG_FLOOR, None))
-    return y
-
-
-def _inverse_link(eta, link: LinkKind):
-    return np.exp(eta) if link is LinkKind.LOG else eta
-
-
-def _eta(intercept: float, values, pairs, gammas) -> np.ndarray:
-    """Linear predictor from per-feature values and interaction terms."""
-    eta = intercept + sum(values)
-    for (i, j), gamma in zip(pairs, gammas):
-        eta = eta + gamma * values[i] * values[j]
-    return eta
+# Fitting and prediction
 
 
 def _working_data(encoding: EncodingConfig, link: LinkKind, train: Dataset):
+    """Encoded features and the working response z (y, or log y under the log link)."""
     X, y = encode_with_response(train, encoding)
-    return X, _working_response(y, link)
+    if link is LinkKind.LOG:
+        return X, np.log(np.clip(y, _LOG_FLOOR, None))
+    return X, y
+
+
+def _components(model: GamModel, X: np.ndarray) -> list[np.ndarray]:
+    """The model's centred smooth values f_j(x_j) at the rows of X."""
+    return [smooth(x) for smooth, x in zip(model.smooths, X.T)]
+
+
+def _eta(intercept: float, values, terms) -> np.ndarray:
+    """Linear predictor from per-feature values and interaction terms."""
+    eta = intercept + sum(values)
+    for term in terms:
+        eta = eta + term.gamma * values[term.i] * values[term.j]
+    return eta
 
 
 def fit_gam(
@@ -264,22 +195,49 @@ def fit_gam(
     link: LinkKind = LinkKind.IDENTITY,
     smooth: SmoothConfig = SmoothConfig(),
 ) -> GamModel:
-    """Fit the additive model by one penalized least-squares solve.
-
-    The intercept is the mean of the (link-transformed) response; the
-    components are the centred minimiser of the penalized objective.
-    """
+    """Fit the additive model by one penalized least-squares solve (see the
+    module docstring); a penalized system that is not finite is a NumericError."""
     if train.n < _MIN_TRAIN_ROWS:
         raise ValidationError(f"fit_gam needs at least {_MIN_TRAIN_ROWS} rows, got {train.n}")
     X, z = _working_data(config, link, train)
-    design = _Design(X, smooth)
+    blocks = []  # per feature: (knots or None, uncentred design N_j, penalty Omega_j)
+    for x in X.T:
+        knots = smoothing.quantile_knots(x, smooth.knots)
+        if smooth.force_linear or np.unique(x).size < smooth.knots or knots.size < 2:
+            blocks.append((None, x[:, None], np.zeros((1, 1))))
+        else:
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                omega = smooth.penalty * smoothing.penalty_matrix(knots)
+            blocks.append((knots, smoothing.design_matrix(x, knots), omega))
+    design = np.hstack([raw - raw.mean(axis=0) for _, raw, _ in blocks])
+    gram = design.T @ design
+    start = 0
+    for _, _, omega in blocks:
+        gram[start:start + len(omega), start:start + len(omega)] += omega
+        start += len(omega)
+    if not np.isfinite(gram).all():
+        raise NumericError("penalized GAM system is not finite: check penalty and encoding ranges")
     intercept = float(np.mean(z))
-    theta = design.solve(z - intercept)
-    r = z - intercept - sum(design.components(theta))
+    theta = np.linalg.lstsq(gram, design.T @ (z - intercept), rcond=None)[0]
+
+    smooths, components, start = [], [], 0
+    for knots, raw, omega in blocks:
+        params = theta[start:start + len(omega)]
+        start += len(omega)
+        values = raw @ params
+        center = float(np.mean(values))
+        components.append(values - center)
+        if knots is None:
+            smooths.append(
+                SmoothFunction("linear", np.empty(0), np.empty(0), float(params[0]), center)
+            )
+        else:
+            smooths.append(SmoothFunction("spline", knots, params.copy(), 0.0, center))
+    r = z - intercept - sum(components)
     return GamModel(
         intercept=intercept,
         link=link,
-        smooths=design.smooths(theta),
+        smooths=tuple(smooths),
         interactions=(),
         rss=float(r @ r),
         smooth_config=smooth,
@@ -289,11 +247,8 @@ def fit_gam(
 
 def predict_gam(model: GamModel, X: np.ndarray) -> np.ndarray:
     """Predictions at the rows of an (n, 6) encoded feature matrix."""
-    X = feature_matrix(X)
-    values = [model.smooths[j](X[:, j]) for j in range(N_FEATURES)]
-    pairs = [(t.i, t.j) for t in model.interactions]
-    eta = _eta(model.intercept, values, pairs, [t.gamma for t in model.interactions])
-    return _inverse_link(eta, model.link)
+    eta = _eta(model.intercept, _components(model, feature_matrix(X)), model.interactions)
+    return np.exp(eta) if model.link is LinkKind.LOG else eta
 
 
 def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel:
@@ -311,23 +266,19 @@ def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel
     if i == j:
         raise ValidationError(f"interaction needs two distinct features, got ({i}, {j})")
     i, j = min(i, j), max(i, j)
-    existing = [(t.i, t.j) for t in model.interactions]
-    if (i, j) in existing:
+    if any((t.i, t.j) == (i, j) for t in model.interactions):
         raise ValidationError(f"interaction ({i}, {j}) already present")
-    InteractionTerm(i, j, 0.0)  # bounds check
+    pairs = (*model.interactions, InteractionTerm(i, j, 0.0))  # bounds-checks (i, j)
 
     X, z = _working_data(model.encoding, model.link, train)
-    components = [smooth(X[:, col]) for col, smooth in enumerate(model.smooths)]
-    pairs = existing + [(i, j)]
+    components = _components(model, X)
     design = np.column_stack(
-        [np.ones(X.shape[0])] + [components[a] * components[b] for a, b in pairs]
+        [np.ones(X.shape[0])] + [components[t.i] * components[t.j] for t in pairs]
     )
     coef = np.linalg.lstsq(design, z - sum(components), rcond=None)[0]
-    r = z - _eta(float(coef[0]), components, pairs, coef[1:])
-    return replace(
-        model, intercept=float(coef[0]), rss=float(r @ r),
-        interactions=tuple(InteractionTerm(a, b, float(g)) for (a, b), g in zip(pairs, coef[1:])),
-    )
+    terms = tuple(InteractionTerm(t.i, t.j, float(g)) for t, g in zip(pairs, coef[1:]))
+    r = z - _eta(float(coef[0]), components, terms)
+    return replace(model, intercept=float(coef[0]), rss=float(r @ r), interactions=terms)
 
 
 def interaction_scan(
@@ -354,9 +305,8 @@ def interaction_scan(
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     X, z = _working_data(base.encoding, base.link, train)
-    components = [smooth(X[:, j]) for j, smooth in enumerate(base.smooths)]
-    pairs = [(t.i, t.j) for t in base.interactions]
-    residual = z - _eta(base.intercept, components, pairs, [t.gamma for t in base.interactions])
+    components = _components(base, X)
+    residual = z - _eta(base.intercept, components, base.interactions)
     base_rss = float(residual @ residual)
     mean_term = residual.size * float(np.mean(residual)) ** 2
 

@@ -214,8 +214,6 @@ def test_topology_validation():
         NetworkTopology(hidden=())
     with pytest.raises(ValidationError):
         NetworkTopology(hidden=(0,))
-    with pytest.raises(ValidationError):
-        NetworkTopology(outputs=2)
     assert NetworkTopology(hidden=(4, 3)).layer_sizes() == (6, 4, 3, 1)
 
 
@@ -292,9 +290,6 @@ def test_train_validates_inputs():
     headless = replace(generate_synthetic(GeneratorParams(n=20, seed=0)), expenditure=None)
     with pytest.raises(ValidationError, match="expenditure"):
         train(headless)
-    with pytest.raises(ValidationError, match="inputs"):
-        train(generate_synthetic(GeneratorParams(n=20, seed=0)),
-              topology=NetworkTopology(inputs=4))
 
 
 def test_train_trajectory_checkpoints_match_shorter_runs():

@@ -289,6 +289,8 @@ def fitted_artifacts(tmp_path_factory):
     ("gam", "rss", None),
     ("ann", "hidden", "8,x"),
     ("ann", "stopped_epoch", None),
+    ("ann", "inputs", "5"),
+    ("ann", "outputs", "2"),
 ])
 def test_damaged_artifact_exits_3_with_one_error_line(
     tmp_path, fitted_artifacts, capsys, family, key, value
@@ -309,6 +311,58 @@ def test_damaged_artifact_exits_3_with_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert repr(key) in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config, code", [
+    ("penalty = nan", 3),
+    ("penalty = inf", 3),
+    ("penalty = 1e308", 4),  # penalty * Omega overflows
+    ("income_max = 1e300", 4),  # income encodes to ~1e-296: N_j and Omega_j overflow
+])
+def test_gam_fit_on_a_system_that_is_not_finite_ends_in_one_error_line(
+    tmp_path, data_csv, capsys, config, code
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    capsys.readouterr()
+    assert run("fit", "--family", "gam", "--in", data_csv, "--config", cfg,
+               "-o", tmp_path / "gam.model") == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["config", "artifact", "manifest"])
+def test_key_value_syntax_errors_name_the_file(tmp_path, fitted_artifacts, capsys, kind):
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "config":
+        bad.write_text("knots = 5\nno equals sign here\n")
+        argv = ["fit", "--family", "glm", "--in", fitted_artifacts / "data.csv",
+                "--config", bad, "-o", tmp_path / "m.model"]
+    elif kind == "artifact":
+        bad.write_text((fitted_artifacts / "glm.model").read_text().replace(
+            "link = ", "no equals sign here\nlink = ", 1))
+        argv = ["predict", "--model", bad, "--in", fitted_artifacts / "data.csv",
+                "-o", tmp_path / "p.csv"]
+    else:
+        bad.write_text("command = gen\nno equals sign here\n")
+        argv = ["replay", bad]
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"error: {bad}: line 2: expected 'key = value'"), err
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["LF", "CR"])
+def test_an_argument_with_a_line_break_is_a_usage_error(tmp_path, capsys, brk):
+    """Manifests record argv one value per line, so such an argument could
+    not be replayed; it is refused before anything is written."""
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--n", 5, "-o", tmp_path / f"a{brk}b.csv")
+    assert exc.value.code == 2
+    assert "line break" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("portfolio", [8, 18, 19, 26, 47])

@@ -119,14 +119,13 @@ def test_band_validation():
     with pytest.raises(ValidationError):
         accuracy_band(predict, test, floor=-1.0)
     with pytest.raises(ValidationError):
-        AccuracyBand(ratio_min=1.2, ratio_max=0.8, n_evaluated=1,
-                     n_excluded=0, trim_fraction=0.0)
+        AccuracyBand(ratio_min=1.2, ratio_max=0.8, n_evaluated=1, n_excluded=0)
     with pytest.raises(ValidationError, match="expenditure"):
         accuracy_band(predict, replace(test, expenditure=None))
 
 
 def test_format_band_rounds_to_integer_percent():
-    band = AccuracyBand(0.9449, 1.0751, 10, 0, 0.0)
+    band = AccuracyBand(0.9449, 1.0751, 10, 0)
     assert format_band(band) == "94%~108%"
 
 
