@@ -196,6 +196,9 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
     ("predict", "# non-UTF-8 model file"),
     ("compare", "# non-UTF-8 test index"),
     ("gen", "income_max = 1e30"),
+    ("fit", "income_max = 1e300"),
+    ("fit gam", "income_max = 1e300"),
+    ("fit ann", "income_max = 1e300"),
     ("gen", "n = 10000000000"),
     ("fit", "hidden = 100000000"),
     ("fit", "knots = 100000000"),
@@ -204,6 +207,7 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
     ("gen", "seed = -1"),
 ])
 def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, command, config):
+    command, _, family = command.partition(" ")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")
     damaged = tmp_path / ("missing" if "missing" in config else "binary")
@@ -217,7 +221,7 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, comma
     if command == "gen":
         argv = ["gen", "--n", 20, "--config", cfg, "-o", tmp_path / "g.csv"]
     elif command == "fit":
-        argv = ["fit", "--family", "glm", "--in", pick("input", data_csv),
+        argv = ["fit", "--family", family or "glm", "--in", pick("input", data_csv),
                 "--config", pick("config", cfg), "-o", tmp_path / "m.model"]
     elif command == "predict":
         model = tmp_path / "m.model"
@@ -243,6 +247,8 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, comma
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if "non-UTF-8" in config:
         assert f"{damaged}: not a UTF-8 text file" in err
+    if "income_max" in config:
+        assert "income_range" in err
 
 
 def test_size_bounds_refuse_before_allocating(tmp_path, monkeypatch, capsys):
@@ -318,7 +324,6 @@ def test_damaged_artifact_exits_3_with_one_error_line(
     ("penalty = nan", 3),
     ("penalty = inf", 3),
     ("penalty = 1e308", 4),  # penalty * Omega overflows
-    ("income_max = 1e300", 4),  # income encodes to ~1e-296: N_j and Omega_j overflow
 ])
 def test_gam_fit_on_a_system_that_is_not_finite_ends_in_one_error_line(
     tmp_path, data_csv, capsys, config, code
