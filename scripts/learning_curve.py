@@ -5,7 +5,9 @@ For each (n, seed) cell a fresh portfolio is generated, the chosen family
 is scanned along its capacity ladder, and the detected threshold (relative
 training error at the validation upturn) is recorded.  Prints a per-size
 summary; larger samples should tolerate more capacity before overfitting,
-i.e. the mean threshold should drift down.
+i.e. the mean threshold should drift down.  The cells run on up to one
+worker process per available CPU; results stay in cell order, and every
+threshold is bit-identical to an in-process run (``taskset -c 0`` gives one).
 
     python3 scripts/learning_curve.py --sizes 100 200 400 800 --seeds 0 1 2 3 4
 """

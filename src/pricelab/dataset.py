@@ -442,6 +442,12 @@ _PARSERS = (
 )
 
 
+def _csv_error(path: Path, reader, exc: csv.Error) -> ParseError:
+    """The error for a line that ``csv.reader`` refuses (say, a cell over
+    its field size limit); ``line_num`` counts physical lines read."""
+    return ParseError(f"{path}: line {reader.line_num}: {exc}")
+
+
 def _blocks(reader, path: Path):
     """The rows of ``reader`` in lists of ``_BLOCK_ROWS``.
 
@@ -455,9 +461,9 @@ def _blocks(reader, path: Path):
         except UnicodeDecodeError:
             yield rows
             raise not_utf8(path) from None
-        except csv.Error:
+        except csv.Error as exc:
             yield rows
-            raise
+            raise _csv_error(path, reader, exc) from None
         yield rows
         if len(rows) < _BLOCK_ROWS:
             return
@@ -567,6 +573,8 @@ def load_csv(path: str | Path) -> Dataset:
             raise SchemaError(f"{path}: file is empty") from None
         except UnicodeDecodeError:
             raise not_utf8(path) from None
+        except csv.Error as exc:
+            raise _csv_error(path, reader, exc) from None
         header = tuple(h.strip() for h in header)
         if header not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
             missing = [c for c in CSV_COLUMNS[:-1] if c not in header]

@@ -251,6 +251,31 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, comma
         assert "income_range" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("where, line", [("header", 1), ("body", 3)])
+def test_an_over_long_cell_exits_3_with_one_error_line(tmp_path, data_csv, capsys,
+                                                       command, where, line):
+    """A cell past ``csv.reader``'s field size limit, in the header or a row."""
+    long = "x" * 200_000
+    header, *rows = data_csv.read_text().splitlines()[:3]
+    if where == "header":
+        header = header.replace("gender", "gender" + long)
+    else:
+        rows[1] = rows[1].replace("male", long, 1)
+    damaged = tmp_path / "long.csv"
+    damaged.write_text("\n".join([header, *rows]) + "\n")
+    if command == "fit":
+        argv = ["fit", "--family", "glm", "--in", damaged, "-o", tmp_path / "m.model"]
+    else:
+        model = tmp_path / "m.model"
+        assert run("fit", "--family", "glm", "--in", data_csv, "-o", model) == 0
+        argv = ["predict", "--model", model, "--in", damaged, "-o", tmp_path / "p.csv"]
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {damaged}: line {line}: field larger") and err.count("\n") == 1
+
+
 def test_size_bounds_refuse_before_allocating(tmp_path, monkeypatch, capsys):
     """Row counts, hidden sizes, knot counts and epoch counts past their
     bounds are refused before any array is made; on the command line a bad

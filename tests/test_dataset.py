@@ -432,6 +432,23 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("where, line", [("header", 1), ("body", 3)])
+def test_an_over_long_cell_is_a_parse_error_naming_its_line(tmp_path, where, line):
+    """A cell past ``csv.reader``'s field size limit is refused as a
+    ``ParseError`` naming the file and the line, in the header or a row."""
+    long = "x" * (csv.field_size_limit() + 1)
+    header = ",".join(CSV_COLUMNS)
+    rows = ["1,male,44,1000,no,none,50", "2,male,44,1000,no,none,50"]
+    if where == "header":
+        header = header.replace("gender", "gender" + long)
+    else:
+        rows[1] = rows[1].replace("male", long)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: field larger"):
+        load_csv(path)
+
+
 def _row_by_row_load_csv(path):
     """The reference loader: each row parsed and checked in turn, as
     ``load_csv`` did before it converted blocks of columns."""

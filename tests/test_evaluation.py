@@ -1,7 +1,12 @@
 """Evaluation harness: accuracy bands, overfit scans, learning curves,
 comparison reports."""
 
-from dataclasses import replace
+import multiprocessing
+import os
+import time
+from concurrent.futures import Future
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +14,12 @@ from pytest import approx
 
 from conftest import make_dataset
 from pricelab import ann as ann_mod
+from pricelab import evaluation
 from pricelab import gam as gam_mod
 from pricelab.ann import TrainingConfig, train
 from pricelab.dataset import (
     DEFAULT_ENCODING,
+    MAX_ROWS,
     EncodingConfig,
     Gender,
     GeneratorParams,
@@ -21,7 +28,7 @@ from pricelab.dataset import (
     generate_synthetic,
     split_half,
 )
-from pricelab.errors import ValidationError
+from pricelab.errors import DivergenceError, ValidationError
 from pricelab.evaluation import (
     AccuracyBand,
     DEFAULT_GAM_STEPS,
@@ -339,6 +346,99 @@ def test_learning_curve_records_missing_cells():
     assert lines[0] == "n,seed,threshold"
     assert lines[1] == "100,0,"
     assert len(lines) == 5
+
+
+CURVE_GRIDS = {
+    "ann": (HOT_ANN, tuple(range(100, 2001, 100))),
+    "glm": (GlmFamily(), None),
+}
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """The CPUs ``learning_curve`` sees: one runs its cells in this process,
+    two on a pool of forked workers (whatever the host has)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    return request.param
+
+
+def looped_cells(family, steps, sizes, seeds):
+    """The reference: every cell in turn, in this process."""
+    return tuple(
+        (n, seed, overfit_scan(
+            family, generate_synthetic(replace(CURVE_PARAMS, n=n, seed=seed)),
+            steps=steps, seed=seed,
+        ).threshold)
+        for n in sizes
+        for seed in seeds
+    )
+
+
+@pytest.mark.parametrize("grid", CURVE_GRIDS)
+def test_learning_curve_cells_equal_a_loop(cpus, grid):
+    """Pooled or not, every threshold is the in-process loop's, in cell
+    order, and no worker outlives the call."""
+    family, steps = CURVE_GRIDS[grid]
+    curve = learning_curve(family, CURVE_PARAMS, sizes=[100, 200], seeds=[0, 1], steps=steps)
+    assert multiprocessing.active_children() == []
+    expected = looped_cells(family, steps, (100, 200), (0, 1))
+    assert curve.cells == expected
+    assert any(t is not None for _, _, t in expected) == (grid == "ann")
+
+
+def test_learning_curve_raises_the_first_failing_cell_in_order(cpus):
+    """Every cell diverges, each with its own message; the error is the
+    first cell's, as a loop would raise it, though the pool starts the
+    largest cells first."""
+    family = AnnFamily(training=TrainingConfig(learning_rate=20.0))
+    steps = tuple(range(100, 2001, 100))
+    with pytest.raises(DivergenceError) as first:
+        looped_cells(family, steps, (100,), (1,))
+    with pytest.raises(DivergenceError) as raised:
+        learning_curve(family, CURVE_PARAMS, sizes=[100, 200], seeds=[1, 0], steps=steps)
+    assert str(raised.value) == str(first.value)
+    assert multiprocessing.active_children() == []
+
+
+@dataclass(frozen=True)
+class SlowMarkedGlm(GlmFamily):
+    """The linear family, slowed down, leaving a file in ``marks`` per cell."""
+    marks: str = ""
+
+    def ladder(self, train, config, steps):
+        Path(self.marks, str(train.n)).touch()
+        time.sleep(0.2)
+        yield from super().ladder(train, config, steps)
+
+
+def test_an_interrupted_curve_cancels_the_cells_not_yet_started(tmp_path, monkeypatch):
+    """An error while waiting for results cancels the pending cells: only
+    those already handed to a worker run, and no worker is left."""
+    def interrupted(future, timeout=None):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(Future, "result", interrupted)
+    sizes = [100, 150, 200, 250, 300, 350, 400, 450]
+    with pytest.raises(RuntimeError, match="interrupted"):
+        learning_curve(SlowMarkedGlm(marks=str(tmp_path)), CURVE_PARAMS, sizes=sizes, seeds=[0])
+    assert multiprocessing.active_children() == []
+    assert len(list(tmp_path.iterdir())) < len(sizes)
+
+
+def test_learning_curve_validates_every_cell_before_running_one(monkeypatch):
+    """A size past the row bound in the last cell is refused before any
+    cell runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(evaluation, "_cell", never)
+    with pytest.raises(ValidationError, match="n must lie in"):
+        learning_curve(GlmFamily(), CURVE_PARAMS, sizes=[100, MAX_ROWS + 1], seeds=[0, 1])
+    with pytest.raises(ValidationError, match="seed"):
+        learning_curve(GlmFamily(), CURVE_PARAMS, sizes=[100, 200], seeds=[0, -1])
+    assert multiprocessing.active_children() == []
 
 
 def test_mean_thresholds_hand_example():
