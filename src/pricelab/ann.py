@@ -52,15 +52,9 @@ _ONE = np.ones(())
 _ONE.flags.writeable = False
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function ``1 / (1 + exp(-z))``, as a new array."""
-    out = np.array(z, dtype=float)
-    _sigmoid_into(out, np.empty_like(out))
-    return out
-
-
 def _sigmoid_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    """Overwrite ``z`` with ``sigmoid(z)``, using ``scratch`` of its shape.
+    """Overwrite ``z`` with the logistic function ``1 / (1 + exp(-z))``,
+    using ``scratch`` of its shape.
 
     With ``e = exp(-|z|)``, which never overflows, it is ``1 / (1 + e)`` for
     z >= 0 and ``e / (1 + e)`` below (NaN stays NaN).  Each branch is the

@@ -2,7 +2,9 @@
 
 Every fitted model serializes to a sectioned key-value file that starts with
 ``family = <model.family>`` and embeds the encoding configuration it was fit
-with, so prediction needs nothing beyond the artifact.  Floats are written
+with, so prediction needs nothing beyond the artifact.  ``save_model`` and
+``load_model`` write and read that frame; each family's codec handles only
+its head keys, after ``family``, and its own sections.  Floats are written
 with ``repr`` and therefore reload bit-exactly: a reloaded model's batch
 predictions equal those of the model that was saved.
 """
@@ -24,12 +26,12 @@ from .config import (
     _link_of,
     _value_of,
     dump_sections,
-    encoding_from_pairs,
+    encoding_from_mapping,
     encoding_to_pairs,
     format_float,
     read_sections,
 )
-from .dataset import FEATURE_NAMES
+from .dataset import FEATURE_NAMES, EncodingConfig
 from .errors import ValidationError
 from .gam import GamModel, InteractionTerm, SmoothConfig, SmoothFunction
 from .glm import GlmModel
@@ -57,9 +59,8 @@ def _feature_index(name: str) -> int:
 # -- GLM ---------------------------------------------------------------------
 
 
-def _glm_sections(model: GlmModel) -> Sections:
+def _glm_sections(model: GlmModel) -> tuple[Pairs, Sections]:
     head: Pairs = [
-        ("family", "glm"),
         ("link", model.link.value),
         ("intercept", format_float(model.intercept)),
     ]
@@ -71,12 +72,10 @@ def _glm_sections(model: GlmModel) -> Sections:
         ("rss", format_float(model.rss)),
         ("iterations", str(model.iterations)),
     ]
-    return [("", head), ("encoding", encoding_to_pairs(model.encoding))]
+    return head, []
 
 
-def _glm_from_sections(sections: Sections) -> GlmModel:
-    head = dict(sections[0][1])
-    encoding = encoding_from_pairs(_section(sections, "encoding"))
+def _glm_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> GlmModel:
     return GlmModel(
         intercept=_float_of(head, "intercept"),
         coef=np.array([_float_of(head, f"coef_{name}") for name in FEATURE_NAMES]),
@@ -90,9 +89,8 @@ def _glm_from_sections(sections: Sections) -> GlmModel:
 # -- GAM ---------------------------------------------------------------------
 
 
-def _gam_sections(model: GamModel) -> Sections:
+def _gam_sections(model: GamModel) -> tuple[Pairs, Sections]:
     head: Pairs = [
-        ("family", "gam"),
         ("link", model.link.value),
         ("intercept", format_float(model.intercept)),
         ("rss", format_float(model.rss)),
@@ -100,7 +98,7 @@ def _gam_sections(model: GamModel) -> Sections:
         ("penalty", format_float(model.smooth_config.penalty)),
         ("force_linear", "yes" if model.smooth_config.force_linear else "no"),
     ]
-    sections: Sections = [("", head), ("encoding", encoding_to_pairs(model.encoding))]
+    sections: Sections = []
     for name, smooth in zip(FEATURE_NAMES, model.smooths):
         pairs: Pairs = [("kind", smooth.kind), ("center", format_float(smooth.center))]
         if smooth.kind == "linear":
@@ -119,15 +117,13 @@ def _gam_sections(model: GamModel) -> Sections:
                 ],
             )
         )
-    return sections
+    return head, sections
 
 
-def _gam_from_sections(sections: Sections) -> GamModel:
-    head = dict(sections[0][1])
-    encoding = encoding_from_pairs(_section(sections, "encoding"))
+def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> GamModel:
     smooths: dict[int, SmoothFunction] = {}
     interactions: list[InteractionTerm] = []
-    for name, pairs in sections[1:]:
+    for name, pairs in sections:
         data = dict(pairs)
         if name.startswith("smooth "):
             feature = _feature_index(name.split(" ", 1)[1])
@@ -170,10 +166,9 @@ def _gam_from_sections(sections: Sections) -> GamModel:
 # -- ANN ---------------------------------------------------------------------
 
 
-def _ann_sections(model: AnnModel) -> Sections:
+def _ann_sections(model: AnnModel) -> tuple[Pairs, Sections]:
     sizes = model.topology.layer_sizes()
     head: Pairs = [
-        ("family", "ann"),
         ("inputs", str(sizes[0])),
         ("hidden", ",".join(str(h) for h in model.topology.hidden)),
         ("outputs", str(sizes[-1])),
@@ -181,7 +176,7 @@ def _ann_sections(model: AnnModel) -> Sections:
         ("scaler_hi", format_float(model.scaler.hi)),
         ("stopped_epoch", str(model.stopped_epoch)),
     ]
-    sections: Sections = [("", head), ("encoding", encoding_to_pairs(model.encoding))]
+    sections: Sections = []
     for index, (w, b) in enumerate(zip(model.weights.matrices, model.weights.biases)):
         pairs: Pairs = [("rows", str(w.shape[0])), ("cols", str(w.shape[1]))]
         pairs += [(f"row_{r}", _floats(w[r])) for r in range(w.shape[0])]
@@ -196,12 +191,10 @@ def _ann_sections(model: AnnModel) -> Sections:
             ],
         )
     )
-    return sections
+    return head, sections
 
 
-def _ann_from_sections(sections: Sections) -> AnnModel:
-    head = dict(sections[0][1])
-    encoding = encoding_from_pairs(_section(sections, "encoding"))
+def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> AnnModel:
     topology = NetworkTopology(hidden=_hidden_of(head, "hidden"))
     sizes = topology.layer_sizes()
     for key, width in (("inputs", sizes[0]), ("outputs", sizes[-1])):
@@ -209,7 +202,7 @@ def _ann_from_sections(sections: Sections) -> AnnModel:
             raise ValidationError(f"key {key!r}: the network has {width}, got {head[key]!r}")
     layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     losses: dict[str, np.ndarray] = {"train": np.empty(0), "val": np.empty(0)}
-    for name, pairs in sections[1:]:
+    for name, pairs in sections:
         data = dict(pairs)
         if name.startswith("layer "):
             index = _int_of({name: name.split(" ", 1)[1]}, name)
@@ -246,13 +239,6 @@ def _ann_from_sections(sections: Sections) -> AnnModel:
 # -- public API ---------------------------------------------------------------
 
 
-def _section(sections: Sections, name: str) -> Pairs:
-    for sec_name, pairs in sections:
-        if sec_name == name:
-            return pairs
-    raise ValidationError(f"artifact is missing [{name}] section")
-
-
 _CODECS = {
     "glm": (_glm_sections, _glm_from_sections),
     "gam": (_gam_sections, _gam_from_sections),
@@ -264,16 +250,23 @@ def save_model(model, path: str | Path) -> None:
     codec = _CODECS.get(getattr(model, "family", None))
     if codec is None:
         raise ValidationError(f"cannot serialize {type(model).__name__}")
-    Path(path).write_text(dump_sections(codec[0](model)), encoding="utf-8")
+    head, sections = codec[0](model)
+    frame = [("", [("family", model.family), *head]),
+             ("encoding", encoding_to_pairs(model.encoding)), *sections]
+    Path(path).write_text(dump_sections(frame), encoding="utf-8")
 
 
 def load_model(path: str | Path):
     sections = read_sections(path)
-    family = dict(sections[0][1]).get("family")
+    head = dict(sections[0][1])
+    family = head.get("family")
     codec = _CODECS.get(family)
     if codec is None:
         raise ValidationError(f"{path}: unknown or missing model family {family!r}")
     try:
-        return codec[1](sections)
+        encoding = next((pairs for name, pairs in sections if name == "encoding"), None)
+        if encoding is None:
+            raise ValidationError("artifact is missing [encoding] section")
+        return codec[1](head, encoding_from_mapping(dict(encoding)), sections[1:])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -204,7 +204,3 @@ def encoding_to_pairs(config: EncodingConfig) -> Pairs:
     for key, claim in _SEVERITY_KEYS.items():
         pairs.append((key, format_float(config.claim_severity[claim])))
     return pairs
-
-
-def encoding_from_pairs(pairs: Pairs) -> EncodingConfig:
-    return encoding_from_mapping(dict(pairs))

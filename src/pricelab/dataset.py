@@ -14,7 +14,8 @@ customer in file order:
 ``write_csv`` and ``load_csv`` move a table to and from a CSV file with the
 ``CSV_COLUMNS`` header.  Files are read in blocks of rows, each converted a
 column at a time; a bad file reports its first error in row order, as a
-row-by-row read would.
+row-by-row read would.  Within a row the numbers (id, age, income) are
+checked before the other columns.
 
 Every model in the package consumes the same six-component feature vector,
 all components scaled into [0, 1]:
@@ -429,17 +430,22 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
 _MALE = {text: bool(flag) for flag, text in enumerate(_GENDER_TEXT)}
 _SMOKER = {text: bool(flag) for flag, text in enumerate(_SMOKE_TEXT)}
 _CLAIM_CODES = {text: code for code, text in enumerate(_CLAIM_TEXT)}
-# Per CSV column: the steps that turn its stripped text into a value, and
-# the value's dtype.
+# Per CSV column: the steps that turn its stripped text into a value (of the
+# column's ``_COLUMNS`` dtype), and what a cell that fails them should have
+# been; None reports the failing step's own message.
 _PARSERS = (
-    ((int,), np.int64),
-    ((_MALE.__getitem__,), bool),
-    ((int,), np.int64),
-    ((float,), float),
-    ((str.lower, _SMOKER.__getitem__), bool),
-    ((_CLAIM_CODES.__getitem__,), np.int64),
-    ((float,), float),
+    ((int,), None),
+    ((_MALE.__getitem__,), "one of: " + ", ".join(_GENDER_TEXT)),
+    ((int,), None),
+    ((float,), None),
+    ((str.lower, _SMOKER.__getitem__), "yes or no"),
+    ((_CLAIM_CODES.__getitem__,), "one of: " + ", ".join(_CLAIM_TEXT)),
+    ((float,), None),
 )
+# The order in which ``_check_rows`` checks a row's cells: the numbers (id,
+# age, income) first.  The response is last, so a file without it checks a
+# prefix of this order.
+_CHECK_ORDER = (0, 2, 3, 1, 4, 5, 6)
 
 
 def _csv_error(path: Path, reader, exc: csv.Error) -> ParseError:
@@ -507,21 +513,11 @@ def _append(arrays: list[np.ndarray], n: int, columns: list[list]) -> list[np.nd
     return arrays
 
 
-def _parse_enum(cls, text: str, column: str, row: int):
-    try:
-        return cls(text)
-    except ValueError:
-        allowed = ", ".join(m.value for m in cls)
-        raise ParseError(
-            f"row {row}: invalid {column} {text!r} (expected one of: {allowed})", row=row
-        ) from None
-
-
 def _check_rows(rows: list[list[str]], first: int, width: int) -> list[list[str]]:
     """The non-blank rows of a block whose first row is row ``first``.
 
-    Checks each row in turn, its cells in column order, and raises the
-    ``ParseError`` of the first that does not parse.
+    Checks each row in turn, its cells in ``_CHECK_ORDER`` (numbers first),
+    and raises the ``ParseError`` of the first cell that does not parse.
     """
     kept = []
     for row_no, row in enumerate(rows, start=first):
@@ -531,25 +527,16 @@ def _check_rows(rows: list[list[str]], first: int, width: int) -> list[list[str]
             raise ParseError(
                 f"row {row_no}: expected {width} cells, got {len(row)}", row=row_no
             )
-        cells = [c.strip() for c in row]
-        try:
-            int(cells[0])
-            int(cells[2])
-            float(cells[3])
-        except ValueError as exc:
-            raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
-        _parse_enum(Gender, cells[1], "gender", row_no)
-        if cells[4].lower() not in _SMOKER:
-            raise ParseError(
-                f"row {row_no}: invalid smoke {cells[4]!r} (expected yes or no)",
-                row=row_no,
-            )
-        _parse_enum(PriorClaim, cells[5], "previous_claim", row_no)
-        if width == len(CSV_COLUMNS):
+        for j in _CHECK_ORDER[:width]:
+            steps, expected = _PARSERS[j]
+            value = text = row[j].strip()
             try:
-                float(cells[6])
-            except ValueError as exc:
-                raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
+                for step in steps:
+                    value = step(value)
+            except (ValueError, KeyError) as exc:
+                detail = (str(exc) if expected is None
+                          else f"invalid {CSV_COLUMNS[j]} {text!r} (expected {expected})")
+                raise ParseError(f"row {row_no}: {detail}", row=row_no) from None
         kept.append(row)
     return kept
 
@@ -589,7 +576,7 @@ def load_csv(path: str | Path) -> Dataset:
             raise SchemaError(f"{path}: bad header; " + "; ".join(detail))
 
         width = len(header)
-        arrays = [np.empty(_BLOCK_ROWS, dtype) for _, dtype in _PARSERS[:width]]
+        arrays = [np.empty(_BLOCK_ROWS, dtype) for dtype in list(_COLUMNS.values())[:width]]
         n = 0
         row_no = 2
         for rows in _blocks(reader, path):

@@ -159,7 +159,6 @@ class InteractionCandidate:
 @dataclass(frozen=True)
 class CollinearityReport:
     correlation: np.ndarray
-    vif: np.ndarray
     flagged: tuple[tuple[int, int, float], ...]
     degenerate: tuple[int, ...]
 
@@ -338,13 +337,12 @@ def collinearity_report(
     train: Dataset,
     config: EncodingConfig = DEFAULT_ENCODING,
 ) -> CollinearityReport:
-    """Pairwise Pearson correlations and leave-one-out VIFs of the features;
-    pairs at |correlation| >= ``COLLINEARITY_THRESHOLD`` are flagged, and
-    constant features are listed as degenerate."""
+    """Pairwise Pearson correlations of the features; pairs at |correlation|
+    >= ``COLLINEARITY_THRESHOLD`` are flagged, and constant features are
+    listed as degenerate."""
     if train.n < 3:
         raise ValidationError("collinearity_report needs at least 3 rows")
     X, _ = encode_dataset(train, config)
-    n = X.shape[0]
     variances = X.var(axis=0)
     degenerate = tuple(int(j) for j in np.nonzero(variances < 1e-12)[0])
 
@@ -356,22 +354,9 @@ def collinearity_report(
             value = float(np.corrcoef(X[:, i], X[:, j])[0, 1])
         corr[i, j] = corr[j, i] = value
 
-    vif = np.ones(N_FEATURES)
-    for j in range(N_FEATURES):
-        if j in degenerate:
-            continue
-        target = X[:, j]
-        others = np.delete(X, j, axis=1)
-        design = np.hstack([np.ones((n, 1)), others])
-        coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        resid = target - design @ coef
-        tss = float(np.sum((target - target.mean()) ** 2))
-        r2 = 0.0 if tss == 0 else 1.0 - float(resid @ resid) / tss
-        vif[j] = 1.0 / max(1.0 - r2, 1e-12)
-
     flagged = tuple(
         (i, j, float(corr[i, j]))
         for i, j in itertools.combinations(range(N_FEATURES), 2)
         if abs(corr[i, j]) >= COLLINEARITY_THRESHOLD
     )
-    return CollinearityReport(correlation=corr, vif=vif, flagged=flagged, degenerate=degenerate)
+    return CollinearityReport(correlation=corr, flagged=flagged, degenerate=degenerate)

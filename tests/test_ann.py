@@ -21,7 +21,6 @@ from pricelab.ann import (
     gradient_check,
     init_weights,
     predict_ann,
-    sigmoid,
     train,
     train_trajectory,
 )
@@ -43,6 +42,13 @@ def constant_expenditure_data(value=4200.0, n=30, seed=1):
 
 
 # ------------------------------------------------------------------ pieces
+
+
+def sigmoid(z):
+    """``ann._sigmoid_into`` on a float copy of ``z``, as a new array."""
+    out = np.array(z, dtype=float)
+    ann._sigmoid_into(out, np.empty_like(out))
+    return out
 
 
 def test_sigmoid_values_and_stability():

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -585,6 +586,26 @@ def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, text, block_ro
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset, "_BLOCK_ROWS", block_rows)
         assert _outcome(load_csv, path) == _outcome(_row_by_row_load_csv, path)
+
+
+@pytest.mark.parametrize("width, columns", [
+    pytest.param(width, pair, id="-".join([str(width), *(CSV_COLUMNS[j] for j in pair)]))
+    for width in (len(CSV_COLUMNS), len(CSV_COLUMNS) - 1)
+    for pair in itertools.combinations(range(width), 2)
+])
+def test_a_row_with_two_bad_cells_reports_the_reference_readers_error(tmp_path, width, columns):
+    """For every pair of columns, a row whose cells fail to parse in both
+    reports the error the row-by-row reader reports: the id, age and income
+    are checked before the other columns."""
+    good = ["1"] + [cells[0] for cells in _GOOD_CELLS[1:width]]
+    bad = ["2"] + good[1:]
+    for column in columns:
+        bad[column] = _BAD_CELLS[column][0]
+    path = tmp_path / "two_bad_cells.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in (CSV_COLUMNS[:width], good, bad)))
+    outcome = _outcome(load_csv, path)
+    assert outcome[0] is ParseError and outcome[2] == 3
+    assert outcome == _outcome(_row_by_row_load_csv, path)
 
 
 @pytest.mark.parametrize("block_rows", [3, dataset._BLOCK_ROWS])
