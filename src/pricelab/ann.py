@@ -337,8 +337,6 @@ def train(
     perm = rng.permutation(train_data.n)
     n_val = max(1, int(round(training.validation_fraction * train_data.n)))
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
-    if fit_idx.size < 1:
-        raise ValidationError("validation slice leaves no training rows")
     X_val, val_targets = X[val_idx], targets[val_idx]
     val_layers, vres = list(_layer_buffers(n_val, topology.hidden)), np.empty(n_val)
 
@@ -377,35 +375,31 @@ def train_trajectory(
     topology: NetworkTopology,
     training: TrainingConfig,
     checkpoints: Sequence[int],
-) -> tuple[TargetScaler, Iterator[tuple[int, Weights]]]:
+) -> Iterator[AnnModel]:
     """Train on the whole given set (no validation split, no early stop),
-    yielding ``(epoch, weights)`` snapshots at the requested epochs.  Each
-    snapshot is a copy that later epochs leave alone.
+    yielding the model at each checkpoint epoch (its ``stopped_epoch``),
+    with empty loss histories and weights that later epochs leave alone.
 
-    The snapshots are lazy: descent advances only when the next one is
-    asked for, so a caller that stops early runs only the epochs up to the
-    last snapshot it took.  Checkpoints and data are validated at call time.
-    Full-batch descent is deterministic, so the snapshot at epoch e equals a
-    separate run stopped at e; the scan ladder needs only one run.
+    The models are lazy: descent advances only when the next one is asked
+    for and stops at the last checkpoint.  Checkpoints (positive, strictly
+    increasing) and data are validated at call time.  Full-batch descent is
+    deterministic, so the model at epoch e equals a separate run stopped at
+    e; the scan ladder needs only one run.
     """
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[0] < 1:
-        raise ValidationError("checkpoints must be positive epochs")
+    checkpoints = [int(c) for c in checkpoints]
+    if not checkpoints or checkpoints[0] < 1 or checkpoints != sorted(set(checkpoints)):
+        raise ValidationError("checkpoints must be strictly increasing positive epochs")
     X, y = encode_with_response(train_data, config)
     scaler = TargetScaler.fit(y)
     descent = _epochs(
         init_weights(topology, training.seed), X, scaler.scale(y), training.learning_rate
     )
-    wanted, last = set(checkpoints), checkpoints[-1]
-
-    def snapshots() -> Iterator[tuple[int, Weights]]:
-        for epoch, _, weights in descent:
-            if epoch in wanted:
-                yield epoch, weights.copy()
-            if epoch == last:
-                return
-
-    return scaler, snapshots()
+    wanted = set(checkpoints)
+    return (
+        AnnModel(topology, weights.copy(), scaler, (), (), epoch, config)
+        for epoch, _, weights in itertools.islice(descent, checkpoints[-1])
+        if epoch in wanted
+    )
 
 
 def predict_ann(model: AnnModel, X: np.ndarray) -> np.ndarray:

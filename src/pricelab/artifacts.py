@@ -41,10 +41,18 @@ def _floats(values) -> str:
     return " ".join(format_float(v) for v in np.asarray(values, dtype=float).ravel())
 
 
+def _finite_of(mapping: dict[str, str], key: str) -> float:
+    """Every float an artifact holds is read here; inf and nan are refused."""
+    value = _float_of(mapping, key)
+    if not np.isfinite(value):
+        raise ValidationError(f"key {key!r}: not a finite number: {mapping[key]!r}")
+    return value
+
+
 def _array_of(mapping: dict[str, str], key: str) -> np.ndarray:
-    """Space-separated floats; an empty value is an empty array."""
+    """Space-separated finite floats; an empty value is an empty array."""
     return np.array(
-        [_float_of({key: token}, key) for token in _value_of(mapping, key).split()],
+        [_finite_of({key: token}, key) for token in _value_of(mapping, key).split()],
         dtype=float,
     )
 
@@ -77,10 +85,10 @@ def _glm_sections(model: GlmModel) -> tuple[Pairs, Sections]:
 
 def _glm_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> GlmModel:
     return GlmModel(
-        intercept=_float_of(head, "intercept"),
-        coef=np.array([_float_of(head, f"coef_{name}") for name in FEATURE_NAMES]),
+        intercept=_finite_of(head, "intercept"),
+        coef=np.array([_finite_of(head, f"coef_{name}") for name in FEATURE_NAMES]),
         link=_link_of(head, "link"),
-        rss=_float_of(head, "rss"),
+        rss=_finite_of(head, "rss"),
         iterations=_int_of(head, "iterations"),
         encoding=encoding,
     )
@@ -129,7 +137,7 @@ def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
             feature = _feature_index(name.split(" ", 1)[1])
             kind = _value_of(data, "kind")
             if kind == "linear":
-                knots, values, slope = np.empty(0), np.empty(0), _float_of(data, "slope")
+                knots, values, slope = np.empty(0), np.empty(0), _finite_of(data, "slope")
             elif kind == "spline":
                 knots, values = _array_of(data, "knot_positions"), _array_of(data, "knot_values")
                 if knots.size != values.size:
@@ -137,26 +145,26 @@ def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
                 slope = 0.0
             else:
                 raise ValidationError(f"[{name}]: unknown smooth kind {kind!r}")
-            center = _float_of(data, "center")
+            center = _finite_of(data, "center")
             smooths[feature] = SmoothFunction(kind, knots, values, slope, center)
         elif name == "interaction":
             names = _value_of(data, "pair").split()
             if len(names) != 2:
                 raise ValidationError(f"interaction pair needs two feature names, got {names}")
             interactions.append(
-                InteractionTerm(*map(_feature_index, names), _float_of(data, "gamma"))
+                InteractionTerm(*map(_feature_index, names), _finite_of(data, "gamma"))
             )
     if sorted(smooths) != list(range(len(FEATURE_NAMES))):
         raise ValidationError("artifact is missing smooth sections")
     return GamModel(
-        intercept=_float_of(head, "intercept"),
+        intercept=_finite_of(head, "intercept"),
         link=_link_of(head, "link"),
         smooths=tuple(smooths[j] for j in range(len(FEATURE_NAMES))),
         interactions=tuple(interactions),
-        rss=_float_of(head, "rss"),
+        rss=_finite_of(head, "rss"),
         smooth_config=SmoothConfig(
             knots=_int_of(head, "knots"),
-            penalty=_float_of(head, "penalty"),
+            penalty=_finite_of(head, "penalty"),
             force_linear=_bool_of(head, "force_linear"),
         ),
         encoding=encoding,
@@ -228,7 +236,7 @@ def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
             matrices=tuple(layers[i][0] for i in range(expected)),
             biases=tuple(layers[i][1] for i in range(expected)),
         ),
-        scaler=TargetScaler(lo=_float_of(head, "scaler_lo"), hi=_float_of(head, "scaler_hi")),
+        scaler=TargetScaler(lo=_finite_of(head, "scaler_lo"), hi=_finite_of(head, "scaler_hi")),
         train_loss=tuple(losses["train"]),
         val_loss=tuple(losses["val"]),
         stopped_epoch=_int_of(head, "stopped_epoch"),

@@ -79,7 +79,7 @@ def accuracy_band(
     ``predict`` maps an (n, 6) feature matrix to n predictions."""
     if not (0.0 <= trim_fraction < 0.5):
         raise ValidationError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
-    if floor < 0:
+    if not floor >= 0:
         raise ValidationError(f"floor must be >= 0, got {floor}")
     X, actual = encode_with_response(test, config)
     evaluable = (actual >= floor) & (actual != 0)
@@ -191,17 +191,12 @@ class AnnFamily(Family):
 
     def ladder(self, train: Dataset, config: EncodingConfig, steps):
         """Epoch checkpoints of one descent run on the whole given set; each
-        snapshot is passed on as the descent reaches it."""
-        epochs = [int(s) for s in (steps if steps is not None else DEFAULT_ANN_STEPS)]
-        if len(epochs) < 2 or any(b <= a for a, b in zip(epochs, epochs[1:])):
-            raise ValidationError("ANN scan steps must be strictly increasing epochs")
-        scaler, snapshots = ann_mod.train_trajectory(
-            train, config, self.topology, self.training, epochs
-        )
-        for epoch, weights in snapshots:
-            yield float(epoch), ann_mod.AnnModel(
-                self.topology, weights, scaler, (), (), epoch, config
-            )
+        model is passed on as the descent reaches it."""
+        epochs = steps if steps is not None else DEFAULT_ANN_STEPS
+        if len(epochs) < 2:
+            raise ValidationError("an ANN scan needs at least two epoch checkpoints")
+        models = ann_mod.train_trajectory(train, config, self.topology, self.training, epochs)
+        return ((float(model.stopped_epoch), model) for model in models)
 
 
 FAMILIES: dict[str, type[Family]] = {f.name: f for f in (GlmFamily, GamFamily, AnnFamily)}
@@ -410,7 +405,6 @@ class ComparisonReport:
 def compare(
     models: Sequence,
     test: Dataset,
-    config: EncodingConfig | None = None,
     *,
     train: Dataset | None = None,
     trim_fraction: float = DEFAULT_TRIM_FRACTION,
@@ -423,10 +417,8 @@ def compare(
     """
     if not models:
         raise ValidationError("compare needs at least one fitted model")
-    encodings = [m.encoding for m in models]
-    if config is None:
-        config = encodings[0]
-    if any(e != config for e in encodings):
+    config = models[0].encoding
+    if any(m.encoding != config for m in models):
         raise ValidationError("models were fit with different encoding configs")
     if train is not None:
         overlap = np.intersect1d(train.ids, test.ids)

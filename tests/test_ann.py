@@ -303,13 +303,12 @@ def test_train_trajectory_checkpoints_match_shorter_runs():
     long run must equal the final state of a run capped at e."""
     data = generate_synthetic(GeneratorParams(n=40, seed=3))
     cfg = TrainingConfig(max_epochs=10)  # max_epochs unused by trajectory
-    scaler_a, snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30, 60])
-    scaler_b, short = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30])
-    snaps, short = list(snaps), list(short)
-    assert scaler_a == scaler_b
-    assert snaps[0][0] == 30 and snaps[1][0] == 60
-    w_long = snaps[0][1]
-    w_short = short[0][1]
+    snaps = list(train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30, 60]))
+    short = list(train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30]))
+    assert snaps[0].scaler == short[0].scaler == snaps[1].scaler
+    assert snaps[0].stopped_epoch == 30 and snaps[1].stopped_epoch == 60
+    w_long = snaps[0].weights
+    w_short = short[0].weights
     assert all(np.array_equal(a, b)
                for a, b in zip(w_long.matrices, w_short.matrices))
 
@@ -434,10 +433,9 @@ def test_descend_equals_two_pass_loop(case):
 
     want = two_pass_descend(init_weights(topology, seed), X, targets, rate, 150,
                             checkpoints=[1, 40, 150])
-    _, snaps = train_trajectory(data, DEFAULT_ENCODING, topology, cfg, [1, 40, 150])
-    snaps = list(snaps)
-    assert [e for e, _ in snaps] == [1, 40, 150]
-    assert all(same_weights(w, want["snapshots"][e]) for e, w in snaps)
+    snaps = list(train_trajectory(data, DEFAULT_ENCODING, topology, cfg, [1, 40, 150]))
+    assert [m.stopped_epoch for m in snaps] == [1, 40, 150]
+    assert all(same_weights(m.weights, want["snapshots"][m.stopped_epoch]) for m in snaps)
 
 
 def test_one_gradient_pass_per_epoch(monkeypatch):
@@ -456,10 +454,10 @@ def test_one_gradient_pass_per_epoch(monkeypatch):
     assert epochs < 800 and len(calls) == epochs + 1
     calls.clear()
     data = generate_synthetic(GeneratorParams(n=40, seed=3))
-    _, snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, TrainingConfig(), [25, 60])
-    assert calls == []  # lazy: no descent before the first snapshot is asked for
-    assert next(snaps)[0] == 25 and len(calls) == 26
-    assert [e for e, _ in snaps] == [60] and len(calls) == 61
+    snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, TrainingConfig(), [25, 60])
+    assert calls == []  # lazy: no descent before the first model is asked for
+    assert next(snaps).stopped_epoch == 25 and len(calls) == 26
+    assert [m.stopped_epoch for m in snaps] == [60] and len(calls) == 61
 
 
 def test_kept_weights_stay_put_while_descent_goes_on():
@@ -467,11 +465,11 @@ def test_kept_weights_stay_put_while_descent_goes_on():
     must be a copy: a snapshot taken early is unchanged after later epochs,
     and ``train`` returns its best epoch, not the last one it ran."""
     data = generate_synthetic(GeneratorParams(n=60, seed=3))
-    _, snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY,
-                                TrainingConfig(learning_rate=0.3), [10, 200])
-    _, early = next(snaps)
+    snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY,
+                             TrainingConfig(learning_rate=0.3), [10, 200])
+    early = next(snaps).weights
     kept = early.copy()
-    [(_, late)] = list(snaps)
+    [late] = [m.weights for m in snaps]
     assert same_weights(early, kept) and not same_weights(early, late)
 
     cfg = dict(learning_rate=0.3, early_stop_patience=15, seed=3)

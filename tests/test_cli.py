@@ -322,6 +322,9 @@ def fitted_artifacts(tmp_path_factory):
     ("ann", "stopped_epoch", None),
     ("ann", "inputs", "5"),
     ("ann", "outputs", "2"),
+    ("gam", "intercept", "1e999"),
+    ("ann", "scaler_hi", "inf"),
+    ("ann", "bias", "nan"),
 ])
 def test_damaged_artifact_exits_3_with_one_error_line(
     tmp_path, fitted_artifacts, capsys, family, key, value

@@ -1,6 +1,7 @@
 """Evaluation harness: accuracy bands, overfit scans, learning curves,
 comparison reports."""
 
+import math
 import multiprocessing
 import os
 import time
@@ -125,6 +126,8 @@ def test_band_validation():
         accuracy_band(predict, test, trim_fraction=0.5)
     with pytest.raises(ValidationError):
         accuracy_band(predict, test, floor=-1.0)
+    with pytest.raises(ValidationError, match="floor must be"):
+        accuracy_band(predict, test, floor=math.nan)
     with pytest.raises(ValidationError):
         AccuracyBand(ratio_min=1.2, ratio_max=0.8, n_evaluated=1, n_excluded=0)
     with pytest.raises(ValidationError, match="expenditure"):
