@@ -1,12 +1,15 @@
 """Plain-text model artifacts.
 
 Every fitted model serializes to a sectioned key-value file that starts with
-``family = <model.family>`` and embeds the encoding configuration it was fit
-with, so prediction needs nothing beyond the artifact.  ``save_model`` and
-``load_model`` write and read that frame; each family's codec handles only
-its head keys, after ``family``, and its own sections.  Floats are written
-with ``repr`` and therefore reload bit-exactly: a reloaded model's batch
-predictions equal those of the model that was saved.
+``family = <model.family>`` and holds only what prediction and ``compare``
+need: the parameters, the encoding it was fit with, the settings ``compare``
+rebuilds its scan from (link, GAM smoothing, ANN hidden sizes) and one-line
+fit summaries (``rss``, ``iterations``, ``stopped_epoch``).  A loaded ANN has
+empty loss histories.  Keys and sections no codec asks for are skipped, so
+older artifacts, such as ANN ones with ``[loss_history]``, still load.
+``save_model`` and ``load_model`` write and read the frame; each family's
+codec handles its head keys and its own sections.  Floats are written with
+``repr`` and reload bit-exactly: a reloaded model predicts as the saved one.
 """
 
 from __future__ import annotations
@@ -140,6 +143,10 @@ def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
                 knots, values, slope = np.empty(0), np.empty(0), _finite_of(data, "slope")
             elif kind == "spline":
                 knots, values = _array_of(data, "knot_positions"), _array_of(data, "knot_values")
+                if knots.size < 2 or not np.all(np.diff(knots) > 0):
+                    raise ValidationError(
+                        f"[{name}]: key 'knot_positions': need 2 or more strictly increasing knots"
+                    )
                 if knots.size != values.size:
                     raise ValidationError(f"[{name}]: {knots.size} knots but {values.size} values")
                 slope = 0.0
@@ -175,41 +182,27 @@ def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
 
 
 def _ann_sections(model: AnnModel) -> tuple[Pairs, Sections]:
-    sizes = model.topology.layer_sizes()
     head: Pairs = [
-        ("inputs", str(sizes[0])),
         ("hidden", ",".join(str(h) for h in model.topology.hidden)),
-        ("outputs", str(sizes[-1])),
         ("scaler_lo", format_float(model.scaler.lo)),
         ("scaler_hi", format_float(model.scaler.hi)),
         ("stopped_epoch", str(model.stopped_epoch)),
     ]
     sections: Sections = []
     for index, (w, b) in enumerate(zip(model.weights.matrices, model.weights.biases)):
-        pairs: Pairs = [("rows", str(w.shape[0])), ("cols", str(w.shape[1]))]
-        pairs += [(f"row_{r}", _floats(w[r])) for r in range(w.shape[0])]
+        pairs: Pairs = [(f"row_{r}", _floats(w[r])) for r in range(w.shape[0])]
         pairs.append(("bias", _floats(b)))
         sections.append((f"layer {index}", pairs))
-    sections.append(
-        (
-            "loss_history",
-            [
-                ("train", _floats(model.train_loss)),
-                ("val", _floats(model.val_loss)),
-            ],
-        )
-    )
     return head, sections
 
 
 def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> AnnModel:
     topology = NetworkTopology(hidden=_hidden_of(head, "hidden"))
     sizes = topology.layer_sizes()
-    for key, width in (("inputs", sizes[0]), ("outputs", sizes[-1])):
-        if _int_of(head, key) != width:
-            raise ValidationError(f"key {key!r}: the network has {width}, got {head[key]!r}")
+    scaler = TargetScaler(lo=_finite_of(head, "scaler_lo"), hi=_finite_of(head, "scaler_hi"))
+    if scaler.lo > scaler.hi:
+        raise ValidationError(f"key 'scaler_lo': {head['scaler_lo']} exceeds scaler_hi")
     layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    losses: dict[str, np.ndarray] = {"train": np.empty(0), "val": np.empty(0)}
     for name, pairs in sections:
         data = dict(pairs)
         if name.startswith("layer "):
@@ -217,16 +210,13 @@ def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
             if not 0 <= index < len(sizes) - 1:
                 raise ValidationError(f"[{name}]: no such layer in topology {sizes}")
             rows, cols = sizes[index + 1], sizes[index]
-            if (_int_of(data, "rows"), _int_of(data, "cols")) != (rows, cols):
-                raise ValidationError(f"[{name}]: shape does not match topology {sizes}")
-            matrix = [_array_of(data, f"row_{r}") for r in range(rows)]
-            bias = _array_of(data, "bias")
-            if bias.shape != (rows,) or any(row.shape != (cols,) for row in matrix):
-                raise ValidationError(f"[{name}]: matrix shape mismatch")
-            layers[index] = (np.vstack(matrix), bias)
-        elif name == "loss_history":
-            losses["train"] = _array_of(data, "train")
-            losses["val"] = _array_of(data, "val")
+            keys = [*(f"row_{r}" for r in range(rows)), "bias"]
+            arrays = [_array_of(data, key) for key in keys]
+            for key, values, width in zip(keys, arrays, [cols] * rows + [rows]):
+                if values.size != width:
+                    got = f"expected {width} numbers, got {values.size}"
+                    raise ValidationError(f"[{name}]: key {key!r}: {got}")
+            layers[index] = (np.vstack(arrays[:-1]), arrays[-1])
     expected = len(sizes) - 1
     if sorted(layers) != list(range(expected)):
         raise ValidationError("artifact is missing layer sections")
@@ -236,9 +226,9 @@ def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
             matrices=tuple(layers[i][0] for i in range(expected)),
             biases=tuple(layers[i][1] for i in range(expected)),
         ),
-        scaler=TargetScaler(lo=_finite_of(head, "scaler_lo"), hi=_finite_of(head, "scaler_hi")),
-        train_loss=tuple(losses["train"]),
-        val_loss=tuple(losses["val"]),
+        scaler=scaler,
+        train_loss=(),
+        val_loss=(),
         stopped_epoch=_int_of(head, "stopped_epoch"),
         encoding=encoding,
     )

@@ -523,7 +523,27 @@ def test_artifact_round_trip(tmp_path):
                for a, b in zip(back.weights.matrices, model.weights.matrices))
     assert all(np.array_equal(a, b)
                for a, b in zip(back.weights.biases, model.weights.biases))
+    assert back.train_loss == back.val_loss == ()
     X = np.full((1, 6), 0.5)
     assert np.array_equal(predict_ann(back, X), predict_ann(model, X))
     with pytest.raises(ValidationError):
         predict_ann(back, np.zeros((1, 5)))
+    # the network alone: no loss histories and no shape keys that ``hidden`` fixes
+    text = path.read_text()
+    assert not [line for line in text.splitlines() if line == "[loss_history]"
+                or line.split(" = ")[0] in ("inputs", "outputs", "rows", "cols")]
+    # artifacts that still carry those lines, as older versions wrote them, load the same
+    sizes = model.topology.layer_sizes()
+    text = text.replace("\nhidden = ", f"\ninputs = {sizes[0]}\nhidden = ", 1)
+    text = text.replace("\nscaler_lo = ", f"\noutputs = {sizes[-1]}\nscaler_lo = ", 1)
+    for index, w in enumerate(model.weights.matrices):
+        text = text.replace(f"[layer {index}]\n",
+                            f"[layer {index}]\nrows = {w.shape[0]}\ncols = {w.shape[1]}\n", 1)
+    text += "[loss_history]\n" + "".join(
+        f"{key} = {' '.join(map(repr, losses))}\n"
+        for key, losses in (("train", model.train_loss), ("val", model.val_loss))
+    )
+    path.write_text(text)
+    old = load_model(path)
+    assert "[loss_history]" in path.read_text() and len(model.train_loss) > 0
+    assert np.array_equal(predict_ann(old, X), predict_ann(model, X))

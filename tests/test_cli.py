@@ -320,11 +320,15 @@ def fitted_artifacts(tmp_path_factory):
     ("gam", "rss", None),
     ("ann", "hidden", "8,x"),
     ("ann", "stopped_epoch", None),
-    ("ann", "inputs", "5"),
-    ("ann", "outputs", "2"),
+    ("ann", "row_0", "0.1 0.2 0.3 0.4 0.5"),  # the first layer takes six inputs
+    ("ann", "bias", "0 0 0 0 0 0 0 0 0"),  # and has eight hidden units
     ("gam", "intercept", "1e999"),
     ("ann", "scaler_hi", "inf"),
     ("ann", "bias", "nan"),
+    ("ann", "scaler_lo", "1e12"),  # above scaler_hi
+    # the fixture's first knots, in reverse order
+    ("gam", "knot_positions", "0.9838709677419355 0.7580645161290323 0.6193548387096776 "
+                              "0.5 0.20967741935483872 0.016129032258064516"),
 ])
 def test_damaged_artifact_exits_3_with_one_error_line(
     tmp_path, fitted_artifacts, capsys, family, key, value
