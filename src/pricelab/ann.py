@@ -7,20 +7,33 @@ stopping on an internal validation slice.  Everything is plain numpy; the
 forward pass, the gradients and the finite-difference checker are the point
 of the module, not wrappers around a framework.
 
-A descent run allocates its arrays once, in a ``_Workspace``: all weights
-live in one flat vector and all gradients in another, with per-layer views
-into both, so an update is ``grad *= lr; theta -= grad``.  Every matrix
-product and elementwise step of an epoch writes into a buffer of that
-workspace, and epochs allocate nothing.  ``train``'s validation loss,
-``predict_ann`` and ``gradient_check`` run the same ``_forward`` (prediction
-holds one layer's buffers at a time), and ``gradient_check`` the same
-``_gradients``.  Each step is the floating-point operation of the textbook
-array code (``a @ W.T + b``, ``delta.T @ a``, ``delta.sum(axis=0)``, the
-stable sigmoid), so results are bit for bit those of that code.
+A descent run builds its arrays and its numpy calls once, in a
+``_Workspace``: all weights live in one flat vector and all gradients in
+another, with per-layer views into both, so an update is
+``grad *= lr; theta -= grad``.  Each pass is a list of ``(function, args)``
+calls whose every matrix product and elementwise step writes into a buffer
+of that workspace, so epochs allocate nothing and make no views.  The
+forward pass and the sigmoid are each written once, as generators of calls
+(``_forward_calls``, ``_sigmoid_calls``) that the descent, ``predict_ann``
+(one layer's buffers at a time) and ``gradient_check`` all run.
+
+``train``'s validation rows ride the descent's forward pass, after the fit
+rows; the loss and the backward pass read the fit rows through row-slice
+views, and the best epoch is kept as one copy of the flat weights.  Each
+step is the floating-point operation of the textbook array code
+(``a @ W.T + b``, ``delta.T @ a``, ``delta.sum(axis=0)``, the stable
+sigmoid), so results are bit for bit those of that code run on the fit and
+the validation rows apart (``test_descend_equals_two_pass_loop`` checks
+it).  That rests on three facts of OpenBLAS 0.3.31 (Haswell kernels): a
+hidden layer's gemm gives each row of stacked blocks the bits it gets on
+its own block; the output layer's gemv does not, so it runs once per
+block; and a gemv or gemm on a contiguous row slice gives the bits of the
+same call on a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -52,9 +65,8 @@ _ONE = np.ones(())
 _ONE.flags.writeable = False
 
 
-def _sigmoid_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    """Overwrite ``z`` with the logistic function ``1 / (1 + exp(-z))``,
-    using ``scratch`` of its shape.
+def _sigmoid_calls(z: np.ndarray, scratch: np.ndarray) -> Iterator[tuple]:
+    """The calls that overwrite ``z`` with ``1 / (1 + exp(-z))``, using ``scratch``.
 
     With ``e = exp(-|z|)``, which never overflows, it is ``1 / (1 + e)`` for
     z >= 0 and ``e / (1 + e)`` below (NaN stays NaN).  Each branch is the
@@ -62,13 +74,22 @@ def _sigmoid_into(z: np.ndarray, scratch: np.ndarray) -> None:
     The numerator is ``max(e, sign(z))``: 0 <= e <= 1, and e = 1 at z = 0,
     so it is 1 where z >= 0 and e elsewhere, with no mask.
     """
-    np.sign(z, scratch)
-    np.abs(z, z)
-    np.negative(z, z)
-    np.exp(z, z)
-    np.maximum(z, scratch, out=scratch)
-    np.add(z, _ONE, z)
-    np.divide(scratch, z, z)
+    yield np.sign, (z, scratch)
+    yield np.abs, (z, z)
+    yield np.negative, (z, z)
+    yield np.exp, (z, z)
+    yield functools.partial(np.maximum, out=scratch), (z, scratch)  # positional out warns
+    yield np.add, (z, _ONE, z)
+    yield np.divide, (scratch, z, z)
+
+
+def _run(calls: Iterable[tuple]) -> None:
+    for function, args in calls:
+        function(*args)
+
+
+def _sigmoid_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    _run(_sigmoid_calls(z, scratch))
 
 
 @dataclass(frozen=True)
@@ -173,8 +194,13 @@ def init_weights(topology: NetworkTopology, seed: int) -> Weights:
     return Weights(matrices=tuple(matrices), biases=tuple(biases))
 
 
+def _flatten(weights: Weights) -> np.ndarray:
+    """Every matrix, then every bias, in one new flat vector."""
+    return np.concatenate([a.ravel() for a in weights.matrices + weights.biases])
+
+
 def _flat_views(flat: np.ndarray, sizes: Sequence[int]) -> Weights:
-    """Weights whose arrays are views into ``flat``: every matrix, then every bias."""
+    """Weights whose arrays are views into ``flat``, laid out as ``_flatten``'s."""
     shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
     ends = np.cumsum([r * c for r, c in shapes] + [r for r, _ in shapes])
     pieces = np.split(flat, ends[:-1])
@@ -190,92 +216,104 @@ def _layer_buffers(n: int, hidden: Sequence[int]) -> Iterator[tuple[np.ndarray, 
         yield np.empty((n, h)), np.empty((n, h))
 
 
-def _forward(
-    weights: Weights,
-    X: np.ndarray,
-    layers: Iterable[tuple[np.ndarray, np.ndarray]],
-    out: np.ndarray,
-) -> np.ndarray:
-    """Scaled outputs at the rows of X, written into ``out`` (n,).
+def _forward_calls(
+    weights: Weights, X: np.ndarray, layers: Iterable, out: np.ndarray, blocks=(slice(None),)
+) -> Iterator[tuple]:
+    """The calls that write the scaled outputs at the rows of X into ``out`` (n,).
 
     ``layers`` gives each hidden layer's buffers (``_layer_buffers``), and
     the activations are left in them for the backward pass.  Nothing else
-    is allocated; drawn lazily, ``layers`` holds one layer at a time.
+    is allocated; drawn lazily, ``layers`` holds one layer at a time.  The
+    output layer's gemv runs once per row block of ``blocks``.
     """
     a = X
     for w, b, (z, scratch) in zip(weights.matrices, weights.biases, layers):
-        np.dot(a, w.T, z)
+        yield np.dot, (a, w.T, z)
         # b tiled into every row: a broadcast add would allocate a buffer.
-        scratch[...] = b
-        np.add(z, scratch, z)
-        _sigmoid_into(z, scratch)
+        yield np.copyto, (scratch, b)
+        yield np.add, (z, scratch, z)
+        yield from _sigmoid_calls(z, scratch)
         a = z
-    np.dot(a, weights.matrices[-1][0], out)
-    np.add(out, weights.biases[-1].reshape(()), out)
+    for rows in blocks:
+        yield np.dot, (a[rows], weights.matrices[-1][0], out[rows])
+    yield np.add, (out, weights.biases[-1].reshape(()), out)
+
+
+def _forward(weights: Weights, X: np.ndarray, layers: Iterable, out: np.ndarray) -> np.ndarray:
+    _run(_forward_calls(weights, X, layers, out))
     return out
 
 
 class _Workspace:
-    """Every array one descent run writes, allocated once per run.
+    """Every array one descent run writes, and its passes' calls, built once per run.
 
     ``theta`` holds all weights and ``grad`` all gradients, flat and in the
     same order, so an update is two in-place calls.  ``weights`` and
     ``grads`` are per-layer views into them; ``weights`` is read-only.
+    The first ``len(targets)`` rows of X are the fit rows.  The rows after
+    them ride the forward pass, which leaves their outputs in ``held_out``;
+    the loss and the backward pass read only the fit rows.
     """
 
     def __init__(self, weights: Weights, X: np.ndarray, targets: np.ndarray):
-        n = X.shape[0]
+        n, n_fit = X.shape[0], targets.shape[0]
         sizes = (X.shape[1],) + tuple(m.shape[0] for m in weights.matrices)
-        self.theta = np.concatenate(
-            [m.ravel() for m in weights.matrices] + [b.ravel() for b in weights.biases]
-        )
+        self.theta = _flatten(weights)
         self.grad = np.empty_like(self.theta)
         frozen = self.theta.view()
         frozen.flags.writeable = False
         self.weights = _flat_views(frozen, sizes)
         self.grads = _flat_views(self.grad, sizes)
-        self.X, self.targets = X, targets
-        self.layers = list(_layer_buffers(n, sizes[1:-1]))
-        self.deltas = [np.empty_like(z) for z, _ in self.layers]
+        self.targets = targets
+        layers = list(_layer_buffers(n, sizes[1:-1]))
         self.out = np.empty(n)
-        self.loss_scale = np.array(2.0 / n)
+        self.residual, self.held_out = self.out[:n_fit], self.out[n_fit:]
+        blocks = [slice(0, n_fit), slice(n_fit, n)][: 1 + (n > n_fit)]
+        self.forward = list(_forward_calls(self.weights, X, layers, self.out, blocks))
+        fit_layers = [(a[:n_fit], scratch[:n_fit]) for a, scratch in layers]
+        self.backward = list(self._backward_calls(X[:n_fit], fit_layers))
+
+    def _backward_calls(self, X: np.ndarray, layers: list) -> Iterator[tuple]:
+        weights, grads, r = self.weights, self.grads, self.residual
+        column = r[:, None]
+        deltas = [np.empty_like(a) for a, _ in layers]
+        # d loss / d output = (2 / n) residual
+        yield np.multiply, (r, np.array(2.0 / r.shape[0]), r)
+        yield np.dot, (r, layers[-1][0], grads.matrices[-1][0])
+        yield np.add.reduce, (column, 0, None, grads.biases[-1])
+        # One output unit: the upstream gradient of the top hidden layer is
+        # the outer product of r and the output row, which np.dot forms
+        # without the buffers numpy would allocate for a broadcast product.
+        yield np.dot, (column, weights.matrices[-1], deltas[-1])
+        for layer in range(len(layers) - 1, -1, -1):
+            (a, one_minus_a), delta = layers[layer], deltas[layer]
+            if layer < len(layers) - 1:
+                yield np.dot, (deltas[layer + 1], weights.matrices[layer + 1], delta)
+            yield np.multiply, (delta, a, delta)
+            yield np.subtract, (_ONE, a, one_minus_a)
+            yield np.multiply, (delta, one_minus_a, delta)  # sigmoid'(z) = a (1 - a)
+            yield np.dot, (delta.T, layers[layer - 1][0] if layer else X, grads.matrices[layer])
+            # A row-by-row sum, as delta.sum(axis=0) on this (n, h) C array
+            # does; a pairwise or BLAS sum would change the last bits.
+            yield np.add.reduce, (delta, 0, None, grads.biases[layer])
 
 
 def _gradients(work: _Workspace) -> float:
-    """One forward and backward pass: the full-batch MSE at ``work.theta``,
-    with its gradient written into ``work.grad``."""
-    weights, grads, layers, deltas = work.weights, work.grads, work.layers, work.deltas
-    r = _forward(weights, work.X, layers, work.out)
+    """One forward and backward pass: the MSE of the fit rows at
+    ``work.theta``, with its gradient written into ``work.grad``."""
+    _run(work.forward)
+    r = work.residual
     np.subtract(r, work.targets, r)
     loss = float(r.dot(r)) / r.shape[0]
-    np.multiply(r, work.loss_scale, r)  # d loss / d output = (2 / n) residual
-    column = r[:, None]
-    np.dot(r, layers[-1][0], grads.matrices[-1][0])
-    np.add.reduce(column, 0, None, grads.biases[-1])
-    # One output unit: the upstream gradient of the top hidden layer is the
-    # outer product of r and the output row, which np.dot forms without the
-    # buffers numpy would allocate for a broadcast product.
-    np.dot(column, weights.matrices[-1], deltas[-1])
-    for layer in range(len(layers) - 1, -1, -1):
-        a, one_minus_a = layers[layer]
-        delta = deltas[layer]
-        if layer < len(layers) - 1:
-            np.dot(deltas[layer + 1], weights.matrices[layer + 1], delta)
-        np.multiply(delta, a, delta)
-        np.subtract(_ONE, a, one_minus_a)
-        np.multiply(delta, one_minus_a, delta)  # sigmoid'(z) = a (1 - a)
-        below = layers[layer - 1][0] if layer else work.X
-        np.dot(delta.T, below, grads.matrices[layer])
-        # A row-by-row sum, as delta.sum(axis=0) on this (n, h) C array does;
-        # a pairwise or BLAS sum would change the last bits.
-        np.add.reduce(delta, 0, None, grads.biases[layer])
+    _run(work.backward)
     return loss
 
 
 def _epochs(
     weights: Weights, X: np.ndarray, targets: np.ndarray, learning_rate: float
-) -> Iterator[tuple[int, float, Weights]]:
-    """Full-batch gradient descent, one ``(epoch, loss, weights)`` per epoch.
+) -> Iterator[tuple[int, float, _Workspace]]:
+    """Full-batch gradient descent on the first ``len(targets)`` rows of X,
+    one ``(epoch, loss, workspace)`` per epoch.
 
     Each epoch runs one forward and backward pass: it scores the updated
     weights, and that pass's gradient drives the next epoch's update (the
@@ -286,8 +324,8 @@ def _epochs(
     at its last checkpoint.
 
     The run allocates one ``_Workspace`` and nothing per epoch.  The yielded
-    weights are the same read-only views every epoch, overwritten by the
-    next update: a caller that keeps an epoch's weights copies them.
+    workspace is the same every epoch, overwritten by the next update: a
+    caller that keeps an epoch's weights or outputs copies them.
     """
     work = _Workspace(weights, X, targets)
     theta, grad, rate = work.theta, work.grad, np.array(learning_rate)
@@ -309,7 +347,7 @@ def _epochs(
                 )
         else:
             high_streak = 0
-        yield epoch, loss, work.weights
+        yield epoch, loss, work
 
 
 def train(
@@ -333,34 +371,36 @@ def train(
     scaler = TargetScaler.fit(y)
     targets = scaler.scale(y)
 
-    rng = np.random.default_rng(training.seed)
-    perm = rng.permutation(train_data.n)
     n_val = max(1, int(round(training.validation_fraction * train_data.n)))
-    val_idx, fit_idx = perm[:n_val], perm[n_val:]
-    X_val, val_targets = X[val_idx], targets[val_idx]
-    val_layers, vres = list(_layer_buffers(n_val, topology.hidden)), np.empty(n_val)
+    # The first n_val rows of the permutation are the validation rows.  They
+    # go after the fit rows, and ride the descent's forward pass.
+    order = np.roll(np.random.default_rng(training.seed).permutation(train_data.n), -n_val)
+    X, targets = X[order], targets[order]
+    fit_targets, val_targets = targets[:-n_val], targets[-n_val:]
 
     weights = init_weights(topology, training.seed)
     train_hist: list[float] = []
     val_hist: list[float] = []
-    best_val, best_epoch, best_weights, stale = math.inf, 0, weights, 0
-    descent = _epochs(weights, X[fit_idx], targets[fit_idx], training.learning_rate)
-    for epoch, loss, current in itertools.islice(descent, training.max_epochs):
+    best_val, best_epoch, best, stale = math.inf, 0, _flatten(weights), 0
+    descent = _epochs(weights, X, fit_targets, training.learning_rate)
+    for epoch, loss, work in itertools.islice(descent, training.max_epochs):
         train_hist.append(loss)
-        np.subtract(_forward(current, X_val, val_layers, vres), val_targets, vres)
+        vres = work.held_out
+        np.subtract(vres, val_targets, vres)
         vloss = float(vres.dot(vres)) / n_val
         if math.isnan(vloss):
             raise NumericError(f"validation loss became NaN at epoch {epoch}")
         val_hist.append(vloss)
         if vloss < best_val:
-            best_val, best_epoch, best_weights, stale = vloss, epoch, current.copy(), 0
+            np.copyto(best, work.theta)
+            best_val, best_epoch, stale = vloss, epoch, 0
         else:
             stale += 1
             if stale >= training.early_stop_patience:
                 break
     return AnnModel(
         topology=topology,
-        weights=best_weights,
+        weights=_flat_views(best, topology.layer_sizes()),
         scaler=scaler,
         train_loss=tuple(train_hist[:best_epoch]),
         val_loss=tuple(val_hist[:best_epoch]),
@@ -396,8 +436,8 @@ def train_trajectory(
     )
     wanted = set(checkpoints)
     return (
-        AnnModel(topology, weights.copy(), scaler, (), (), epoch, config)
-        for epoch, _, weights in itertools.islice(descent, checkpoints[-1])
+        AnnModel(topology, work.weights.copy(), scaler, (), (), epoch, config)
+        for epoch, _, work in itertools.islice(descent, checkpoints[-1])
         if epoch in wanted
     )
 
@@ -427,9 +467,9 @@ def gradient_check(
 
     def loss_at(k: int, value: float) -> float:
         work.theta[k] = value
-        out = _forward(work.weights, work.X, work.layers, work.out)
+        _run(work.forward)
         work.theta[k] = flat[k]
-        return float((out[0] - work.targets[0]) ** 2)
+        return float((work.out[0] - work.targets[0]) ** 2)
 
     worst = 0.0
     for k in range(flat.size):

@@ -148,7 +148,8 @@ def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
                         f"[{name}]: key 'knot_positions': need 2 or more strictly increasing knots"
                     )
                 if knots.size != values.size:
-                    raise ValidationError(f"[{name}]: {knots.size} knots but {values.size} values")
+                    got = f"expected {knots.size} numbers, got {values.size}"
+                    raise ValidationError(f"[{name}]: key 'knot_values': {got}")
                 slope = 0.0
             else:
                 raise ValidationError(f"[{name}]: unknown smooth kind {kind!r}")

@@ -19,6 +19,7 @@ import datetime
 import os
 import shlex
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import (
     ValidationError,
     read_text,
 )
-from .evaluation import FAMILIES, compare, render_markdown, report_csv
+from .evaluation import FAMILIES, compare, finite_predictions, render_markdown, report_csv
 
 _FIT_ERRORS = (ConvergenceError, DivergenceError, NumericError)
 # The commands that write a manifest, and so the only ones replay re-runs.
@@ -173,7 +174,8 @@ def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
     model = load_model(args.model)
     data = load_csv(args.input)
     X, actual = encode_dataset(data, model.encoding)
-    predictions = FAMILIES[model.family].predict(model, X).tolist()
+    predict = partial(FAMILIES[model.family].predict, model)
+    predictions = finite_predictions(predict, X, args.model).tolist()
     ids = data.ids.tolist()
     if actual is None:
         lines = ["id,predicted_expenditure"]

@@ -39,7 +39,7 @@ from .dataset import (
     encode_with_response,
     generate_synthetic,
 )
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .glm import LinkKind
 
 PATIENCE = 3
@@ -68,15 +68,31 @@ def format_band(band: AccuracyBand) -> str:
     return f"{round(band.ratio_min * 100)}%~{round(band.ratio_max * 100)}%"
 
 
+def finite_predictions(
+    predict: Callable[[np.ndarray], np.ndarray], X: np.ndarray, source: str
+) -> np.ndarray:
+    """``predict(X)``, computed with numpy's floating-point warnings off.
+    A prediction that is not finite raises NumericError naming ``source``."""
+    with np.errstate(all="ignore"):
+        predictions = predict(X)
+    bad = int(np.count_nonzero(~np.isfinite(predictions)))
+    if bad:
+        raise NumericError(f"{source}: {bad} of {predictions.size} predictions are not finite")
+    return predictions
+
+
 def accuracy_band(
     predict: Callable[[np.ndarray], np.ndarray],
     test: Dataset,
     config: EncodingConfig = DEFAULT_ENCODING,
     trim_fraction: float = DEFAULT_TRIM_FRACTION,
     floor: float = DEFAULT_RATIO_FLOOR,
+    *,
+    source: str = "model",
 ) -> AccuracyBand:
     """Trimmed band of per-record predicted/actual ratios on a test half;
-    ``predict`` maps an (n, 6) feature matrix to n predictions."""
+    ``predict`` maps an (n, 6) feature matrix to n predictions, which must
+    be finite (``source`` names the model in the error)."""
     if not (0.0 <= trim_fraction < 0.5):
         raise ValidationError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
     if not floor >= 0:
@@ -85,7 +101,7 @@ def accuracy_band(
     evaluable = (actual >= floor) & (actual != 0)
     if not evaluable.any():
         raise ValidationError("no evaluable records above the currency floor")
-    ratios = np.sort(predict(X[evaluable]) / actual[evaluable])
+    ratios = np.sort(finite_predictions(predict, X[evaluable], source) / actual[evaluable])
     drop = int(math.floor(ratios.size * trim_fraction))
     kept = ratios[drop : ratios.size - drop]
     if not kept.size:
@@ -428,9 +444,10 @@ def compare(
             )
 
     results = []
-    for model in models:
+    for position, model in enumerate(models, 1):
         family = FAMILIES[model.family].of(model)
-        band = accuracy_band(partial(family.predict, model), test, config, trim_fraction, floor)
+        band = accuracy_band(partial(family.predict, model), test, config, trim_fraction, floor,
+                             source=f"model {position} ({family.name})")
         overfit = None
         findings = ("none", "none")
         if train is not None:

@@ -280,6 +280,7 @@ def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel
     return replace(model, intercept=float(coef[0]), rss=float(r @ r), interactions=terms)
 
 
+@np.errstate(all="ignore")  # a sum of squares that overflows is refused below
 def interaction_scan(
     train: Dataset,
     base: GamModel,
@@ -307,6 +308,8 @@ def interaction_scan(
     components = _components(base, X)
     residual = z - _eta(base.intercept, components, base.interactions)
     base_rss = float(residual @ residual)
+    if not np.isfinite(base_rss):
+        raise NumericError("interaction scan: the base model's residuals overflow")
     mean_term = residual.size * float(np.mean(residual)) ** 2
 
     rng = np.random.default_rng(seed)
@@ -315,6 +318,9 @@ def interaction_scan(
         u = components[i] * components[j]
         u = u - np.mean(u)
         denom = float(u @ u)
+        # (u' r)^2 <= (u' u)(r' r), so this bounds every square the pair forms.
+        if not np.isfinite(denom * base_rss):
+            raise NumericError("interaction scan: a product of the base model's terms overflows")
         if denom < 1e-12:
             observed, p_value = 0.0, 1.0
         else:

@@ -407,6 +407,9 @@ DESCENT_CASES = {
     "1-one-unit": (60, 0.3, (1,), 1, True),
     "6-one-unit": (60, 0.3, (1,), 6, True),
     "640-rows": (640, 0.4, (8,), 1, False),
+    # 82 fit and 21 validation rows: neither block is a multiple of 4 rows
+    "103-rows": (103, 0.3, (8,), 1, True),
+    "640-rows-hidden1": (640, 0.4, (8, 4), 2, True),
 }
 
 

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import math
 import os
+import re
 import shlex
 import tempfile
 from pathlib import Path
@@ -329,6 +331,7 @@ def fitted_artifacts(tmp_path_factory):
     # the fixture's first knots, in reverse order
     ("gam", "knot_positions", "0.9838709677419355 0.7580645161290323 0.6193548387096776 "
                               "0.5 0.20967741935483872 0.016129032258064516"),
+    ("gam", "knot_values", "0 0 0 0 0"),  # five values for the six knots
 ])
 def test_damaged_artifact_exits_3_with_one_error_line(
     tmp_path, fitted_artifacts, capsys, family, key, value
@@ -349,6 +352,56 @@ def test_damaged_artifact_exits_3_with_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert repr(key) in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, section, key, value", [
+    ("ann", "[layer 1]", "bias", "1e308"),  # every price overflows to inf
+    ("gam", "[smooth age]", "knot_positions", "-1e300"),  # NaN on part of the rows
+])
+def test_predict_refuses_prices_that_are_not_finite(
+    tmp_path, fitted_artifacts, capsys, family, section, key, value
+):
+    """A finite but extreme first number of ``key`` in ``section`` loads,
+    yet gives prices that are not finite: predict exits 4 with one error
+    line naming the model file, and writes no predictions."""
+    lines = (fitted_artifacts / f"{family}.model").read_text().splitlines()
+    at = next(k for k in range(lines.index(section), len(lines))
+              if lines[k].startswith(f"{key} = "))
+    numbers = lines[at].split(" = ")[1].split()
+    lines[at] = f"{key} = " + " ".join([value] + numbers[1:])
+    damaged = tmp_path / "extreme.model"
+    damaged.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("predict", "--model", damaged, "--in", fitted_artifacts / "data.csv",
+               "-o", tmp_path / "p.csv") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {damaged}: ") and err.count("\n") == 1, err
+    assert "not finite" in err and not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [("intercept", "-1e300"), ("slope", "1e150")])
+def test_compare_refuses_a_gam_whose_interaction_scan_overflows(
+    tmp_path, fitted_artifacts, capsys, key, value
+):
+    """Extreme GAM terms whose prices stay finite can still overflow the
+    sums of squares of the interaction scan: compare exits 4 with one
+    error line."""
+    lines = (fitted_artifacts / "gam.model").read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[at] = f"{key} = {value}"
+    models = []
+    for name in ("a", "b"):
+        models += ["--model", tmp_path / f"{name}.model"]
+        (tmp_path / f"{name}.model").write_text("\n".join(lines) + "\n")
+        (tmp_path / f"{name}.model.test-index").write_bytes(
+            (fitted_artifacts / "gam.model.test-index").read_bytes())
+    capsys.readouterr()
+    assert run("compare", *models, "--in", fitted_artifacts / "data.csv",
+               "-o", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: interaction scan: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.filterwarnings("error")
@@ -519,13 +572,17 @@ READS = {
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """The bytes of a valid CSV, config, glm artifact and test index."""
-    d = tmp_path_factory.mktemp("valid")
-    (d / "run.cfg").write_text(VALID_CONFIG)
-    assert run("gen", "--n", 24, "--seed", 3, "-o", d / "data.csv") == 0
-    assert run("fit", "--family", "glm", "--in", d / "data.csv", "--config", d / "run.cfg",
-               "-o", d / "a.model") == 0
-    return {kind: (d / name).read_bytes() for kind, name in FILES.items()}
+    """Per family, the bytes of a valid CSV, config, artifact of that family
+    and test index.  The additive model's scan needs a larger CSV."""
+    inputs = {}
+    for family, rows in (("glm", 24), ("gam", 50), ("ann", 24)):
+        d = tmp_path_factory.mktemp(family)
+        (d / "run.cfg").write_text(VALID_CONFIG)
+        assert run("gen", "--n", rows, "--seed", 3, "-o", d / "data.csv") == 0
+        assert run("fit", "--family", family, "--in", d / "data.csv", "--config", d / "run.cfg",
+                   "-o", d / "a.model") == 0
+        inputs[family] = {kind: (d / name).read_bytes() for kind, name in FILES.items()}
+    return inputs
 
 
 def mangled(valid: bytes):
@@ -539,6 +596,17 @@ def mangled(valid: bytes):
         return out
 
     return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+# A number token: not part of a key such as ``row_0`` or of a longer number.
+NUMBER = re.compile(rb"(?<![\w.+-])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def extreme_number(valid: bytes):
+    """``valid`` with one number token set to a finite extreme."""
+    spans = [m.span() for m in NUMBER.finditer(valid)]
+    pick = st.tuples(st.sampled_from(spans), st.sampled_from([b"1e308", b"-1e300", b"5e-324"]))
+    return pick.map(lambda p: valid[:p[0][0]] + p[1] + valid[p[0][1]:])
 
 
 def argv_for(command: str, d: Path) -> list:
@@ -557,25 +625,32 @@ def argv_for(command: str, d: Path) -> list:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_damaged_input_exits_with_a_code_and_one_error_line(valid_inputs, command, data):
-    """Arbitrary bytes or a mangled copy of a valid file, as any input a
-    command reads: exit 0, 2, 3 or 4, and stderr holds at most one error
-    line (after argparse's usage line for exit 2), never a traceback."""
+    """Arbitrary bytes, a mangled copy of a valid file or one with a number
+    set to a finite extreme, as any input a command reads, with an artifact
+    of any family: exit 0, 2, 3 or 4, and stderr holds at most one error
+    line (after argparse's usage line for exit 2), never a traceback.  A
+    predict that exits 0 writes only finite prices."""
+    valid = valid_inputs[data.draw(st.sampled_from(sorted(valid_inputs)), label="family")]
     target = data.draw(st.sampled_from(READS[command]), label="damaged input")
     damaged = data.draw(
-        st.one_of(st.binary(max_size=400), mangled(valid_inputs[target])), label="bytes"
+        st.one_of(st.binary(max_size=400), mangled(valid[target]), extreme_number(valid[target])),
+        label="bytes",
     )
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for kind, name in FILES.items():
-            (d / name).write_bytes(damaged if kind == target else valid_inputs[kind])
-        (d / "b.model").write_bytes(valid_inputs["model"])
-        (d / "b.model.test-index").write_bytes(valid_inputs["index"])
+            (d / name).write_bytes(damaged if kind == target else valid[kind])
+        (d / "b.model").write_bytes(valid["model"])
+        (d / "b.model.test-index").write_bytes(valid["index"])
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = run(*argv_for(command, d))
             except SystemExit as exc:
                 code = exc.code
+        if code == 0 and command == "predict":
+            rows = (d / "out.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(row.split(",")[1])) for row in rows), rows
     lines = err.getvalue().splitlines()
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 0:
