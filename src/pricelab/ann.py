@@ -28,7 +28,12 @@ it).  That rests on three facts of OpenBLAS 0.3.31 (Haswell kernels): a
 hidden layer's gemm gives each row of stacked blocks the bits it gets on
 its own block; the output layer's gemv does not, so it runs once per
 block; and a gemv or gemm on a contiguous row slice gives the bits of the
-same call on a copy.
+same call on a copy.  Faster forms of the same calls keep the bits too
+(numpy 2.4): ``ndarray.dot`` for ``np.dot``; the bias tile ``ones @
+b[None, :]``; ``einsum('ij->j')`` for a hidden bias gradient when h >= 2 (a
+1-unit layer keeps ``add.reduce``, the one shape rule); and ``fmax`` in the
+sigmoid.  The gemm against a contiguous copy of W.T is faster but changes
+the last bits at some shapes, so the forward gemm keeps ``W.T``.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ MAX_EPOCHS = 1_000_000
 # operand in about a third of the time it takes a Python float.
 _ONE = np.ones(())
 _ONE.flags.writeable = False
+# np.dot's C function, minus the dispatch np.dot runs in Python first (~0.3 us).
+_DOT = np.ndarray.dot
 
 
 def _sigmoid_calls(z: np.ndarray, scratch: np.ndarray) -> Iterator[tuple]:
@@ -78,7 +85,9 @@ def _sigmoid_calls(z: np.ndarray, scratch: np.ndarray) -> Iterator[tuple]:
     yield np.abs, (z, z)
     yield np.negative, (z, z)
     yield np.exp, (z, z)
-    yield functools.partial(np.maximum, out=scratch), (z, scratch)  # positional out warns
+    # fmax is maximum here, since e and sign(z) are NaN together; unlike
+    # maximum, it takes a positional out without a DeprecationWarning.
+    yield np.fmax, (z, scratch, scratch)
     yield np.add, (z, _ONE, z)
     yield np.divide, (scratch, z, z)
 
@@ -226,16 +235,17 @@ def _forward_calls(
     is allocated; drawn lazily, ``layers`` holds one layer at a time.  The
     output layer's gemv runs once per row block of ``blocks``.
     """
-    a = X
+    a, ones = X, np.ones((X.shape[0], 1))
     for w, b, (z, scratch) in zip(weights.matrices, weights.biases, layers):
-        yield np.dot, (a, w.T, z)
-        # b tiled into every row: a broadcast add would allocate a buffer.
-        yield np.copyto, (scratch, b)
+        yield _DOT, (a, w.T, z)
+        # b tiled into every row, exactly (a -0.0 tiles as 0.0, which adds alike
+        # to a gemm's output), faster than np.copyto; a broadcast add allocates.
+        yield _DOT, (ones, b[None, :], scratch)
         yield np.add, (z, scratch, z)
         yield from _sigmoid_calls(z, scratch)
         a = z
     for rows in blocks:
-        yield np.dot, (a[rows], weights.matrices[-1][0], out[rows])
+        yield _DOT, (a[rows], weights.matrices[-1][0], out[rows])
     yield np.add, (out, weights.biases[-1].reshape(()), out)
 
 
@@ -279,23 +289,28 @@ class _Workspace:
         deltas = [np.empty_like(a) for a, _ in layers]
         # d loss / d output = (2 / n) residual
         yield np.multiply, (r, np.array(2.0 / r.shape[0]), r)
-        yield np.dot, (r, layers[-1][0], grads.matrices[-1][0])
+        yield _DOT, (r, layers[-1][0], grads.matrices[-1][0])
         yield np.add.reduce, (column, 0, None, grads.biases[-1])
         # One output unit: the upstream gradient of the top hidden layer is
         # the outer product of r and the output row, which np.dot forms
         # without the buffers numpy would allocate for a broadcast product.
-        yield np.dot, (column, weights.matrices[-1], deltas[-1])
+        yield _DOT, (column, weights.matrices[-1], deltas[-1])
         for layer in range(len(layers) - 1, -1, -1):
             (a, one_minus_a), delta = layers[layer], deltas[layer]
             if layer < len(layers) - 1:
-                yield np.dot, (deltas[layer + 1], weights.matrices[layer + 1], delta)
+                yield _DOT, (deltas[layer + 1], weights.matrices[layer + 1], delta)
             yield np.multiply, (delta, a, delta)
             yield np.subtract, (_ONE, a, one_minus_a)
             yield np.multiply, (delta, one_minus_a, delta)  # sigmoid'(z) = a (1 - a)
-            yield np.dot, (delta.T, layers[layer - 1][0] if layer else X, grads.matrices[layer])
+            yield _DOT, (delta.T, layers[layer - 1][0] if layer else X, grads.matrices[layer])
             # A row-by-row sum, as delta.sum(axis=0) on this (n, h) C array
-            # does; a pairwise or BLAS sum would change the last bits.
-            yield np.add.reduce, (delta, 0, None, grads.biases[layer])
+            # does; a pairwise or BLAS sum would change the last bits.  einsum
+            # sums row by row faster than add.reduce, but an (n, 1) delta
+            # takes its contiguous-array sum, which does not keep the bits.
+            if delta.shape[1] > 1:
+                yield functools.partial(np.einsum, "ij->j", out=grads.biases[layer]), (delta,)
+            else:
+                yield np.add.reduce, (delta, 0, None, grads.biases[layer])
 
 
 def _gradients(work: _Workspace) -> float:

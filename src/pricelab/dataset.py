@@ -292,8 +292,9 @@ def encode_dataset(
     severity = np.array([config.claim_severity[claim] for claim in CLAIMS])
     X = np.empty((dataset.n, N_FEATURES))
     X[:, 0] = dataset.male
-    X[:, 1] = np.clip((dataset.age - age_lo) / (age_hi - age_lo), 0.0, 1.0)
-    X[:, 2] = np.clip((dataset.income - inc_lo) / (inc_hi - inc_lo), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a range narrow enough to overflow clips to 1.0
+        X[:, 1] = np.clip((dataset.age - age_lo) / (age_hi - age_lo), 0.0, 1.0)
+        X[:, 2] = np.clip((dataset.income - inc_lo) / (inc_hi - inc_lo), 0.0, 1.0)
     X[:, 3] = dataset.smoker
     X[:, 4] = dataset.claim != 0
     X[:, 5] = severity[dataset.claim]

@@ -87,6 +87,64 @@ def test_sigmoid_equals_two_branch_formula_bit_for_bit():
     assert sigmoid(0.0) == 0.5
 
 
+def bits(x):
+    """The raw bits of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+# The descent's call forms rest on these numpy and OpenBLAS facts; if an
+# upgrade breaks one, its test names it.
+
+
+def test_einsum_column_sum_equals_add_reduce_for_two_or_more_columns():
+    """``einsum('ij->j')`` sums an (n, h) C array row by row, as
+    ``add.reduce`` over axis 0 does, when h >= 2.  (An (n, 1) array takes
+    einsum's contiguous sum, so 1-unit layers keep ``add.reduce``; the
+    one-unit descent cases fail if they do not.)"""
+    rng = np.random.default_rng(0)
+    for n in (1, 103, 640, 800):
+        for h in (2, 3, 8, 64):
+            delta = rng.normal(size=(n, h)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 1))
+            want, got = np.empty(h), np.empty(h)
+            np.add.reduce(delta, 0, None, want)
+            np.einsum("ij->j", delta, out=got)
+            assert np.array_equal(bits(got), bits(want)), (n, h)
+
+
+def test_rank_one_bias_tile_equals_the_broadcast_bias():
+    """The bias tile ``ones @ b[None, :]`` holds b in every row, and adding
+    it gives the bits of ``a @ W.T + b``, at the sizes of a gradient check,
+    a fit and a 20000-row book.  A -0.0 bias entry tiles as 0.0, which adds
+    alike, since the gemm gives 0.0, not -0.0, on a row of zeros."""
+    rng = np.random.default_rng(1)
+    for n in (1, 640, 20000):
+        for h in (1, 8):
+            a, w = rng.normal(size=(n, 6)), rng.normal(size=(h, 6))
+            a[0] = 0.0
+            b = rng.normal(size=h)
+            b[0] = -0.0
+            tile, z = np.empty((n, h)), np.empty((n, h))
+            np.dot(np.ones((n, 1)), b[None, :], tile)
+            assert np.array_equal(tile, np.broadcast_to(b, (n, h))), (n, h)
+            np.dot(a, w.T, z)
+            np.add(z, tile, z)
+            assert np.array_equal(bits(z), bits(a @ w.T + b)), (n, h)
+
+
+def test_fmax_equals_maximum_on_the_sigmoid_numerators_operands():
+    """The sigmoid's numerator is max(exp(-|z|), sign(z)); the two operands
+    are NaN together, so ``fmax`` (which skips a lone NaN) gives what
+    ``maximum`` (which propagates it) gives: the same bits at signed zeros
+    and infinities, and NaN at NaN (its sign bit aside)."""
+    edges = [0.0, 1e-300, 1.0, 745.0, 800.0, np.inf]
+    z = np.array(edges + [-v for v in edges] + [np.nan, -np.nan])
+    e, sign = np.exp(-np.abs(z)), np.sign(z)
+    nan = np.isnan(z)
+    assert np.array_equal(np.isnan(e), nan) and np.array_equal(np.isnan(sign), nan)
+    got, want = np.fmax(e, sign), np.maximum(e, sign)
+    assert np.array_equal(bits(got[~nan]), bits(want[~nan])) and np.isnan(got[nan]).all()
+
+
 def forward(weights, X):
     """Scaled outputs and hidden activations of one ``ann._forward`` pass."""
     n = X.shape[0]
@@ -410,6 +468,8 @@ DESCENT_CASES = {
     # 82 fit and 21 validation rows: neither block is a multiple of 4 rows
     "103-rows": (103, 0.3, (8,), 1, True),
     "640-rows-hidden1": (640, 0.4, (8, 4), 2, True),
+    # 800 fit and 200 validation rows, as `fit` on a 2000-row CSV trains
+    "1000-rows": (1000, 0.4, (8,), 3, False),
 }
 
 

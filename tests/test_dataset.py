@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,6 +165,16 @@ def test_encode_clamps_out_of_range():
     x = encode_dataset(FIXTURE, narrow)[0][3]  # age 24 below range, income 45000 above
     assert x[1] == 0.0
     assert x[2] == 1.0
+
+
+def test_encode_a_range_narrow_enough_to_overflow_clips_without_a_warning():
+    """(income - lo) / 5e-324 overflows to inf, which the clip takes to 1.0;
+    the overflow is expected, so it warns nothing."""
+    tiny = EncodingConfig(income_range=(0.0, 5e-324))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, _ = encode_dataset(FIXTURE, tiny)
+    assert X[:, 2].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]  # the first income equals lo
 
 
 @given(rows_strategy())
