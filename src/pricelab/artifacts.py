@@ -35,7 +35,7 @@ from .config import (
     read_sections,
 )
 from .dataset import FEATURE_NAMES, EncodingConfig
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .gam import GamModel, InteractionTerm, SmoothConfig, SmoothFunction
 from .glm import GlmModel
 
@@ -238,6 +238,9 @@ def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
 # -- public API ---------------------------------------------------------------
 
 
+# What ``format_float`` writes for a float that ``load_model`` would refuse.
+_NOT_FINITE = {"inf", "-inf", "nan"}
+
 _CODECS = {
     "glm": (_glm_sections, _glm_from_sections),
     "gam": (_gam_sections, _gam_from_sections),
@@ -252,6 +255,12 @@ def save_model(model, path: str | Path) -> None:
     head, sections = codec[0](model)
     frame = [("", [("family", model.family), *head]),
              ("encoding", encoding_to_pairs(model.encoding)), *sections]
+    for name, pairs in frame:
+        for key, value in pairs:
+            if _NOT_FINITE.intersection(value.split()):
+                where = f"[{name}]: " if name else ""
+                raise NumericError(f"{path}: {where}key {key!r}: the fit is not finite; "
+                                   "nothing written")
     Path(path).write_text(dump_sections(frame), encoding="utf-8")
 
 

@@ -296,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("arguments must not contain line breaks")
     args = parser.parse_args(argv)
     try:
-        return args.func(args, argv)
+        with np.errstate(all="ignore"):  # a non-finite result is refused, not warned of
+            return args.func(args, argv)
     except _FIT_ERRORS as exc:
         code, message = 4, str(exc)
     except PricelabError as exc:

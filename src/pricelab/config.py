@@ -141,17 +141,15 @@ _GENERATOR_FIELDS = {
 }
 
 
-_SEVERITY_KEYS = {
-    "severity_none": PriorClaim.NONE,
-    "severity_diabetes": PriorClaim.DIABETES,
-    "severity_copd": PriorClaim.COPD,
-    "severity_lung_cancer": PriorClaim.LUNG_CANCER,
-    "severity_other": PriorClaim.OTHER,
+# config key -> (EncodingConfig range field, endpoint index), age_min first
+_RANGE_KEYS = {
+    f"{name}_{end}": (f"{name}_range", index)
+    for name in ("age", "income")
+    for index, end in enumerate(("min", "max"))
 }
+_SEVERITY_KEYS = {f"severity_{claim.value}": claim for claim in PriorClaim}
 
-ENCODING_KEYS = frozenset(
-    {"age_min", "age_max", "income_min", "income_max", *_SEVERITY_KEYS}
-)
+ENCODING_KEYS = frozenset({*_RANGE_KEYS, *_SEVERITY_KEYS})
 GENERATOR_KEYS = frozenset(_GENERATOR_FIELDS)
 MODEL_KEYS = frozenset({"link", "hidden", *_SMOOTH_FIELDS, *_TRAINING_FIELDS})
 BAND_KEYS = frozenset(_BAND_FIELDS)
@@ -159,20 +157,16 @@ KNOWN_KEYS = ENCODING_KEYS | GENERATOR_KEYS | MODEL_KEYS | BAND_KEYS
 
 
 def encoding_from_mapping(mapping: dict[str, str]) -> EncodingConfig:
-    base = DEFAULT_ENCODING
-    age = (
-        _float_of(mapping, "age_min") if "age_min" in mapping else base.age_range[0],
-        _float_of(mapping, "age_max") if "age_max" in mapping else base.age_range[1],
-    )
-    income = (
-        _float_of(mapping, "income_min") if "income_min" in mapping else base.income_range[0],
-        _float_of(mapping, "income_max") if "income_max" in mapping else base.income_range[1],
-    )
-    severity = dict(base.claim_severity)
+    ranges = {name: list(getattr(DEFAULT_ENCODING, name)) for name, _ in _RANGE_KEYS.values()}
+    for key, (name, index) in _RANGE_KEYS.items():
+        if key in mapping:
+            ranges[name][index] = _float_of(mapping, key)
+    severity = dict(DEFAULT_ENCODING.claim_severity)
     for key, claim in _SEVERITY_KEYS.items():
         if key in mapping:
             severity[claim] = _float_of(mapping, key)
-    return EncodingConfig(age_range=age, income_range=income, claim_severity=severity)
+    return EncodingConfig(**{name: tuple(ends) for name, ends in ranges.items()},
+                          claim_severity=severity)
 
 
 def generator_from_mapping(mapping: dict[str, str]) -> GeneratorParams:
@@ -195,12 +189,7 @@ def band_from_mapping(mapping: dict[str, str]) -> dict[str, float]:
 
 
 def encoding_to_pairs(config: EncodingConfig) -> Pairs:
-    pairs: Pairs = [
-        ("age_min", format_float(config.age_range[0])),
-        ("age_max", format_float(config.age_range[1])),
-        ("income_min", format_float(config.income_range[0])),
-        ("income_max", format_float(config.income_range[1])),
-    ]
-    for key, claim in _SEVERITY_KEYS.items():
-        pairs.append((key, format_float(config.claim_severity[claim])))
-    return pairs
+    pairs = [(key, format_float(getattr(config, name)[index]))
+             for key, (name, index) in _RANGE_KEYS.items()]
+    return pairs + [(key, format_float(config.claim_severity[claim]))
+                    for key, claim in _SEVERITY_KEYS.items()]

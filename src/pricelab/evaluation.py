@@ -239,6 +239,8 @@ def _relative_rmse(predictions: np.ndarray, actual: np.ndarray) -> float:
     denom = float(np.mean(actual))
     if denom <= 0:
         raise ValidationError("relative error undefined: mean actual is not positive")
+    if not math.isfinite(rmse):
+        raise NumericError("overfitting scan: a prediction error is not finite")
     return rmse / denom
 
 

@@ -352,13 +352,10 @@ def collinearity_report(
     variances = X.var(axis=0)
     degenerate = tuple(int(j) for j in np.nonzero(variances < 1e-12)[0])
 
-    corr = np.eye(N_FEATURES)
-    for i, j in itertools.combinations(range(N_FEATURES), 2):
-        if i in degenerate or j in degenerate:
-            value = 0.0
-        else:
-            value = float(np.corrcoef(X[:, i], X[:, j])[0, 1])
-        corr[i, j] = corr[j, i] = value
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate entries are zeroed
+        corr = np.corrcoef(X, rowvar=False)
+    corr[degenerate, :] = corr[:, degenerate] = 0.0
+    np.fill_diagonal(corr, 1.0)
 
     flagged = tuple(
         (i, j, float(corr[i, j]))

@@ -1,9 +1,11 @@
 """Linear pricing baseline: g(y) = b0 + b1 x1 + ... + b6 x6.
 
-Identity link solves the normal equations directly.  The log link runs
-iteratively reweighted least squares for the nonlinear least-squares problem
-min sum (y - exp(eta))^2: working response z = eta + (y - mu)/mu and working
-weights mu^2 (constant response variance, i.e. quasi-Gaussian).
+Both links fit by one LAPACK least-squares call per step, minimum-norm on a
+rank-deficient design.  The identity link makes that call once.  The log link
+runs iteratively reweighted least squares for the nonlinear least-squares
+problem min sum (y - exp(eta))^2: working response z = eta + (y - mu)/mu and
+working weights mu^2 (constant response variance, i.e. quasi-Gaussian).  A
+system that is not finite raises NumericError before it reaches LAPACK.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .dataset import (
     encode_with_response,
     feature_matrix,
 )
-from .errors import ConvergenceError, SingularityError, ValidationError
+from .errors import ConvergenceError, NumericError, SingularityError, ValidationError
 
-RIDGE_EPS = 1e-8
 _IRLS_TOL = 1e-8
 _IRLS_MAX_ITER = 100
 
@@ -51,22 +52,33 @@ class GlmModel:
             raise ValidationError("GLM coefficients must be finite")
 
 
-def _solve_normal(design: np.ndarray, target: np.ndarray,
-                  weights: np.ndarray | None = None) -> np.ndarray:
-    """Solve the (optionally weighted) normal equations.
+def _least_squares(design: np.ndarray, target: np.ndarray,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+    """Minimum-norm solution of the (optionally weighted) least-squares
+    problem; a system that is not finite is refused before LAPACK sees it."""
+    if weights is not None:
+        root = np.sqrt(weights)
+        design, target = design * root[:, None], target * root
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
+        raise NumericError("GLM fit: the least-squares system is not finite")
+    return np.linalg.lstsq(design, target, rcond=None)[0]
 
-    A rank-deficient design gets a ridge of RIDGE_EPS on the diagonal.
-    """
-    a = design if weights is None else design * np.sqrt(weights)[:, None]
-    b = target if weights is None else target * np.sqrt(weights)
-    singular_values = np.linalg.svd(a, compute_uv=False)
-    cutoff = singular_values[0] * max(a.shape) * np.finfo(float).eps
-    rank = int(np.sum(singular_values > cutoff))
-    gram = a.T @ a
-    rhs = a.T @ b
-    if rank == design.shape[1]:
-        return np.linalg.solve(gram, rhs)
-    return np.linalg.solve(gram + RIDGE_EPS * np.eye(design.shape[1]), rhs)
+
+def _gauss_newton(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Log link: IRLS on sum (y - exp(eta))^2; (beta, iterations, fitted)."""
+    beta = _least_squares(design, np.log(np.clip(y, 1.0, None)))
+    for iteration in range(1, _IRLS_MAX_ITER + 1):
+        eta = np.clip(design @ beta, -30.0, 30.0)
+        mu = np.exp(eta)
+        new_beta = _least_squares(design, eta + (y - mu) / mu, weights=mu**2)
+        change = np.max(np.abs(new_beta - beta)) / max(1.0, np.max(np.abs(new_beta)))
+        beta = new_beta
+        if change < _IRLS_TOL:
+            return beta, iteration, np.exp(np.clip(design @ beta, -30.0, 30.0))
+    raise ConvergenceError(
+        f"IRLS did not converge in {_IRLS_MAX_ITER} iterations; "
+        f"last coefficients: {beta.tolist()}"
+    )
 
 
 def fit_glm(
@@ -82,44 +94,14 @@ def fit_glm(
             f"underdetermined fit: {n} rows for {p} parameters (need more rows than parameters)"
         )
     design = np.hstack([np.ones((n, 1)), X])
-
     if link is LinkKind.IDENTITY:
-        beta = _solve_normal(design, y)
-        residuals = y - design @ beta
-        return GlmModel(
-            intercept=float(beta[0]),
-            coef=beta[1:].copy(),
-            link=link,
-            rss=float(residuals @ residuals),
-            iterations=1,
-            encoding=config,
-        )
-
-    # Log link: Gauss-Newton on sum (y - exp(eta))^2.
-    beta = _solve_normal(design, np.log(np.clip(y, 1.0, None)))
-    for iteration in range(1, _IRLS_MAX_ITER + 1):
-        eta = np.clip(design @ beta, -30.0, 30.0)
-        mu = np.exp(eta)
-        z = eta + (y - mu) / mu
-        weights = mu**2
-        new_beta = _solve_normal(design, z, weights=weights)
-        change = np.max(np.abs(new_beta - beta)) / max(1.0, np.max(np.abs(new_beta)))
-        beta = new_beta
-        if change < _IRLS_TOL:
-            mu = np.exp(np.clip(design @ beta, -30.0, 30.0))
-            residuals = y - mu
-            return GlmModel(
-                intercept=float(beta[0]),
-                coef=beta[1:].copy(),
-                link=link,
-                rss=float(residuals @ residuals),
-                iterations=iteration,
-                encoding=config,
-            )
-    raise ConvergenceError(
-        f"IRLS did not converge in {_IRLS_MAX_ITER} iterations; "
-        f"last coefficients: {beta.tolist()}"
-    )
+        beta = _least_squares(design, y)
+        iterations, fitted = 1, design @ beta
+    else:
+        beta, iterations, fitted = _gauss_newton(design, y)
+    residuals = y - fitted
+    return GlmModel(intercept=float(beta[0]), coef=beta[1:].copy(), link=link,
+                    rss=float(residuals @ residuals), iterations=iterations, encoding=config)
 
 
 def predict_glm(model: GlmModel, X: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pricelab
 from pricelab.ann import MAX_EPOCHS, MAX_HIDDEN, AnnModel, NetworkTopology, TrainingConfig
 from pricelab.artifacts import load_model
 from pricelab.cli import main, replay_manifest
@@ -453,6 +456,83 @@ def test_an_argument_with_a_line_break_is_a_usage_error(tmp_path, capsys, brk):
     assert exc.value.code == 2
     assert "line break" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def extreme_portfolios(tmp_path_factory):
+    """The README portfolio (``gen --n 200 --seed 7``), and copies of it with
+    every 7th expenditure set to 1e200, 1e300 and 1e308."""
+    d = tmp_path_factory.mktemp("extreme")
+    assert run("gen", "--n", 200, "--seed", 7, "-o", d / "portfolio.csv") == 0
+    lines = (d / "portfolio.csv").read_text().splitlines()
+    for value in ("1e200", "1e300", "1e308"):
+        copy = [
+            line.rsplit(",", 1)[0] + "," + value if k % 7 == 0 else line
+            for k, line in enumerate(lines[1:], start=1)
+        ]
+        (d / f"{value}.csv").write_text("\n".join([lines[0], *copy]) + "\n")
+    (d / "log.cfg").write_text("link = log\n")
+    return d
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, value, config, message", [
+    ("glm", "1e200", None, "key 'rss': the fit is not finite"),
+    ("gam", "1e308", None, "the fit is not finite"),
+    ("glm", "1e300", "log.cfg", "GLM fit: the least-squares system is not finite"),
+])
+def test_fit_that_is_not_finite_exits_4_and_writes_nothing(
+    tmp_path, extreme_portfolios, capsys, family, value, config, message
+):
+    """A fit whose numbers overflow ends in one error line and exit 4; no
+    artifact that ``load_model`` would refuse, test index or manifest is
+    written."""
+    d = extreme_portfolios
+    options = ["--config", d / config] if config else []
+    capsys.readouterr()
+    assert run("fit", "--family", family, "--in", d / f"{value}.csv", "--seed", 1, *options,
+               "-o", tmp_path / "m.model") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def overflow_inputs(extreme_portfolios):
+    """``extreme_portfolios`` with a GLM and an ANN artifact fitted on the
+    README portfolio, and a generator config whose noise overflows."""
+    d = extreme_portfolios
+    (d / "overflow.cfg").write_text("noise_outlier_rate = 1\nnoise_outlier_factor = 1e308\n")
+    (d / "ann.cfg").write_text("max_epochs = 50\n")
+    for family, config in (("glm", []), ("ann", ["--config", d / "ann.cfg"])):
+        assert run("fit", "--family", family, "--in", d / "portfolio.csv", "--seed", 1,
+                   *config, "-o", d / f"{family}.model") == 0
+    return d
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fit", "--family", "glm", "--in", "1e200.csv", "-o", "out.model"], 4),
+    (["fit", "--family", "glm", "--in", "1e308.csv", "-o", "out.model"], 4),
+    (["fit", "--family", "gam", "--in", "1e308.csv", "-o", "out.model"], 4),
+    (["compare", "--model", "glm.model", "--model", "ann.model", "--in", "1e200.csv",
+      "--seed", "1", "-o", "report"], 4),
+    # every noise draw overflows, to -inf here, so each expenditure is 0
+    (["gen", "--n", "3", "--seed", "1", "--config", "overflow.cfg", "-o", "out.csv"], 0),
+])
+def test_numeric_overflow_prints_no_warning(overflow_inputs, argv, code):
+    """In a process of its own, where no test harness captures warnings, an
+    overflow leaves stderr empty on exit 0 and holds one error line on exit 4."""
+    package_root = str(Path(pricelab.__file__).resolve().parent.parent)
+    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    done = subprocess.run(
+        [sys.executable, "-m", "pricelab", *argv], cwd=overflow_inputs, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert done.returncode == code, done.stderr
+    expected = 0 if code == 0 else 1
+    assert len(done.stderr.splitlines()) == expected, done.stderr
+    assert done.stderr.startswith("error: ") or code == 0, done.stderr
 
 
 @pytest.mark.parametrize("portfolio", [8, 18, 19, 26, 47])

@@ -296,6 +296,31 @@ def test_collinearity_degenerate_feature():
     assert report.correlation[3] == approx(np.zeros(6) + np.eye(6)[3])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, seed, rho, constant", [
+    (40, 0, 0.3, None), (100, 7, 0.5, None), (200, 13, 0.9, None), (800, 59, 0.3, None),
+    (60, 4, 0.5, "smoker"),  # a constant column, zeroed without a warning
+])
+def test_collinearity_matrix_matches_per_pair_corrcoef(n, seed, rho, constant):
+    """Every entry equals the per-pair ``np.corrcoef`` of the two features
+    (0 for a degenerate feature, 1 on the diagonal), up to float noise."""
+    data = generate_synthetic(GeneratorParams(n=n, seed=seed, collinearity_rho=rho))
+    if constant:
+        data = replace(data, **{constant: np.zeros(n, dtype=bool)})
+    report = collinearity_report(data)
+    X, _ = encode_dataset(data)
+    for i in range(6):
+        for j in range(6):
+            if i == j:
+                expected = 1.0
+            elif i in report.degenerate or j in report.degenerate:
+                expected = 0.0
+            else:
+                expected = np.corrcoef(X[:, i], X[:, j])[0, 1]
+            assert report.correlation[i, j] == approx(expected, abs=1e-13), (i, j)
+    assert report.degenerate == tuple(np.flatnonzero(X.var(axis=0) < 1e-12))
+
+
 # ------------------------------------------------------------- persistence
 
 

@@ -16,7 +16,7 @@ from pricelab.dataset import (
     encode_dataset,
     generate_synthetic,
 )
-from pricelab.errors import SingularityError, ValidationError
+from pricelab.errors import NumericError, SingularityError, ValidationError
 from pricelab.glm import GlmModel, LinkKind, fit_glm, predict_glm
 
 TRUE_COEF = np.array([500.0, 4000.0, -1000.0, 1500.0, 2000.0, 6000.0])
@@ -104,6 +104,31 @@ def test_ridge_fallback_keeps_fitting():
     model = fit_glm(constant_column_records())
     assert math.isfinite(model.intercept)
     assert np.all(np.isfinite(model.coef))
+
+
+def test_rank_deficient_design_gets_the_minimum_norm_solution():
+    """Three zero columns: of all least-squares solutions the fit is the
+    one of least norm, the pseudo-inverse's, so those coefficients are 0."""
+    data = constant_column_records()
+    model = fit_glm(data)
+    X, y = encode_dataset(data)
+    design = np.hstack([np.ones((data.n, 1)), X])
+    beta = np.linalg.pinv(design) @ y
+    assert model.intercept == approx(beta[0], rel=1e-9)
+    assert model.coef == approx(beta[1:], rel=1e-9, abs=1e-9)
+    assert model.coef[3:] == approx(np.zeros(3), abs=1e-9)
+
+
+def test_a_system_that_is_not_finite_is_refused_before_lapack(capfd):
+    """Every 7th expenditure of the README portfolio at 1e300 overflows the
+    log link's working response: NumericError, and LAPACK, which would
+    print to the process's stderr, never sees the system."""
+    data = generate_synthetic(GeneratorParams(n=200, seed=7))
+    y = data.expenditure.copy()
+    y[6::7] = 1e300
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+        fit_glm(replace(data, expenditure=y), link=LinkKind.LOG)
+    assert capfd.readouterr().err == ""
 
 
 def test_log_link_recovers_multiplicative_structure():
