@@ -19,6 +19,7 @@ threshold is found.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -120,6 +121,8 @@ def accuracy_band(
 class Family:
     """Fits one kind of model, predicts with it in batches, walks its capacity ladder."""
 
+    ladder_rows = 1  # the fewest rows a ladder step fits on
+
     def findings(self, model, train: Dataset, config: EncodingConfig, seed: int):
         """(interaction, collinearity) findings for the comparison report."""
         return "none", "none"
@@ -153,6 +156,7 @@ class GamFamily(Family):
     smooth: gam_mod.SmoothConfig = field(default_factory=gam_mod.SmoothConfig)
     name = "gam"  # class constants, not fields
     assumption = "normal"
+    ladder_rows = gam_mod.MIN_TRAIN_ROWS
 
     def fit(self, train: Dataset, config: EncodingConfig):
         return gam_mod.fit_gam(train, config, self.link, self.smooth)
@@ -260,13 +264,17 @@ def _detect_threshold(train_err: Sequence[float], val_err: Sequence[float]) -> i
     return None
 
 
+def _scan_val_rows(n: int) -> int:
+    return max(1, int(round(n * 0.2)))
+
+
 def _split_for_scan(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     if train.n < 10:
         raise ValidationError("overfit_scan needs at least 10 rows")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(train.n)
-    n_val = max(1, int(round(train.n * 0.2)))
+    n_val = _scan_val_rows(train.n)
     return train.take(perm[n_val:]), train.take(perm[:n_val])
 
 
@@ -286,6 +294,13 @@ def overfit_scan(
     scan of the whole ladder would find.
     """
     fit_half, val_half = _split_for_scan(train, seed)
+    rows = family.ladder_rows
+    if fit_half.n < rows:
+        need = next(n for n in itertools.count(train.n) if n - _scan_val_rows(n) >= rows)
+        raise ValidationError(
+            f"overfitting scan: the {family.name.upper()} fit split has {fit_half.n} rows and "
+            f"needs {rows}, so the train half needs at least {need} rows, not {train.n}"
+        )
     X_fit, y_fit = encode_with_response(fit_half, config)
     X_val, y_val = encode_with_response(val_half, config)
 

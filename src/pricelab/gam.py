@@ -45,7 +45,10 @@ the second is the statistic the permutation test shuffles.
 The scan protocol is fixed by module constants: a pair is significant when
 its relative RSS drop exceeds ``INTERACTION_THRESHOLD`` and its statistic
 beats ``PERMUTATIONS`` shuffles at p < 0.05, and ``collinearity_report``
-flags feature pairs at |correlation| >= ``COLLINEARITY_THRESHOLD``.
+flags feature pairs at |correlation| >= ``COLLINEARITY_THRESHOLD``.  One
+generator per scan shuffles r for each pair in turn, blocks of rows at a time
+by ``permuted(axis=1)``: the draws of one ``permutation(r)`` per row, none for
+a constant product.  Each u_c' r is an ``np.vecdot`` row, ``u_c @ r``'s BLAS dot.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .dataset import (
 from .errors import NumericError, ValidationError
 from .glm import LinkKind
 
-_MIN_TRAIN_ROWS = 20
+MIN_TRAIN_ROWS = 20
 _LOG_FLOOR = 1.0  # currency floor applied before log-transforming responses
 # Most knots per smooth: a bound on the spline design and penalty arrays,
 # checked before any of them is allocated.
@@ -76,6 +79,7 @@ MAX_KNOTS = 100
 # The fixed scan protocol (see the module docstring).
 INTERACTION_THRESHOLD = 0.01
 PERMUTATIONS = 199
+_SHUFFLE_BLOCK = 8192  # residual entries per block of shuffles: bounds the scan's memory
 COLLINEARITY_THRESHOLD = 0.5
 
 
@@ -196,13 +200,14 @@ def fit_gam(
 ) -> GamModel:
     """Fit the additive model by one penalized least-squares solve (see the
     module docstring); a penalized system that is not finite is a NumericError."""
-    if train.n < _MIN_TRAIN_ROWS:
-        raise ValidationError(f"fit_gam needs at least {_MIN_TRAIN_ROWS} rows, got {train.n}")
+    if train.n < MIN_TRAIN_ROWS:
+        raise ValidationError(f"fit_gam needs at least {MIN_TRAIN_ROWS} rows, got {train.n}")
     X, z = _working_data(config, link, train)
     blocks = []  # per feature: (knots or None, uncentred design N_j, penalty Omega_j)
     for x in X.T:
-        knots = smoothing.quantile_knots(x, smooth.knots)
-        if smooth.force_linear or np.unique(x).size < smooth.knots or knots.size < 2:
+        spline = not smooth.force_linear and np.unique(x).size >= smooth.knots
+        knots = smoothing.quantile_knots(x, smooth.knots) if spline else np.empty(0)
+        if knots.size < 2:
             blocks.append((None, x[:, None], np.zeros((1, 1))))
         else:
             with np.errstate(over="ignore"):  # an overflow is refused below
@@ -313,6 +318,7 @@ def interaction_scan(
     mean_term = residual.size * float(np.mean(residual)) ** 2
 
     rng = np.random.default_rng(seed)
+    block = np.empty((min(PERMUTATIONS, max(1, _SHUFFLE_BLOCK // residual.size)), residual.size))
     results = []
     for i, j in itertools.combinations(range(N_FEATURES), 2):
         u = components[i] * components[j]
@@ -326,10 +332,12 @@ def interaction_scan(
         else:
             observed = float(u @ residual) ** 2 / denom
             exceed = 0
-            for _ in range(PERMUTATIONS):
-                shuffled = rng.permutation(residual)
-                if float(u @ shuffled) ** 2 / denom >= observed:
-                    exceed += 1
+            for start in range(0, PERMUTATIONS, len(block)):
+                shuffled = block[:PERMUTATIONS - start]
+                shuffled[:] = residual
+                rng.permuted(shuffled, axis=1, out=shuffled)
+                dots = np.vecdot(shuffled, u).tolist()
+                exceed += sum(s ** 2 / denom >= observed for s in dots)
             p_value = (1 + exceed) / (1 + PERMUTATIONS)
         score = (mean_term + observed) / base_rss if base_rss > 0 else 0.0
         significant = score > INTERACTION_THRESHOLD and p_value < 0.05

@@ -551,6 +551,27 @@ def test_compare_needs_two_models(tmp_path, data_csv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n, code", [(40, 3), (50, 0)])
+def test_compare_names_the_gam_scan_size_limit(tmp_path, capsys, n, code):
+    """At n = 40 the train half has the 20 rows a GAM fit needs, but the
+    overfitting scan fits on 80% of it: compare refuses in one line that
+    says so, before the GAM ladder starts."""
+    csv = tmp_path / "portfolio.csv"
+    assert run("gen", "--n", n, "--seed", 1, "-o", csv) == 0
+    models = []
+    for family in ("glm", "gam"):
+        models += ["--model", tmp_path / f"{family}.model"]
+        assert run("fit", "--family", family, "--in", csv, "--seed", 1, "-o", models[-1]) == 0
+    capsys.readouterr()
+    assert run("compare", *models, "--in", csv, "--seed", 1, "-o", tmp_path / "report") == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: overfitting scan: the GAM fit split has 16 rows and needs 20, "
+                       "so the train half needs at least 25 rows, not 20\n")
+    else:
+        assert err == "" and (tmp_path / "report.csv").exists()
+
+
 def test_compare_detects_split_mismatch(tmp_path, data_csv, capsys):
     a = tmp_path / "a.model"
     b = tmp_path / "b.model"

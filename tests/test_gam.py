@@ -1,5 +1,6 @@
 """Additive model: penalized fit, interaction diagnostics, collinearity."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+from pricelab import gam, smoothing
 from pricelab.artifacts import load_model, save_model
 from pricelab.dataset import (
     GeneratorParams,
@@ -16,8 +18,10 @@ from pricelab.dataset import (
 )
 from pricelab.errors import ValidationError
 from pricelab.gam import (
+    PERMUTATIONS,
     GamModel,
     SmoothConfig,
+    SmoothFunction,
     add_interaction,
     collinearity_report,
     fit_gam,
@@ -129,6 +133,23 @@ def test_low_cardinality_features_degrade_to_linear():
     # binary flags and the 5-level severity cannot support 6 knots
     assert kinds[0] == kinds[3] == kinds[4] == kinds[5] == "linear"
     assert kinds[1] == kinds[2] == "spline"
+
+
+def test_knots_are_computed_only_for_spline_features(monkeypatch):
+    calls = []
+    real = smoothing.quantile_knots
+    monkeypatch.setattr(smoothing, "quantile_knots",
+                        lambda x, count: calls.append(x) or real(x, count))
+    data = generate_synthetic(GeneratorParams(n=200, seed=0))
+    X, _ = encode_dataset(data)
+    model = fit_gam(data)
+    spline = [j for j, s in enumerate(model.smooths) if s.kind == "spline"]
+    assert len(calls) == len(spline) == 2
+    for x, j in zip(calls, spline):
+        assert np.array_equal(x, X[:, j])
+    calls.clear()
+    fit_gam(data, smooth=SmoothConfig(force_linear=True))
+    assert calls == []
 
 
 def test_minimum_rows_enforced():
@@ -243,6 +264,89 @@ def test_interaction_scan_on_a_model_with_an_interaction():
     candidates = interaction_scan(data, extended)
     assert len(candidates) == 15
     assert not next(c for c in candidates if (c.i, c.j) == (3, 5)).significant
+
+
+def reference_scan(rows, base, seed):
+    """(i, j, score, p-value) of every pair in pair order, one
+    ``rng.permutation`` and one ``u @ shuffled`` dot per shuffle."""
+    X, z = gam._working_data(base.encoding, base.link, rows)
+    components = gam._components(base, X)
+    residual = z - gam._eta(base.intercept, components, base.interactions)
+    base_rss = float(residual @ residual)
+    mean_term = residual.size * float(np.mean(residual)) ** 2
+    rng = np.random.default_rng(seed)
+    results = []
+    for i, j in itertools.combinations(range(6), 2):
+        u = components[i] * components[j]
+        u = u - np.mean(u)
+        denom = float(u @ u)
+        if denom < 1e-12:
+            observed, p_value = 0.0, 1.0
+        else:
+            observed = float(u @ residual) ** 2 / denom
+            exceed = 0
+            for _ in range(PERMUTATIONS):
+                if float(u @ rng.permutation(residual)) ** 2 / denom >= observed:
+                    exceed += 1
+            p_value = (1 + exceed) / (1 + PERMUTATIONS)
+        results.append((i, j, (mean_term + observed) / base_rss, p_value))
+    return results
+
+
+def with_one_constant_product(data):
+    """The rows with no male smoker, and a base whose gender and smoker
+    terms are zero off those flags: their product is zero on every row, so
+    pair (0, 3), between (0, 2) and (0, 4) in pair order, draws no
+    shuffles while every other pair does."""
+    X, _ = encode_dataset(data)
+    lo = X.min(axis=0)
+    rows = data.take((X[:, 0] == lo[0]) | (X[:, 3] == lo[3]))
+    base = fit_gam(rows)
+    smooths = list(base.smooths)
+    for j in (0, 3):
+        slope = smooths[j].slope
+        smooths[j] = SmoothFunction("linear", np.empty(0), np.empty(0), slope, slope * lo[j])
+    X, _ = encode_dataset(rows)
+    assert not np.any(smooths[0](X[:, 0]) * smooths[3](X[:, 3]))
+    return rows, replace(base, smooths=tuple(smooths))
+
+
+@pytest.mark.parametrize("n, constant_pair", [(40, False), (200, False), (800, False),
+                                              (200, True)])
+def test_interaction_scan_equals_the_per_permutation_loop(n, constant_pair):
+    """Bit for bit in every score and p-value, across one or many blocks
+    of shuffles and across a pair that draws none."""
+    data = generate_synthetic(GeneratorParams(n=n, seed=n, interaction=3000.0))
+    if constant_pair:
+        rows, base = with_one_constant_product(data)
+    else:
+        rows, base = data, fit_gam(data)
+    expected = reference_scan(rows, base, seed=5)
+    got = sorted((c.i, c.j, c.score, c.p_value) for c in interaction_scan(rows, base, seed=5))
+    assert got == expected
+    assert len({p for *_, p in expected}) > 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+@pytest.mark.parametrize("block", [1, 10, 40, PERMUTATIONS])
+def test_blocked_shuffles_and_row_dots_keep_the_bits(n, block):
+    """``Generator.permuted(axis=1)`` over blocks of rows leaves the rows and
+    generator state of as many ``permutation`` calls, and each ``np.vecdot``
+    row has the bits of ``u @ row``: the facts ``interaction_scan`` relies on."""
+    values = np.random.default_rng(n).standard_normal(n) * 1e3
+    u = np.random.default_rng(n + 1).standard_normal(n)
+    one_by_one, blocked = np.random.default_rng(9), np.random.default_rng(9)
+    expected = [one_by_one.permutation(values) for _ in range(PERMUTATIONS)]
+    rows, dots = [], []
+    for start in range(0, PERMUTATIONS, block):
+        shuffled = np.empty((min(block, PERMUTATIONS - start), n))
+        shuffled[:] = values
+        blocked.permuted(shuffled, axis=1, out=shuffled)
+        rows += list(shuffled)
+        dots += np.vecdot(shuffled, u).tolist()
+    assert all(np.array_equal(a, b) for a, b in zip(rows, expected, strict=True))
+    assert dots == [float(u @ row) for row in expected]
+    assert blocked.bit_generator.state == one_by_one.bit_generator.state
 
 
 def test_interaction_scan_refuses_a_negative_seed():
