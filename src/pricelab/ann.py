@@ -41,15 +41,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .dataset import (
-    DEFAULT_ENCODING,
     Dataset,
-    EncodingConfig,
     N_FEATURES,
     encode_with_response,
     feature_matrix,
@@ -186,7 +184,6 @@ class AnnModel:
     train_loss: tuple[float, ...]
     val_loss: tuple[float, ...]
     stopped_epoch: int
-    encoding: EncodingConfig = field(default_factory=lambda: DEFAULT_ENCODING)
     family = "ann"  # class constant, not a field
 
 
@@ -367,21 +364,21 @@ def _epochs(
 
 def train(
     train_data: Dataset,
-    config: EncodingConfig = DEFAULT_ENCODING,
+    *,
     topology: NetworkTopology = NetworkTopology(),
     training: TrainingConfig = TrainingConfig(),
 ) -> AnnModel:
     """Fit the network; returns the weights of the best validation epoch.
 
     The validation slice is carved off the given training half with the
-    training seed, so identical (data, config, seed) rebuild bit-identical
-    models.  Descent stops ``early_stop_patience`` epochs after the best
-    validation epoch, or at ``max_epochs``.  Loss histories are truncated at
-    the returned epoch.
+    training seed, so identical (data, topology, training) rebuild
+    bit-identical models.  Descent stops ``early_stop_patience`` epochs
+    after the best validation epoch, or at ``max_epochs``.  Loss histories
+    are truncated at the returned epoch.
     """
     if train_data.n < 10:
-        raise ValidationError(f"train needs at least 10 rows, got {train_data.n}")
-    X, y = encode_with_response(train_data, config)
+        raise ValidationError(f"an ANN fit needs at least 10 rows, got {train_data.n}")
+    X, y = encode_with_response(train_data)
 
     scaler = TargetScaler.fit(y)
     targets = scaler.scale(y)
@@ -420,13 +417,11 @@ def train(
         train_loss=tuple(train_hist[:best_epoch]),
         val_loss=tuple(val_hist[:best_epoch]),
         stopped_epoch=best_epoch,
-        encoding=config,
     )
 
 
 def train_trajectory(
     train_data: Dataset,
-    config: EncodingConfig,
     topology: NetworkTopology,
     training: TrainingConfig,
     checkpoints: Sequence[int],
@@ -444,14 +439,14 @@ def train_trajectory(
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints or checkpoints[0] < 1 or checkpoints != sorted(set(checkpoints)):
         raise ValidationError("checkpoints must be strictly increasing positive epochs")
-    X, y = encode_with_response(train_data, config)
+    X, y = encode_with_response(train_data)
     scaler = TargetScaler.fit(y)
     descent = _epochs(
         init_weights(topology, training.seed), X, scaler.scale(y), training.learning_rate
     )
     wanted = set(checkpoints)
     return (
-        AnnModel(topology, work.weights.copy(), scaler, (), (), epoch, config)
+        AnnModel(topology, work.weights.copy(), scaler, (), (), epoch)
         for epoch, _, work in itertools.islice(descent, checkpoints[-1])
         if epoch in wanted
     )

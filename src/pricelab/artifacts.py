@@ -2,9 +2,12 @@
 
 Every fitted model serializes to a sectioned key-value file that starts with
 ``family = <model.family>`` and holds only what prediction and ``compare``
-need: the parameters, the encoding it was fit with, the settings ``compare``
-rebuilds its scan from (link, GAM smoothing, ANN hidden sizes) and one-line
-fit summaries (``rss``, ``iterations``, ``stopped_epoch``).  A loaded ANN has
+need: the parameters, the settings ``compare`` rebuilds its scan from (link,
+GAM smoothing, ANN hidden sizes) and one-line fit summaries (``rss``,
+``iterations``, ``stopped_epoch``).  Its ``[encoding]`` section records the
+one encoding, ``config.ENCODING_PAIRS``; ``load_model`` refuses a section
+with another value (an older version's custom encoding), naming the key, so
+such a model is never priced on inputs it was not fit on.  A loaded ANN has
 empty loss histories.  Keys and sections no codec asks for are skipped, so
 older artifacts, such as ANN ones with ``[loss_history]``, still load.
 ``save_model`` and ``load_model`` write and read the frame; each family's
@@ -20,6 +23,7 @@ import numpy as np
 
 from .ann import AnnModel, NetworkTopology, TargetScaler, Weights
 from .config import (
+    ENCODING_PAIRS,
     Pairs,
     Sections,
     _bool_of,
@@ -29,12 +33,10 @@ from .config import (
     _link_of,
     _value_of,
     dump_sections,
-    encoding_from_mapping,
-    encoding_to_pairs,
     format_float,
     read_sections,
 )
-from .dataset import FEATURE_NAMES, EncodingConfig
+from .dataset import FEATURE_NAMES
 from .errors import NumericError, ValidationError
 from .gam import GamModel, InteractionTerm, SmoothConfig, SmoothFunction
 from .glm import GlmModel
@@ -86,14 +88,13 @@ def _glm_sections(model: GlmModel) -> tuple[Pairs, Sections]:
     return head, []
 
 
-def _glm_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> GlmModel:
+def _glm_from_sections(head: dict, sections: Sections) -> GlmModel:
     return GlmModel(
         intercept=_finite_of(head, "intercept"),
         coef=np.array([_finite_of(head, f"coef_{name}") for name in FEATURE_NAMES]),
         link=_link_of(head, "link"),
         rss=_finite_of(head, "rss"),
         iterations=_int_of(head, "iterations"),
-        encoding=encoding,
     )
 
 
@@ -131,7 +132,7 @@ def _gam_sections(model: GamModel) -> tuple[Pairs, Sections]:
     return head, sections
 
 
-def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> GamModel:
+def _gam_from_sections(head: dict, sections: Sections) -> GamModel:
     smooths: dict[int, SmoothFunction] = {}
     interactions: list[InteractionTerm] = []
     for name, pairs in sections:
@@ -175,7 +176,6 @@ def _gam_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
             penalty=_finite_of(head, "penalty"),
             force_linear=_bool_of(head, "force_linear"),
         ),
-        encoding=encoding,
     )
 
 
@@ -197,7 +197,7 @@ def _ann_sections(model: AnnModel) -> tuple[Pairs, Sections]:
     return head, sections
 
 
-def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections) -> AnnModel:
+def _ann_from_sections(head: dict, sections: Sections) -> AnnModel:
     topology = NetworkTopology(hidden=_hidden_of(head, "hidden"))
     sizes = topology.layer_sizes()
     scaler = TargetScaler(lo=_finite_of(head, "scaler_lo"), hi=_finite_of(head, "scaler_hi"))
@@ -231,7 +231,6 @@ def _ann_from_sections(head: dict, encoding: EncodingConfig, sections: Sections)
         train_loss=(),
         val_loss=(),
         stopped_epoch=_int_of(head, "stopped_epoch"),
-        encoding=encoding,
     )
 
 
@@ -254,7 +253,7 @@ def save_model(model, path: str | Path) -> None:
         raise ValidationError(f"cannot serialize {type(model).__name__}")
     head, sections = codec[0](model)
     frame = [("", [("family", model.family), *head]),
-             ("encoding", encoding_to_pairs(model.encoding)), *sections]
+             ("encoding", ENCODING_PAIRS), *sections]
     for name, pairs in frame:
         for key, value in pairs:
             if _NOT_FINITE.intersection(value.split()):
@@ -272,9 +271,13 @@ def load_model(path: str | Path):
     if codec is None:
         raise ValidationError(f"{path}: unknown or missing model family {family!r}")
     try:
-        encoding = next((pairs for name, pairs in sections if name == "encoding"), None)
+        encoding = next((dict(pairs) for name, pairs in sections if name == "encoding"), None)
         if encoding is None:
             raise ValidationError("artifact is missing [encoding] section")
-        return codec[1](head, encoding_from_mapping(dict(encoding)), sections[1:])
+        for key, value in ENCODING_PAIRS:
+            if key in encoding and _float_of(encoding, key) != float(value):
+                raise ValidationError(f"[encoding]: key {key!r}: {encoding[key]}, but every "
+                                      f"model is encoded with {value}")
+        return codec[1](head, sections[1:])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -29,7 +29,6 @@ from .artifacts import load_model, save_model
 from .config import (
     band_from_mapping,
     dump_sections,
-    encoding_from_mapping,
     generator_from_mapping,
     model_settings_from_mapping,
     read_config,
@@ -125,9 +124,7 @@ def _load_mapping(config_path: str | None) -> dict[str, str]:
 
 
 def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
-    mapping = _load_mapping(args.config)
-    encoding = encoding_from_mapping(mapping)
-    params = generator_from_mapping(mapping)
+    params = generator_from_mapping(_load_mapping(args.config))
     try:  # a bad --n or --seed is a usage error, a bad config value a data error
         if args.n is not None:
             params = dataclasses.replace(params, n=args.n)
@@ -135,7 +132,7 @@ def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
             params = dataclasses.replace(params, seed=args.seed)
     except ValidationError as exc:
         args.parser.error(str(exc))
-    data = generate_synthetic(params, encoding)
+    data = generate_synthetic(params)
     out = Path(args.out)
     write_csv(data, out)
     _write_manifest(
@@ -147,14 +144,12 @@ def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
-    mapping = _load_mapping(args.config)
-    encoding = encoding_from_mapping(mapping)
-    settings = model_settings_from_mapping(mapping)
+    settings = model_settings_from_mapping(_load_mapping(args.config))
     family_type = FAMILIES[args.family]
     family = family_type(**{f.name: settings[f.name] for f in dataclasses.fields(family_type)})
     data = load_csv(args.input)
     train_half, test_half = split_half(data, args.seed)
-    model = family.fit(train_half, encoding)
+    model = family.fit(train_half)
 
     out = Path(args.out)
     save_model(model, out)
@@ -173,7 +168,7 @@ def _cmd_fit(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
     model = load_model(args.model)
     data = load_csv(args.input)
-    X, actual = encode_dataset(data, model.encoding)
+    X, actual = encode_dataset(data)
     predict = partial(FAMILIES[model.family].predict, model)
     predictions = finite_predictions(predict, X, args.model).tolist()
     ids = data.ids.tolist()

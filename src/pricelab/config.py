@@ -11,7 +11,7 @@ import dataclasses
 from pathlib import Path
 
 from .ann import NetworkTopology, TrainingConfig
-from .dataset import DEFAULT_ENCODING, EncodingConfig, GeneratorParams, PriorClaim
+from .dataset import DEFAULT_ENCODING, GeneratorParams, PriorClaim
 from .errors import ValidationError, read_text
 from .gam import SmoothConfig
 from .glm import LinkKind
@@ -141,32 +141,19 @@ _GENERATOR_FIELDS = {
 }
 
 
-# config key -> (EncodingConfig range field, endpoint index), age_min first
-_RANGE_KEYS = {
-    f"{name}_{end}": (f"{name}_range", index)
-    for name in ("age", "income")
-    for index, end in enumerate(("min", "max"))
-}
-_SEVERITY_KEYS = {f"severity_{claim.value}": claim for claim in PriorClaim}
-
-ENCODING_KEYS = frozenset({*_RANGE_KEYS, *_SEVERITY_KEYS})
 GENERATOR_KEYS = frozenset(_GENERATOR_FIELDS)
 MODEL_KEYS = frozenset({"link", "hidden", *_SMOOTH_FIELDS, *_TRAINING_FIELDS})
 BAND_KEYS = frozenset(_BAND_FIELDS)
-KNOWN_KEYS = ENCODING_KEYS | GENERATOR_KEYS | MODEL_KEYS | BAND_KEYS
+KNOWN_KEYS = GENERATOR_KEYS | MODEL_KEYS | BAND_KEYS
 
-
-def encoding_from_mapping(mapping: dict[str, str]) -> EncodingConfig:
-    ranges = {name: list(getattr(DEFAULT_ENCODING, name)) for name, _ in _RANGE_KEYS.values()}
-    for key, (name, index) in _RANGE_KEYS.items():
-        if key in mapping:
-            ranges[name][index] = _float_of(mapping, key)
-    severity = dict(DEFAULT_ENCODING.claim_severity)
-    for key, claim in _SEVERITY_KEYS.items():
-        if key in mapping:
-            severity[claim] = _float_of(mapping, key)
-    return EncodingConfig(**{name: tuple(ends) for name, ends in ranges.items()},
-                          claim_severity=severity)
+# The ``[encoding]`` section of every artifact: ``DEFAULT_ENCODING``, age_min first.
+ENCODING_PAIRS = (
+    *((f"{name}_{end}", format_float(value))
+      for name in ("age", "income")
+      for end, value in zip(("min", "max"), getattr(DEFAULT_ENCODING, f"{name}_range"))),
+    *((f"severity_{claim.value}", format_float(DEFAULT_ENCODING.claim_severity[claim]))
+      for claim in PriorClaim),
+)
 
 
 def generator_from_mapping(mapping: dict[str, str]) -> GeneratorParams:
@@ -186,10 +173,3 @@ def model_settings_from_mapping(mapping: dict[str, str]) -> dict[str, object]:
 def band_from_mapping(mapping: dict[str, str]) -> dict[str, float]:
     """``compare`` keyword arguments for the band keys present in ``mapping``."""
     return _present(mapping, _BAND_FIELDS)
-
-
-def encoding_to_pairs(config: EncodingConfig) -> Pairs:
-    pairs = [(key, format_float(getattr(config, name)[index]))
-             for key, (name, index) in _RANGE_KEYS.items()]
-    return pairs + [(key, format_float(config.claim_severity[claim]))
-                    for key, claim in _SEVERITY_KEYS.items()]

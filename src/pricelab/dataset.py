@@ -24,7 +24,8 @@ all components scaled into [0, 1]:
 
 The single categorical predictor (previous claim) is split into a presence
 flag and a severity score so that downstream models see purely numeric
-inputs.
+inputs.  ``DEFAULT_ENCODING`` is the one encoding: its age and income
+ranges, clipped outside, and its severity lookup.
 
 ``generate_synthetic`` draws a population from ``GeneratorParams``, whose
 ``eta`` is the exact noise-free ground truth of a whole feature matrix.  The
@@ -37,7 +38,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 from typing import Mapping
@@ -76,51 +77,28 @@ class PriorClaim(enum.Enum):
 
 CLAIMS = tuple(PriorClaim)  # the ``Dataset.claim`` codes; code 0 is NONE
 
-_DEFAULT_SEVERITY: dict[PriorClaim, float] = {
-    PriorClaim.NONE: 0.0,
-    PriorClaim.DIABETES: 0.4,
-    PriorClaim.COPD: 0.6,
-    PriorClaim.LUNG_CANCER: 1.0,
-    PriorClaim.OTHER: 0.5,
-}
-
-
-# Largest magnitude of an encoding range endpoint: every integer up to it is a
-# float, so the generator can draw whole values from any accepted range.
-_MAX_ENDPOINT = 2**53
-
 
 @dataclass(frozen=True)
 class EncodingConfig:
-    """Scaling ranges and the claim-severity lookup used by ``encode_dataset``."""
+    """Scaling ranges and the claim-severity lookup of ``encode_dataset``."""
 
-    age_range: tuple[float, float] = (18.0, 80.0)
-    income_range: tuple[float, float] = (0.0, 150000.0)
-    claim_severity: Mapping[PriorClaim, float] = field(
-        default_factory=lambda: dict(_DEFAULT_SEVERITY)
-    )
-
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (("age", self.age_range), ("income", self.income_range)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValidationError(f"{name}_range must satisfy lo < hi, got ({lo}, {hi})")
-            if max(abs(lo), abs(hi)) > _MAX_ENDPOINT:
-                raise ValidationError(
-                    f"{name}_range endpoints must lie in [-2**53, 2**53], got ({lo}, {hi})"
-                )
-        for claim in PriorClaim:
-            if claim not in self.claim_severity:
-                raise ValidationError(f"claim_severity map is missing {claim.value}")
-            sev = self.claim_severity[claim]
-            if not (0.0 <= sev <= 1.0):
-                raise ValidationError(
-                    f"claim_severity[{claim.value}] = {sev} outside [0, 1]"
-                )
-        if self.claim_severity[PriorClaim.NONE] != 0.0:
-            raise ValidationError("claim_severity[none] must be 0")
+    age_range: tuple[float, float]
+    income_range: tuple[float, float]
+    claim_severity: Mapping[PriorClaim, float]
 
 
-DEFAULT_ENCODING = EncodingConfig()
+# The one encoding every model is fit and priced with.
+DEFAULT_ENCODING = EncodingConfig(
+    age_range=(18.0, 80.0),
+    income_range=(0.0, 150000.0),
+    claim_severity={
+        PriorClaim.NONE: 0.0,
+        PriorClaim.DIABETES: 0.4,
+        PriorClaim.COPD: 0.6,
+        PriorClaim.LUNG_CANCER: 1.0,
+        PriorClaim.OTHER: 0.5,
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -282,30 +260,25 @@ class Dataset:
         return replace(self, **{name: getattr(self, name)[index] for name in self._columns()})
 
 
-def encode_dataset(
-    dataset: Dataset, config: EncodingConfig = DEFAULT_ENCODING
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(X, y): the (n, 6) feature matrix, clamped into [0, 1], and the
-    expenditure column (None when absent)."""
-    age_lo, age_hi = config.age_range
-    inc_lo, inc_hi = config.income_range
-    severity = np.array([config.claim_severity[claim] for claim in CLAIMS])
+def encode_dataset(dataset: Dataset) -> tuple[np.ndarray, np.ndarray | None]:
+    """(X, y): the (n, 6) feature matrix of ``DEFAULT_ENCODING``, clamped
+    into [0, 1], and the expenditure column (None when absent)."""
+    age_lo, age_hi = DEFAULT_ENCODING.age_range
+    inc_lo, inc_hi = DEFAULT_ENCODING.income_range
+    severity = np.array([DEFAULT_ENCODING.claim_severity[claim] for claim in CLAIMS])
     X = np.empty((dataset.n, N_FEATURES))
     X[:, 0] = dataset.male
-    with np.errstate(over="ignore"):  # a range narrow enough to overflow clips to 1.0
-        X[:, 1] = np.clip((dataset.age - age_lo) / (age_hi - age_lo), 0.0, 1.0)
-        X[:, 2] = np.clip((dataset.income - inc_lo) / (inc_hi - inc_lo), 0.0, 1.0)
+    X[:, 1] = np.clip((dataset.age - age_lo) / (age_hi - age_lo), 0.0, 1.0)
+    X[:, 2] = np.clip((dataset.income - inc_lo) / (inc_hi - inc_lo), 0.0, 1.0)
     X[:, 3] = dataset.smoker
     X[:, 4] = dataset.claim != 0
     X[:, 5] = severity[dataset.claim]
     return X, dataset.expenditure
 
 
-def encode_with_response(
-    dataset: Dataset, config: EncodingConfig = DEFAULT_ENCODING
-) -> tuple[np.ndarray, np.ndarray]:
+def encode_with_response(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """``encode_dataset`` for fitting and scoring, which need the response."""
-    X, y = encode_dataset(dataset, config)
+    X, y = encode_dataset(dataset)
     if y is None:
         raise ValidationError("no expenditure column: fitting and scoring need the response")
     return X, y
@@ -319,7 +292,7 @@ def feature_matrix(X) -> np.ndarray:
     return X
 
 
-def _severity_attenuation(config: EncodingConfig) -> float:
+def _severity_attenuation() -> float:
     """Correlation carried from the claim flag into the severity feature.
 
     With severity = claim_present * S and S independent of the smoker flag,
@@ -327,7 +300,7 @@ def _severity_attenuation(config: EncodingConfig) -> float:
     and kappa depends only on the claim rate and the severity distribution.
     """
     p = _CLAIM_RATE
-    sev = np.array([config.claim_severity[claim] for claim in CLAIMS[1:]])
+    sev = np.array([DEFAULT_ENCODING.claim_severity[claim] for claim in CLAIMS[1:]])
     probs = np.array(_CLAIM_CATEGORY_PROBS)
     mean_s = float(probs @ sev)
     mean_s2 = float(probs @ sev**2)
@@ -337,9 +310,7 @@ def _severity_attenuation(config: EncodingConfig) -> float:
     return mean_s * math.sqrt(p * (1 - p)) / math.sqrt(var_v)
 
 
-def generate_synthetic(
-    params: GeneratorParams, config: EncodingConfig = DEFAULT_ENCODING
-) -> Dataset:
+def generate_synthetic(params: GeneratorParams) -> Dataset:
     """Draw a synthetic customer population with known ground truth.
 
     Deterministic for a fixed seed.  ``params.eta`` of the encoded features
@@ -348,15 +319,15 @@ def generate_synthetic(
     rng = np.random.default_rng(params.seed)
     n = params.n
 
-    age_lo, age_hi = (int(round(v)) for v in config.age_range)
-    inc_lo, inc_hi = (int(round(v)) for v in config.income_range)
+    age_lo, age_hi = (int(round(v)) for v in DEFAULT_ENCODING.age_range)
+    inc_lo, inc_hi = (int(round(v)) for v in DEFAULT_ENCODING.income_range)
 
     genders = rng.integers(0, 2, size=n)
     ages = rng.integers(age_lo, age_hi + 1, size=n)
     incomes = rng.integers(inc_lo, inc_hi + 1, size=n).astype(float)
     smokers = rng.random(n) < _SMOKE_RATE
 
-    kappa = _severity_attenuation(config)
+    kappa = _severity_attenuation()
     phi = 0.0 if kappa <= 0 else min(1.0, params.collinearity_rho / kappa)
     copy_smoker = rng.random(n) < phi
     fresh_claims = rng.random(n) < _CLAIM_RATE
@@ -373,7 +344,7 @@ def generate_synthetic(
         ids=np.arange(1, n + 1), male=genders == 1, age=ages, income=incomes,
         smoker=smokers, claim=np.where(claim_present, categories + 1, 0),
     )
-    X, _ = encode_dataset(data, config)
+    X, _ = encode_dataset(data)
     return replace(data, expenditure=np.logaddexp(0.0, params.eta(X) + noise))
 
 

@@ -32,10 +32,8 @@ from . import ann as ann_mod
 from . import gam as gam_mod
 from . import glm as glm_mod
 from .dataset import (
-    DEFAULT_ENCODING,
     FEATURE_NAMES,
     Dataset,
-    EncodingConfig,
     GeneratorParams,
     encode_with_response,
     generate_synthetic,
@@ -85,10 +83,9 @@ def finite_predictions(
 def accuracy_band(
     predict: Callable[[np.ndarray], np.ndarray],
     test: Dataset,
-    config: EncodingConfig = DEFAULT_ENCODING,
+    *,
     trim_fraction: float = DEFAULT_TRIM_FRACTION,
     floor: float = DEFAULT_RATIO_FLOOR,
-    *,
     source: str = "model",
 ) -> AccuracyBand:
     """Trimmed band of per-record predicted/actual ratios on a test half;
@@ -98,7 +95,7 @@ def accuracy_band(
         raise ValidationError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
     if not floor >= 0:
         raise ValidationError(f"floor must be >= 0, got {floor}")
-    X, actual = encode_with_response(test, config)
+    X, actual = encode_with_response(test)
     evaluable = (actual >= floor) & (actual != 0)
     if not evaluable.any():
         raise ValidationError("no evaluable records above the currency floor")
@@ -123,7 +120,7 @@ class Family:
 
     ladder_rows = 1  # the fewest rows a ladder step fits on
 
-    def findings(self, model, train: Dataset, config: EncodingConfig, seed: int):
+    def findings(self, model, train: Dataset, seed: int):
         """(interaction, collinearity) findings for the comparison report."""
         return "none", "none"
 
@@ -134,8 +131,8 @@ class GlmFamily(Family):
     name = "glm"  # class constants, not fields
     assumption = "normal"  # response distribution, for the report
 
-    def fit(self, train: Dataset, config: EncodingConfig):
-        return glm_mod.fit_glm(train, config, self.link)
+    def fit(self, train: Dataset):
+        return glm_mod.fit_glm(train, link=self.link)
 
     @classmethod
     def of(cls, model: glm_mod.GlmModel) -> "GlmFamily":
@@ -145,9 +142,9 @@ class GlmFamily(Family):
     def predict(model: glm_mod.GlmModel, X: np.ndarray) -> np.ndarray:
         return glm_mod.predict_glm(model, X)
 
-    def ladder(self, train: Dataset, config: EncodingConfig, steps):
+    def ladder(self, train: Dataset, steps):
         """The linear model has no capacity to vary: one step, steps ignored."""
-        yield 0.0, self.fit(train, config)
+        yield 0.0, self.fit(train)
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,8 @@ class GamFamily(Family):
     assumption = "normal"
     ladder_rows = gam_mod.MIN_TRAIN_ROWS
 
-    def fit(self, train: Dataset, config: EncodingConfig):
-        return gam_mod.fit_gam(train, config, self.link, self.smooth)
+    def fit(self, train: Dataset):
+        return gam_mod.fit_gam(train, link=self.link, smooth=self.smooth)
 
     @classmethod
     def of(cls, model: gam_mod.GamModel) -> "GamFamily":
@@ -169,22 +166,23 @@ class GamFamily(Family):
     def predict(model: gam_mod.GamModel, X: np.ndarray) -> np.ndarray:
         return gam_mod.predict_gam(model, X)
 
-    def ladder(self, train: Dataset, config: EncodingConfig, steps):
+    def ladder(self, train: Dataset, steps):
         """One fit per penalty, in decreasing order."""
         ladder = tuple(float(s) for s in (steps if steps is not None else DEFAULT_GAM_STEPS))
         if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError("GAM scan steps must be strictly decreasing penalties")
         for lam in ladder:
-            yield lam, gam_mod.fit_gam(train, config, self.link, replace(self.smooth, penalty=lam))
+            smooth = replace(self.smooth, penalty=lam)
+            yield lam, gam_mod.fit_gam(train, link=self.link, smooth=smooth)
 
-    def findings(self, model, train: Dataset, config: EncodingConfig, seed: int):
+    def findings(self, model, train: Dataset, seed: int):
         candidates = gam_mod.interaction_scan(train, model, seed=seed)
         hits = [
             f"{FEATURE_NAMES[c.i]}*{FEATURE_NAMES[c.j]}"
             for c in candidates
             if c.significant
         ]
-        coll = gam_mod.collinearity_report(train, config)
+        coll = gam_mod.collinearity_report(train)
         pairs = [
             f"{FEATURE_NAMES[i]}&{FEATURE_NAMES[j]}" for i, j, _ in coll.flagged
         ]
@@ -198,8 +196,8 @@ class AnnFamily(Family):
     name = "ann"  # class constants, not fields
     assumption = "none"
 
-    def fit(self, train: Dataset, config: EncodingConfig):
-        return ann_mod.train(train, config, self.topology, self.training)
+    def fit(self, train: Dataset):
+        return ann_mod.train(train, topology=self.topology, training=self.training)
 
     @classmethod
     def of(cls, model: ann_mod.AnnModel) -> "AnnFamily":
@@ -209,13 +207,13 @@ class AnnFamily(Family):
     def predict(model: ann_mod.AnnModel, X: np.ndarray) -> np.ndarray:
         return ann_mod.predict_ann(model, X)
 
-    def ladder(self, train: Dataset, config: EncodingConfig, steps):
+    def ladder(self, train: Dataset, steps):
         """Epoch checkpoints of one descent run on the whole given set; each
         model is passed on as the descent reaches it."""
         epochs = steps if steps is not None else DEFAULT_ANN_STEPS
         if len(epochs) < 2:
             raise ValidationError("an ANN scan needs at least two epoch checkpoints")
-        models = ann_mod.train_trajectory(train, config, self.topology, self.training, epochs)
+        models = ann_mod.train_trajectory(train, self.topology, self.training, epochs)
         return ((float(model.stopped_epoch), model) for model in models)
 
 
@@ -270,7 +268,9 @@ def _scan_val_rows(n: int) -> int:
 
 def _split_for_scan(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     if train.n < 10:
-        raise ValidationError("overfit_scan needs at least 10 rows")
+        raise ValidationError(
+            f"overfitting scan: the train half has {train.n} rows and needs at least 10"
+        )
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(train.n)
@@ -281,9 +281,8 @@ def _split_for_scan(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 def overfit_scan(
     family: Family,
     train: Dataset,
-    config: EncodingConfig = DEFAULT_ENCODING,
-    steps: Sequence[float] | None = None,
     *,
+    steps: Sequence[float] | None = None,
     seed: int = 0,
 ) -> OverfitReport:
     """Walk the family's capacity ladder until the first validation upturn.
@@ -301,14 +300,14 @@ def overfit_scan(
             f"overfitting scan: the {family.name.upper()} fit split has {fit_half.n} rows and "
             f"needs {rows}, so the train half needs at least {need} rows, not {train.n}"
         )
-    X_fit, y_fit = encode_with_response(fit_half, config)
-    X_val, y_val = encode_with_response(val_half, config)
+    X_fit, y_fit = encode_with_response(fit_half)
+    X_val, y_val = encode_with_response(val_half)
 
     scanned: list[float] = []
     train_err: list[float] = []
     val_err: list[float] = []
     t = None
-    for step, model in family.ladder(fit_half, config, steps):
+    for step, model in family.ladder(fit_half, steps):
         scanned.append(step)
         train_err.append(_relative_rmse(family.predict(model, X_fit), y_fit))
         val_err.append(_relative_rmse(family.predict(model, X_val), y_val))
@@ -350,12 +349,10 @@ class LearningCurve:
         return tuple(rows)
 
 
-def _cell(
-    family: Family, params: GeneratorParams, config: EncodingConfig, steps
-) -> float | None:
+def _cell(family: Family, params: GeneratorParams, steps) -> float | None:
     """Threshold of the (sample size, seed) cell that ``params`` names."""
-    data = generate_synthetic(params, config)
-    return overfit_scan(family, data, config, steps, seed=params.seed).threshold
+    data = generate_synthetic(params)
+    return overfit_scan(family, data, steps=steps, seed=params.seed).threshold
 
 
 def learning_curve(
@@ -363,7 +360,6 @@ def learning_curve(
     params: GeneratorParams,
     sizes: Sequence[int],
     seeds: Sequence[int],
-    config: EncodingConfig = DEFAULT_ENCODING,
     *,
     steps: Sequence[float] | None = None,
 ) -> LearningCurve:
@@ -388,7 +384,7 @@ def learning_curve(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(cells), cpus) if hasattr(os, "fork") else 1
     if workers < 2:
-        thresholds = [_cell(family, cell, config, steps) for cell in cells]
+        thresholds = [_cell(family, cell, steps) for cell in cells]
     else:
         # Imported here: loading them costs every CLI start about 11 ms.
         import multiprocessing
@@ -397,7 +393,7 @@ def learning_curve(
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
             futures = {
-                i: pool.submit(_cell, family, cells[i], config, steps)
+                i: pool.submit(_cell, family, cells[i], steps)
                 for i in sorted(range(len(cells)), key=lambda i: -cells[i].n)
             }
             try:
@@ -450,9 +446,6 @@ def compare(
     """
     if not models:
         raise ValidationError("compare needs at least one fitted model")
-    config = models[0].encoding
-    if any(m.encoding != config for m in models):
-        raise ValidationError("models were fit with different encoding configs")
     if train is not None:
         overlap = np.intersect1d(train.ids, test.ids)
         if overlap.size:
@@ -463,13 +456,13 @@ def compare(
     results = []
     for position, model in enumerate(models, 1):
         family = FAMILIES[model.family].of(model)
-        band = accuracy_band(partial(family.predict, model), test, config, trim_fraction, floor,
-                             source=f"model {position} ({family.name})")
+        band = accuracy_band(partial(family.predict, model), test, trim_fraction=trim_fraction,
+                             floor=floor, source=f"model {position} ({family.name})")
         overfit = None
         findings = ("none", "none")
         if train is not None:
-            overfit = overfit_scan(family, train, config, seed=seed)
-            findings = family.findings(model, train, config, seed)
+            overfit = overfit_scan(family, train, seed=seed)
+            findings = family.findings(model, train, seed)
         results.append(FamilyResult(family.name, band, overfit, *findings))
     return ComparisonReport(results=tuple(results))
 

@@ -60,9 +60,7 @@ import numpy as np
 
 from . import smoothing
 from .dataset import (
-    DEFAULT_ENCODING,
     Dataset,
-    EncodingConfig,
     N_FEATURES,
     encode_dataset,
     encode_with_response,
@@ -138,7 +136,6 @@ class GamModel:
     interactions: tuple[InteractionTerm, ...]
     rss: float
     smooth_config: SmoothConfig = field(default_factory=SmoothConfig)
-    encoding: EncodingConfig = field(default_factory=lambda: DEFAULT_ENCODING)
     family = "gam"  # class constant, not a field
 
     def __post_init__(self) -> None:
@@ -171,9 +168,9 @@ class CollinearityReport:
 # Fitting and prediction
 
 
-def _working_data(encoding: EncodingConfig, link: LinkKind, train: Dataset):
+def _working_data(link: LinkKind, train: Dataset):
     """Encoded features and the working response z (y, or log y under the log link)."""
-    X, y = encode_with_response(train, encoding)
+    X, y = encode_with_response(train)
     if link is LinkKind.LOG:
         return X, np.log(np.clip(y, _LOG_FLOOR, None))
     return X, y
@@ -194,15 +191,15 @@ def _eta(intercept: float, values, terms) -> np.ndarray:
 
 def fit_gam(
     train: Dataset,
-    config: EncodingConfig = DEFAULT_ENCODING,
+    *,
     link: LinkKind = LinkKind.IDENTITY,
     smooth: SmoothConfig = SmoothConfig(),
 ) -> GamModel:
     """Fit the additive model by one penalized least-squares solve (see the
     module docstring); a penalized system that is not finite is a NumericError."""
     if train.n < MIN_TRAIN_ROWS:
-        raise ValidationError(f"fit_gam needs at least {MIN_TRAIN_ROWS} rows, got {train.n}")
-    X, z = _working_data(config, link, train)
+        raise ValidationError(f"a GAM fit needs at least {MIN_TRAIN_ROWS} rows, got {train.n}")
+    X, z = _working_data(link, train)
     blocks = []  # per feature: (knots or None, uncentred design N_j, penalty Omega_j)
     for x in X.T:
         spline = not smooth.force_linear and np.unique(x).size >= smooth.knots
@@ -220,7 +217,7 @@ def fit_gam(
         gram[start:start + len(omega), start:start + len(omega)] += omega
         start += len(omega)
     if not np.isfinite(gram).all():
-        raise NumericError("penalized GAM system is not finite: check penalty and encoding ranges")
+        raise NumericError("penalized GAM system is not finite: check penalty")
     intercept = float(np.mean(z))
     theta = np.linalg.lstsq(gram, design.T @ (z - intercept), rcond=None)[0]
 
@@ -245,7 +242,6 @@ def fit_gam(
         interactions=(),
         rss=float(r @ r),
         smooth_config=smooth,
-        encoding=config,
     )
 
 
@@ -274,7 +270,7 @@ def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel
         raise ValidationError(f"interaction ({i}, {j}) already present")
     pairs = (*model.interactions, InteractionTerm(i, j, 0.0))  # bounds-checks (i, j)
 
-    X, z = _working_data(model.encoding, model.link, train)
+    X, z = _working_data(model.link, train)
     components = _components(model, X)
     design = np.column_stack(
         [np.ones(X.shape[0])] + [components[t.i] * components[t.j] for t in pairs]
@@ -309,7 +305,7 @@ def interaction_scan(
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    X, z = _working_data(base.encoding, base.link, train)
+    X, z = _working_data(base.link, train)
     components = _components(base, X)
     residual = z - _eta(base.intercept, components, base.interactions)
     base_rss = float(residual @ residual)
@@ -349,14 +345,13 @@ def interaction_scan(
 
 def collinearity_report(
     train: Dataset,
-    config: EncodingConfig = DEFAULT_ENCODING,
 ) -> CollinearityReport:
     """Pairwise Pearson correlations of the features; pairs at |correlation|
     >= ``COLLINEARITY_THRESHOLD`` are flagged, and constant features are
     listed as degenerate."""
     if train.n < 3:
         raise ValidationError("collinearity_report needs at least 3 rows")
-    X, _ = encode_dataset(train, config)
+    X, _ = encode_dataset(train)
     variances = X.var(axis=0)
     degenerate = tuple(int(j) for j in np.nonzero(variances < 1e-12)[0])
 

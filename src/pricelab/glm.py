@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import (
-    DEFAULT_ENCODING,
     Dataset,
-    EncodingConfig,
     N_FEATURES,
     encode_with_response,
     feature_matrix,
@@ -42,7 +40,6 @@ class GlmModel:
     link: LinkKind
     rss: float
     iterations: int
-    encoding: EncodingConfig = field(default_factory=lambda: DEFAULT_ENCODING)
     family = "glm"  # class constant, not a field
 
     def __post_init__(self) -> None:
@@ -83,11 +80,11 @@ def _gauss_newton(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, n
 
 def fit_glm(
     train: Dataset,
-    config: EncodingConfig = DEFAULT_ENCODING,
+    *,
     link: LinkKind = LinkKind.IDENTITY,
 ) -> GlmModel:
     """Least-squares fit of the linear predictor on encoded features."""
-    X, y = encode_with_response(train, config)
+    X, y = encode_with_response(train)
     n, p = X.shape[0], N_FEATURES + 1
     if n <= p:
         raise SingularityError(
@@ -101,7 +98,7 @@ def fit_glm(
         beta, iterations, fitted = _gauss_newton(design, y)
     residuals = y - fitted
     return GlmModel(intercept=float(beta[0]), coef=beta[1:].copy(), link=link,
-                    rss=float(residuals @ residuals), iterations=iterations, encoding=config)
+                    rss=float(residuals @ residuals), iterations=iterations)
 
 
 def predict_glm(model: GlmModel, X: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ def _root(penalty):
 
 def objective_and_minimum(model, data):
     """(the model's penalized objective, scipy's minimum of it) on ``data``."""
-    X, y = encode_dataset(data, model.encoding)
+    X, y = encode_dataset(data)
     blocks = _blocks(model, X)
     design = np.hstack([N for N, _, _ in blocks])
     penalty = scipy.linalg.block_diag(*[P for _, P, _ in blocks])
@@ -90,7 +90,7 @@ def objective_and_minimum(model, data):
 
 def relative_gradient(model, data):
     """||grad|| / ||D'y|| of the objective in the centred parameterisation."""
-    X, y = encode_dataset(data, model.encoding)
+    X, y = encode_dataset(data)
     blocks = _blocks(model, X)
     D = np.hstack([N - N.mean(axis=0) for N, _, _ in blocks])
     penalty = scipy.linalg.block_diag(*[P for _, P, _ in blocks])

@@ -279,7 +279,7 @@ def test_cli_predictions_equal_library_predictions(cli_pipeline):
             "-o", str(out),
         ]) == 0
         model = load_model(paths[family])
-        X, _ = encode_dataset(data, model.encoding)
+        X, _ = encode_dataset(data)
         expected = FAMILIES[model.family].predict(model, X)
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == data.n

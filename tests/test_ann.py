@@ -26,7 +26,6 @@ from pricelab.ann import (
 )
 from pricelab.artifacts import load_model, save_model
 from pricelab.dataset import (
-    DEFAULT_ENCODING,
     GeneratorParams,
     encode_dataset,
     generate_synthetic,
@@ -361,8 +360,8 @@ def test_train_trajectory_checkpoints_match_shorter_runs():
     long run must equal the final state of a run capped at e."""
     data = generate_synthetic(GeneratorParams(n=40, seed=3))
     cfg = TrainingConfig(max_epochs=10)  # max_epochs unused by trajectory
-    snaps = list(train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30, 60]))
-    short = list(train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [30]))
+    snaps = list(train_trajectory(data, DEFAULT_TOPOLOGY, cfg, [30, 60]))
+    short = list(train_trajectory(data, DEFAULT_TOPOLOGY, cfg, [30]))
     assert snaps[0].scaler == short[0].scaler == snaps[1].scaler
     assert snaps[0].stopped_epoch == 30 and snaps[1].stopped_epoch == 60
     w_long = snaps[0].weights
@@ -496,7 +495,7 @@ def test_descend_equals_two_pass_loop(case):
 
     want = two_pass_descend(init_weights(topology, seed), X, targets, rate, 150,
                             checkpoints=[1, 40, 150])
-    snaps = list(train_trajectory(data, DEFAULT_ENCODING, topology, cfg, [1, 40, 150]))
+    snaps = list(train_trajectory(data, topology, cfg, [1, 40, 150]))
     assert [m.stopped_epoch for m in snaps] == [1, 40, 150]
     assert all(same_weights(m.weights, want["snapshots"][m.stopped_epoch]) for m in snaps)
 
@@ -517,7 +516,7 @@ def test_one_gradient_pass_per_epoch(monkeypatch):
     assert epochs < 800 and len(calls) == epochs + 1
     calls.clear()
     data = generate_synthetic(GeneratorParams(n=40, seed=3))
-    snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, TrainingConfig(), [25, 60])
+    snaps = train_trajectory(data, DEFAULT_TOPOLOGY, TrainingConfig(), [25, 60])
     assert calls == []  # lazy: no descent before the first model is asked for
     assert next(snaps).stopped_epoch == 25 and len(calls) == 26
     assert [m.stopped_epoch for m in snaps] == [60] and len(calls) == 61
@@ -528,7 +527,7 @@ def test_kept_weights_stay_put_while_descent_goes_on():
     must be a copy: a snapshot taken early is unchanged after later epochs,
     and ``train`` returns its best epoch, not the last one it ran."""
     data = generate_synthetic(GeneratorParams(n=60, seed=3))
-    snaps = train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY,
+    snaps = train_trajectory(data, DEFAULT_TOPOLOGY,
                              TrainingConfig(learning_rate=0.3), [10, 200])
     early = next(snaps).weights
     kept = early.copy()
@@ -565,9 +564,9 @@ def test_train_trajectory_validates_checkpoints():
     data = generate_synthetic(GeneratorParams(n=40, seed=3))
     cfg = TrainingConfig()
     with pytest.raises(ValidationError):
-        train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [])
+        train_trajectory(data, DEFAULT_TOPOLOGY, cfg, [])
     with pytest.raises(ValidationError):
-        train_trajectory(data, DEFAULT_ENCODING, DEFAULT_TOPOLOGY, cfg, [0, 10])
+        train_trajectory(data, DEFAULT_TOPOLOGY, cfg, [0, 10])
 
 
 def test_artifact_round_trip(tmp_path):

@@ -1,9 +1,12 @@
 """Artifact format edge cases (round-trips live in the per-model suites)."""
 
+import re
+
 import pytest
 
 from pricelab.artifacts import load_model, save_model
-from pricelab.dataset import EncodingConfig, GeneratorParams, generate_synthetic
+from pricelab.config import ENCODING_PAIRS
+from pricelab.dataset import GeneratorParams, generate_synthetic
 from pricelab.errors import ValidationError
 from pricelab.glm import fit_glm, predict_glm
 
@@ -22,18 +25,24 @@ def test_unserializable_object_rejected(tmp_path):
         save_model({"not": "a model"}, tmp_path / "x.model")
 
 
-def test_artifact_is_self_contained(tmp_path):
-    """A model fit under a custom encoding must reload with that encoding
-    embedded, so predictions need no side channel."""
-    encoding = EncodingConfig(age_range=(18.0, 90.0), income_range=(0.0, 99000.0))
-    data = generate_synthetic(GeneratorParams(n=40, seed=1), encoding)
-    model = fit_glm(data, encoding)
-    path = tmp_path / "custom.model"
+@pytest.mark.parametrize("key", [key for key, _ in ENCODING_PAIRS])
+def test_load_refuses_another_encoding(tmp_path, key):
+    """An artifact fitted under another encoding (older versions had encoding
+    keys) is refused, naming the key, instead of priced on the wrong inputs.
+    The same number written another way still loads."""
+    model = fit_glm(generate_synthetic(GeneratorParams(n=40, seed=1)))
+    path = tmp_path / "glm.model"
     save_model(model, path)
-    back = load_model(path)
-    assert back.encoding == encoding
+    text = path.read_text()
+    written = dict(ENCODING_PAIRS)[key]
+    line, value = f"\n{key} = {written}\n", float(written)
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, f"\n{key} = {value + 1.0!r}\n"))
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: [encoding]: key '{key}': ")):
+        load_model(path)
+    path.write_text(text.replace(line, f"\n{key} = {value:.3e}\n"))
     X = np.full((1, 6), 0.25)
-    assert np.array_equal(predict_glm(back, X), predict_glm(model, X))
+    assert np.array_equal(predict_glm(load_model(path), X), predict_glm(model, X))
 
 
 def test_artifact_text_is_stable(tmp_path):

@@ -6,7 +6,6 @@ import itertools
 import math
 import re
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from pricelab.dataset import (
     CSV_COLUMNS,
     DEFAULT_ENCODING,
     Dataset,
-    EncodingConfig,
     Gender,
     GeneratorParams,
     PriorClaim,
@@ -157,24 +155,11 @@ def test_encode_hand_examples():
 
 
 def test_encode_clamps_out_of_range():
-    old_and_rich = make_dataset([(1, Gender.MALE, 100, 300000.0, False, PriorClaim.NONE, None)])
-    x = encode_dataset(old_and_rich)[0][0]
-    assert x[1] == 1.0  # (100-18)/62 > 1 clamps
-    assert x[2] == 1.0
-    narrow = EncodingConfig(age_range=(30.0, 40.0), income_range=(0.0, 1000.0))
-    x = encode_dataset(FIXTURE, narrow)[0][3]  # age 24 below range, income 45000 above
-    assert x[1] == 0.0
-    assert x[2] == 1.0
-
-
-def test_encode_a_range_narrow_enough_to_overflow_clips_without_a_warning():
-    """(income - lo) / 5e-324 overflows to inf, which the clip takes to 1.0;
-    the overflow is expected, so it warns nothing."""
-    tiny = EncodingConfig(income_range=(0.0, 5e-324))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        X, _ = encode_dataset(FIXTURE, tiny)
-    assert X[:, 2].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]  # the first income equals lo
+    """Ages past 80 and incomes past 150000 clip to 1.0; the range floors map to 0.0."""
+    rows = [(1, Gender.MALE, 90, 200000.0, False, PriorClaim.NONE, None),
+            (2, Gender.FEMALE, 18, 0.0, False, PriorClaim.NONE, None)]
+    X, _ = encode_dataset(make_dataset(rows))
+    assert X[:, 1:3].tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
 
 @given(rows_strategy())
@@ -203,29 +188,6 @@ def test_encode_dataset_missing_response():
     one_missing[2] = (*FIXTURE_ROWS[2][:-1], None)
     with pytest.raises(ValidationError, match="expenditure"):
         make_dataset(one_missing)
-
-
-def test_encoding_range_endpoints_are_whole_floats():
-    """Every integer up to 2**53 is a float, so the generator can draw whole
-    incomes from any accepted range; wider ranges are refused."""
-    assert EncodingConfig(income_range=(-2.0**53, 2.0**53)).income_range[1] == 2**53
-    widest = EncodingConfig(income_range=(0.0, 2.0**53))
-    incomes = generate_synthetic(GeneratorParams(n=50, seed=1), widest).income
-    assert np.all(incomes == np.floor(incomes)) and incomes.max() > 2.0**52
-    for income_range in ((0.0, 2.0**53 + 2), (-2.0**53 - 2, 0.0), (0.0, 1e300)):
-        with pytest.raises(ValidationError, match=re.escape("income_range endpoints")):
-            EncodingConfig(income_range=income_range)
-    with pytest.raises(ValidationError, match="age_range"):
-        EncodingConfig(age_range=(18.0, 1e30))
-
-
-def test_encoding_config_validation():
-    with pytest.raises(ValidationError):
-        EncodingConfig(age_range=(80.0, 18.0))
-    with pytest.raises(ValidationError):
-        EncodingConfig(income_range=(0.0, 0.0))
-    with pytest.raises(ValidationError):
-        EncodingConfig(claim_severity={PriorClaim.NONE: 0.0})  # incomplete map
 
 
 # ---------------------------------------------------------------- generator

@@ -19,9 +19,7 @@ from pricelab import evaluation
 from pricelab import gam as gam_mod
 from pricelab.ann import TrainingConfig, train
 from pricelab.dataset import (
-    DEFAULT_ENCODING,
     MAX_ROWS,
-    EncodingConfig,
     Gender,
     GeneratorParams,
     PriorClaim,
@@ -247,7 +245,7 @@ def full_ladder_scan(family, train, steps, seed):
     fit_half, val_half = _split_for_scan(train, seed)
     X_fit, y_fit = encode_with_response(fit_half)
     X_val, y_val = encode_with_response(val_half)
-    ladder = list(family.ladder(fit_half, DEFAULT_ENCODING, steps))
+    ladder = list(family.ladder(fit_half, steps))
     train_err = [_relative_rmse(family.predict(m, X_fit), y_fit) for _, m in ladder]
     val_err = [_relative_rmse(family.predict(m, X_val), y_val) for _, m in ladder]
     return [step for step, _ in ladder], train_err, val_err, _detect_threshold(train_err, val_err)
@@ -409,10 +407,10 @@ class SlowMarkedGlm(GlmFamily):
     """The linear family, slowed down, leaving a file in ``marks`` per cell."""
     marks: str = ""
 
-    def ladder(self, train, config, steps):
+    def ladder(self, train, steps):
         Path(self.marks, str(train.n)).touch()
         time.sleep(0.2)
-        yield from super().ladder(train, config, steps)
+        yield from super().ladder(train, steps)
 
 
 def test_an_interrupted_curve_cancels_the_cells_not_yet_started(tmp_path, monkeypatch):
@@ -475,15 +473,6 @@ def test_compare_refuses_leakage():
     with pytest.raises(ValidationError, match="leakage"):
         compare([model], train_half, train=train_half)
     compare([model], test_half, train=train_half)  # disjoint halves are fine
-
-
-def test_compare_refuses_mixed_encodings():
-    train_half, test_half = interaction_datasets()
-    other = EncodingConfig(age_range=(18.0, 90.0))
-    a = fit_glm(train_half)
-    b = fit_glm(train_half, other)
-    with pytest.raises(ValidationError, match="encoding"):
-        compare([a, b], test_half)
 
 
 def test_compare_without_train_skips_scans():

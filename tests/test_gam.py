@@ -269,7 +269,7 @@ def test_interaction_scan_on_a_model_with_an_interaction():
 def reference_scan(rows, base, seed):
     """(i, j, score, p-value) of every pair in pair order, one
     ``rng.permutation`` and one ``u @ shuffled`` dot per shuffle."""
-    X, z = gam._working_data(base.encoding, base.link, rows)
+    X, z = gam._working_data(base.link, rows)
     components = gam._components(base, X)
     residual = z - gam._eta(base.intercept, components, base.interactions)
     base_rss = float(residual @ residual)

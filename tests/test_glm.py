@@ -211,4 +211,3 @@ def test_artifact_round_trip(tmp_path):
         assert back.intercept == model.intercept
         assert np.array_equal(back.coef, model.coef)
         assert back.rss == model.rss
-        assert back.encoding == model.encoding
