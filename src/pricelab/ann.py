@@ -31,7 +31,8 @@ block; and a gemv or gemm on a contiguous row slice gives the bits of the
 same call on a copy.  Faster forms of the same calls keep the bits too
 (numpy 2.4): ``ndarray.dot`` for ``np.dot``; the bias tile ``ones @
 b[None, :]``; ``einsum('ij->j')`` for a hidden bias gradient when h >= 2 (a
-1-unit layer keeps ``add.reduce``, the one shape rule); and ``fmax`` in the
+1-unit layer keeps ``add.reduce``, the one shape rule), called through
+``c_einsum``, the C entry ``np.einsum`` itself calls; and ``fmax`` in the
 sigmoid.  The gemm against a contiguous copy of W.T is faster but changes
 the last bits at some shapes, so the forward gemm keeps ``W.T``.
 """
@@ -45,6 +46,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+# The C function np.einsum calls when optimize is off, minus its Python
+# wrapper (~0.6 us); a numpy that moves it fails this import, not silently.
+from numpy._core.multiarray import c_einsum
 
 from .dataset import (
     Dataset,
@@ -305,7 +309,7 @@ class _Workspace:
             # sums row by row faster than add.reduce, but an (n, 1) delta
             # takes its contiguous-array sum, which does not keep the bits.
             if delta.shape[1] > 1:
-                yield functools.partial(np.einsum, "ij->j", out=grads.biases[layer]), (delta,)
+                yield functools.partial(c_einsum, "ij->j", out=grads.biases[layer]), (delta,)
             else:
                 yield np.add.reduce, (delta, 0, None, grads.biases[layer])
 

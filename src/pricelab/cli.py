@@ -9,6 +9,10 @@ byte for byte (timestamps aside).
 
 Exit codes: 0 success, 2 usage, 3 data, file or validation problem, 4 fit
 failure.
+
+The parser is built once per process and never changed, so a process that
+runs several commands (``replay``, a script calling ``main`` in a loop) does
+not pay the milliseconds argparse takes to build it on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import datetime
 import os
 import shlex
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +240,7 @@ def _cmd_replay(args: argparse.Namespace, argv: list[str]) -> int:
     return replay_manifest(args.manifest)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pricelab",

@@ -167,13 +167,12 @@ class GamFamily(Family):
         return gam_mod.predict_gam(model, X)
 
     def ladder(self, train: Dataset, steps):
-        """One fit per penalty, in decreasing order."""
+        """One fit per penalty, in decreasing order, each solved as it is asked for."""
         ladder = tuple(float(s) for s in (steps if steps is not None else DEFAULT_GAM_STEPS))
         if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError("GAM scan steps must be strictly decreasing penalties")
-        for lam in ladder:
-            smooth = replace(self.smooth, penalty=lam)
-            yield lam, gam_mod.fit_gam(train, link=self.link, smooth=smooth)
+        models = gam_mod.fit_gam_ladder(train, ladder, link=self.link, smooth=self.smooth)
+        return zip(ladder, models)
 
     def findings(self, model, train: Dataset, seed: int):
         candidates = gam_mod.interaction_scan(train, model, seed=seed)

@@ -23,10 +23,11 @@ The constant vector lies in the null space of both N̄_j and Omega_j, so the
 system is singular by one direction per spline block; the min-norm
 least-squares solution fixes that gauge of the knot values, and each
 component stores the training mean of N_j a_j as ``center`` so f_j is mean
-zero on train.  No iteration is involved.  ``fit_gam`` is these equations in
-order: one (N_j, penalty * Omega_j) block per feature, D'D with each penalty
-added to its diagonal block (a NumericError if any entry is not finite),
-the ``lstsq`` solve, then f_j and its center feature by feature.
+zero on train.  No iteration is involved.  ``fit_gam_ladder`` builds once each
+feature's knots, N_j and unscaled Omega_j, then D, D'D and D'(z - b0); per
+penalty it adds penalty * Omega_j to a copy of D'D (a NumericError if any
+entry is not finite), solves by ``lstsq``, and forms each f_j and its center.
+``fit_gam`` is its one-penalty case; the overfitting scan walks its ladder.
 
 Interaction terms follow the literal product form: one scalar gamma scaling
 the product of two fitted univariate smooths.  They are fitted with the
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -189,18 +191,20 @@ def _eta(intercept: float, values, terms) -> np.ndarray:
     return eta
 
 
-def fit_gam(
+def fit_gam_ladder(
     train: Dataset,
+    penalties: Iterable[float],
     *,
     link: LinkKind = LinkKind.IDENTITY,
     smooth: SmoothConfig = SmoothConfig(),
-) -> GamModel:
-    """Fit the additive model by one penalized least-squares solve (see the
-    module docstring); a penalized system that is not finite is a NumericError."""
+) -> Iterator[GamModel]:
+    """The fit of ``smooth`` at each of ``penalties``, one solve per model asked
+    for (see the module docstring); a penalized system that is not finite is
+    a NumericError."""
     if train.n < MIN_TRAIN_ROWS:
         raise ValidationError(f"a GAM fit needs at least {MIN_TRAIN_ROWS} rows, got {train.n}")
     X, z = _working_data(link, train)
-    blocks = []  # per feature: (knots or None, uncentred design N_j, penalty Omega_j)
+    blocks = []  # per feature: (knots or None, uncentred design N_j, unscaled Omega_j)
     for x in X.T:
         spline = not smooth.force_linear and np.unique(x).size >= smooth.knots
         knots = smoothing.quantile_knots(x, smooth.knots) if spline else np.empty(0)
@@ -208,41 +212,56 @@ def fit_gam(
             blocks.append((None, x[:, None], np.zeros((1, 1))))
         else:
             with np.errstate(over="ignore"):  # an overflow is refused below
-                omega = smooth.penalty * smoothing.penalty_matrix(knots)
+                omega = smoothing.penalty_matrix(knots)
             blocks.append((knots, smoothing.design_matrix(x, knots), omega))
     design = np.hstack([raw - raw.mean(axis=0) for _, raw, _ in blocks])
     gram = design.T @ design
-    start = 0
-    for _, _, omega in blocks:
-        gram[start:start + len(omega), start:start + len(omega)] += omega
-        start += len(omega)
-    if not np.isfinite(gram).all():
-        raise NumericError("penalized GAM system is not finite: check penalty")
     intercept = float(np.mean(z))
-    theta = np.linalg.lstsq(gram, design.T @ (z - intercept), rcond=None)[0]
+    rhs = design.T @ (z - intercept)
+    for penalty in penalties:
+        config = replace(smooth, penalty=penalty)  # refuses a penalty that is negative or not finite
+        system, start = gram.copy(), 0
+        for _, _, omega in blocks:
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                system[start:start + len(omega), start:start + len(omega)] += penalty * omega
+            start += len(omega)
+        if not np.isfinite(system).all():
+            raise NumericError("penalized GAM system is not finite: check penalty")
+        theta = np.linalg.lstsq(system, rhs, rcond=None)[0]
 
-    smooths, components, start = [], [], 0
-    for knots, raw, omega in blocks:
-        params = theta[start:start + len(omega)]
-        start += len(omega)
-        values = raw @ params
-        center = float(np.mean(values))
-        components.append(values - center)
-        if knots is None:
-            smooths.append(
-                SmoothFunction("linear", np.empty(0), np.empty(0), float(params[0]), center)
-            )
-        else:
-            smooths.append(SmoothFunction("spline", knots, params.copy(), 0.0, center))
-    r = z - intercept - sum(components)
-    return GamModel(
-        intercept=intercept,
-        link=link,
-        smooths=tuple(smooths),
-        interactions=(),
-        rss=float(r @ r),
-        smooth_config=smooth,
-    )
+        smooths, components, start = [], [], 0
+        for knots, raw, omega in blocks:
+            params = theta[start:start + len(omega)]
+            start += len(omega)
+            values = raw @ params
+            center = float(np.mean(values))
+            components.append(values - center)
+            if knots is None:
+                smooths.append(
+                    SmoothFunction("linear", np.empty(0), np.empty(0), float(params[0]), center)
+                )
+            else:
+                smooths.append(SmoothFunction("spline", knots, params.copy(), 0.0, center))
+        r = z - intercept - sum(components)
+        yield GamModel(
+            intercept=intercept,
+            link=link,
+            smooths=tuple(smooths),
+            interactions=(),
+            rss=float(r @ r),
+            smooth_config=config,
+        )
+
+
+def fit_gam(
+    train: Dataset,
+    *,
+    link: LinkKind = LinkKind.IDENTITY,
+    smooth: SmoothConfig = SmoothConfig(),
+) -> GamModel:
+    """Fit the additive model by one penalized least-squares solve: the
+    one-penalty case of ``fit_gam_ladder``."""
+    return next(fit_gam_ladder(train, (smooth.penalty,), link=link, smooth=smooth))
 
 
 def predict_gam(model: GamModel, X: np.ndarray) -> np.ndarray:

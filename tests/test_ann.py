@@ -97,17 +97,20 @@ def bits(x):
 
 def test_einsum_column_sum_equals_add_reduce_for_two_or_more_columns():
     """``einsum('ij->j')`` sums an (n, h) C array row by row, as
-    ``add.reduce`` over axis 0 does, when h >= 2.  (An (n, 1) array takes
-    einsum's contiguous sum, so 1-unit layers keep ``add.reduce``; the
-    one-unit descent cases fail if they do not.)"""
+    ``add.reduce`` over axis 0 does, when h >= 2, and so does the C entry
+    ``c_einsum`` that the descent binds.  (An (n, 1) array takes einsum's
+    contiguous sum, so 1-unit layers keep ``add.reduce``; the one-unit
+    descent cases fail if they do not.)"""
     rng = np.random.default_rng(0)
     for n in (1, 103, 640, 800):
         for h in (2, 3, 8, 64):
             delta = rng.normal(size=(n, h)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 1))
-            want, got = np.empty(h), np.empty(h)
+            want, got, bound = np.empty(h), np.empty(h), np.empty(h)
             np.add.reduce(delta, 0, None, want)
             np.einsum("ij->j", delta, out=got)
+            ann.c_einsum("ij->j", delta, out=bound)
             assert np.array_equal(bits(got), bits(want)), (n, h)
+            assert np.array_equal(bits(bound), bits(want)), (n, h)
 
 
 def test_rank_one_bias_tile_equals_the_broadcast_bias():

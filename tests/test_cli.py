@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pricelab
 from pricelab.ann import MAX_EPOCHS, MAX_HIDDEN, AnnModel, NetworkTopology, TrainingConfig
 from pricelab.artifacts import load_model
-from pricelab.cli import main, replay_manifest
+from pricelab.cli import build_parser, main, replay_manifest
 from pricelab.dataset import CSV_COLUMNS, MAX_ROWS, GeneratorParams, encode_dataset, load_csv
 from pricelab.errors import ValidationError
 from pricelab.gam import MAX_KNOTS, GamModel, SmoothConfig
@@ -512,6 +512,13 @@ def overflow_inputs(extreme_portfolios):
     return d
 
 
+def package_env():
+    """The environment for a ``python -m pricelab`` process that imports this package."""
+    package_root = str(Path(pricelab.__file__).resolve().parent.parent)
+    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["fit", "--family", "glm", "--in", "1e200.csv", "-o", "out.model"], 4),
     (["fit", "--family", "glm", "--in", "1e308.csv", "-o", "out.model"], 4),
@@ -524,11 +531,9 @@ def overflow_inputs(extreme_portfolios):
 def test_numeric_overflow_prints_no_warning(overflow_inputs, argv, code):
     """In a process of its own, where no test harness captures warnings, an
     overflow leaves stderr empty on exit 0 and holds one error line on exit 4."""
-    package_root = str(Path(pricelab.__file__).resolve().parent.parent)
-    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
     done = subprocess.run(
         [sys.executable, "-m", "pricelab", *argv], cwd=overflow_inputs, capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        text=True, env=package_env(),
     )
     assert done.returncode == code, done.stderr
     expected = 0 if code == 0 else 1
@@ -670,6 +675,42 @@ def test_replay_refuses_a_damaged_or_replay_argv(tmp_path, capsys, argv):
     assert run("replay", manifest) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_one_process_writes_the_bytes_of_a_process_per_command(tmp_path, monkeypatch):
+    """The parser is built once per process and only read after that, so
+    commands run one after another in this process, a usage error among
+    them, write the bytes that each command writes in a process of its own."""
+    assert build_parser() is build_parser()
+    usage_error = ["fit", "--family", "glm", "--in", "p.csv", "--seed", "-1", "-o", "x.model"]
+    commands = [
+        ["gen", "--n", "80", "--seed", "4", "-o", "p.csv"],
+        usage_error,
+        *(["fit", "--family", f, "--in", "p.csv", "--seed", "1", "-o", f"{f}.model"]
+          for f in ("glm", "gam", "ann")),
+        ["predict", "--model", "gam.model", "--in", "p.csv", "-o", "gam.preds.csv"],
+        ["compare", "--model", "glm.model", "--model", "gam.model", "--model", "ann.model",
+         "--in", "p.csv", "--seed", "1", "-o", "report"],
+        ["replay", "gam.model.manifest"],
+    ]
+    one, each = tmp_path / "one", tmp_path / "each"
+    one.mkdir()
+    each.mkdir()
+    monkeypatch.chdir(one)
+    for argv in commands:
+        code = 2 if argv is usage_error else 0
+        try:
+            assert main(argv) == code, argv
+        except SystemExit as exc:
+            assert exc.code == code, argv
+        done = subprocess.run([sys.executable, "-m", "pricelab", *argv], cwd=each,
+                              capture_output=True, env=package_env())
+        assert done.returncode == code, done.stderr
+    outputs = sorted(p.name for p in one.iterdir() if p.suffix != ".manifest")
+    assert outputs == sorted(p.name for p in each.iterdir() if p.suffix != ".manifest")
+    assert "x.model" not in outputs and "report.csv" in outputs
+    for name in outputs:
+        assert (one / name).read_bytes() == (each / name).read_bytes(), name
 
 
 def test_version_flag():

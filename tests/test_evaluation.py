@@ -307,19 +307,20 @@ def counting(calls, fn):
 def test_scan_work_ends_at_the_detecting_step(monkeypatch):
     """A threshold found at t costs the ladder up to step t + PATIENCE - 1:
     that many epochs for the network (one gradient pass each, plus the
-    initial pass), t + PATIENCE fits for the additive model."""
-    gradient_calls, gam_fits = [], []
+    initial pass), t + PATIENCE penalized solves for the additive model."""
+    gradient_calls, gam_solves = [], []
     monkeypatch.setattr(ann_mod, "_gradients", counting(gradient_calls, ann_mod._gradients))
-    monkeypatch.setattr(gam_mod, "fit_gam", counting(gam_fits, gam_mod.fit_gam))
 
     family, train, steps, seed, _ = SCAN_CASES["ann-noisy-half"]()
     report = overfit_scan(family, train, steps=steps, seed=seed)
     last = report.threshold_step + PATIENCE - 1
     assert len(gradient_calls) == steps[last] + 1 and steps[last] < steps[-1]
 
+    # The GAM ladder's one lstsq per penalty is the only solve a GAM scan runs.
+    monkeypatch.setattr(gam_mod.np.linalg, "lstsq", counting(gam_solves, np.linalg.lstsq))
     family, train, steps, seed, _ = SCAN_CASES["gam-portfolio-3"]()
     report = overfit_scan(family, train, steps=steps, seed=seed)
-    assert len(gam_fits) == report.threshold_step + PATIENCE < len(DEFAULT_GAM_STEPS)
+    assert len(gam_solves) == report.threshold_step + PATIENCE < len(DEFAULT_GAM_STEPS)
 
 
 # ------------------------------------------------------------------- curve

@@ -16,7 +16,8 @@ from pricelab.dataset import (
     generate_synthetic,
     split_half,
 )
-from pricelab.errors import ValidationError
+from pricelab.errors import NumericError, ValidationError
+from pricelab.evaluation import DEFAULT_GAM_STEPS
 from pricelab.gam import (
     PERMUTATIONS,
     GamModel,
@@ -25,6 +26,7 @@ from pricelab.gam import (
     add_interaction,
     collinearity_report,
     fit_gam,
+    fit_gam_ladder,
     interaction_scan,
     predict_gam,
 )
@@ -150,6 +152,47 @@ def test_knots_are_computed_only_for_spline_features(monkeypatch):
     calls.clear()
     fit_gam(data, smooth=SmoothConfig(force_linear=True))
     assert calls == []
+
+
+def assert_same_gam(got, want):
+    assert got.intercept == want.intercept and got.rss == want.rss
+    assert got.link is want.link and got.smooth_config == want.smooth_config
+    assert got.interactions == want.interactions
+    assert len(got.smooths) == len(want.smooths)
+    for a, b in zip(got.smooths, want.smooths):
+        assert (a.kind, a.slope, a.center) == (b.kind, b.slope, b.center)
+        assert np.array_equal(a.knots, b.knots) and np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("link", list(LinkKind))
+@pytest.mark.parametrize("force_linear", [False, True])
+def test_ladder_equals_fit_gam_at_each_penalty(link, force_linear):
+    """Every penalty of the scan ladder solves a fresh copy of D'D: the
+    ladder's model at each one is ``fit_gam``'s at that penalty, bit for bit."""
+    data = generate_synthetic(GeneratorParams(n=120, seed=5))
+    smooth = SmoothConfig(force_linear=force_linear)
+    models = list(fit_gam_ladder(data, DEFAULT_GAM_STEPS, link=link, smooth=smooth))
+    assert len(models) == len(DEFAULT_GAM_STEPS)
+    for penalty, model in zip(DEFAULT_GAM_STEPS, models):
+        assert_same_gam(model, fit_gam(data, link=link, smooth=replace(smooth, penalty=penalty)))
+
+
+def test_ladder_refuses_a_first_penalty_that_overflows():
+    data = generate_synthetic(GeneratorParams(n=60, seed=2))
+    with pytest.raises(NumericError, match="penalized GAM system is not finite"):
+        next(fit_gam_ladder(data, (1e308, 1.0)))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+def test_ladder_refuses_a_bad_penalty_before_its_solve(monkeypatch, bad):
+    solves = []
+    real = np.linalg.lstsq
+    monkeypatch.setattr(gam.np.linalg, "lstsq", lambda *a, **k: solves.append(1) or real(*a, **k))
+    ladder = fit_gam_ladder(generate_synthetic(GeneratorParams(n=60, seed=2)), (1.0, bad, 0.5))
+    next(ladder)
+    with pytest.raises(ValidationError, match="penalty must be finite and >= 0"):
+        next(ladder)
+    assert len(solves) == 1
 
 
 def test_minimum_rows_enforced():
