@@ -1,11 +1,13 @@
 """Command-line pipeline: gen, fit, predict, compare.
 
-``predict`` prices a whole input file with one batch call, the same call the
-library makes.  Every command but ``replay`` writes a ``<output>.manifest``
-next to its primary output, in the ``key = value`` syntax of config files,
-recording the exact argv, working directory, config path, seed and tool
-version; replaying the manifest from any directory reproduces the artifact
-byte for byte (timestamps aside).
+``predict`` prices an input file in blocks of ``_PRICE_ROWS`` rows, with the
+bits of the library's one batch call, refuses prices that are not finite
+before it writes any, and formats and writes its lines a block at a time, so
+its memory grows with the file's arrays, not with its text.  Every command
+but ``replay`` writes a ``<output>.manifest`` next to its primary output, in
+the ``key = value`` syntax of config files, recording the exact argv, working
+directory, config path, seed and tool version; replaying the manifest from
+any directory reproduces the artifact byte for byte (timestamps aside).
 
 Exit codes: 0 success, 2 usage, 3 data, file or validation problem, 4 fit
 failure.
@@ -47,7 +49,9 @@ from .errors import (
     ValidationError,
     read_text,
 )
-from .evaluation import FAMILIES, compare, finite_predictions, render_markdown, report_csv
+from .evaluation import (
+    _PRICE_ROWS, FAMILIES, compare, finite_predictions, render_markdown, report_csv,
+)
 
 _FIT_ERRORS = (ConvergenceError, DivergenceError, NumericError)
 # The commands that write a manifest, and so the only ones replay re-runs.
@@ -174,19 +178,21 @@ def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
     data = load_csv(args.input)
     X, actual = encode_dataset(data)
     predict = partial(FAMILIES[model.family].predict, model)
-    predictions = finite_predictions(predict, X, args.model).tolist()
-    ids = data.ids.tolist()
-    if actual is None:
-        lines = ["id,predicted_expenditure"]
-        lines += [f"{i},{p!r}" for i, p in zip(ids, predictions)]
-    else:
-        lines = ["id,predicted_expenditure,ratio"]
-        lines += [
-            f"{i},{p!r}," + ("" if a == 0 else repr(p / a))
-            for i, p, a in zip(ids, predictions, actual.tolist())
-        ]
+    predictions = finite_predictions(predict, X, args.model)
     out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write("id,predicted_expenditure" + ("" if actual is None else ",ratio") + "\n")
+        for start in range(0, data.n, _PRICE_ROWS):
+            block = slice(start, start + _PRICE_ROWS)
+            ids, prices = data.ids[block].tolist(), predictions[block].tolist()
+            if actual is None:
+                lines = [f"{i},{p!r}" for i, p in zip(ids, prices)]
+            else:
+                lines = [
+                    f"{i},{p!r}," + ("" if a == 0 else repr(p / a))
+                    for i, p, a in zip(ids, prices, actual[block].tolist())
+                ]
+            fh.write("\n".join(lines) + "\n")
     _write_manifest(
         out, "predict", argv, seed=None, config_path=None,
         inputs=[str(args.model), str(args.input)], outputs=[str(out)],

@@ -44,6 +44,9 @@ from .glm import LinkKind
 PATIENCE = 3
 DEFAULT_TRIM_FRACTION = 0.05
 DEFAULT_RATIO_FLOOR = 500.0
+# Rows priced per model call (the last call of a book takes the rest, up to
+# twice as many), and lines written per block by ``predict``.
+_PRICE_ROWS = 4096
 DEFAULT_ANN_STEPS: tuple[int, ...] = tuple(range(100, 4001, 100))
 DEFAULT_GAM_STEPS: tuple[float, ...] = tuple(
     float(v) for v in np.geomspace(30.0, 1e-6, 16)
@@ -70,10 +73,36 @@ def format_band(band: AccuracyBand) -> str:
 def finite_predictions(
     predict: Callable[[np.ndarray], np.ndarray], X: np.ndarray, source: str
 ) -> np.ndarray:
-    """``predict(X)``, computed with numpy's floating-point warnings off.
-    A prediction that is not finite raises NumericError naming ``source``."""
+    """``predict(X)``, computed in blocks of rows with numpy's floating-point
+    warnings off.  A prediction that is not finite raises NumericError
+    naming ``source``, counted over all of X's rows, before any is returned.
+
+    Every block but the last holds ``_PRICE_ROWS`` rows; the last holds the
+    rest, ``_PRICE_ROWS`` to 2 * ``_PRICE_ROWS`` - 1 rows, so no call is
+    short.  The blocks bound the model's temporaries (the GAM's (rows,
+    knots) designs, the network's (rows, h) layers) whatever the size of X,
+    and keep the bits of one ``predict(X)`` call.  That rests on facts of
+    OpenBLAS 0.3.31 (Haswell kernels) and numpy 2.4, measured on books of
+    up to 20003 rows, GAMs of 6 to 100 knots and networks of up to 100
+    units: on one BLAS thread, a gemm or gemv over at least 4096 rows that
+    start at a multiple of 4096 gives each row the bits it gets in one call
+    over all the rows, and numpy's elementwise loops (``exp`` included)
+    give an element the same bits at any length.  Short calls break it:
+    pricing the bare remainder, 1 to about 3000 rows, in a call of its own
+    gives a few rows other last bits in all three families (a ``hidden =
+    32,8`` network at a remainder of 3 rows).  At some shapes (GAMs of 28
+    to 43 knots, layers of 64 or 100 units) the one call's own bits depend
+    on the number of OpenBLAS threads; there the blocks give its one-thread
+    bits, and on two threads may differ from it in a few rows of 20000.
+    ``test_evaluation`` pins the blocks against the one call for every
+    family.
+    """
+    n = X.shape[0]
+    predictions = np.empty(n)
+    edges = [0, *range(_PRICE_ROWS, n - _PRICE_ROWS + 1, _PRICE_ROWS), n]
     with np.errstate(all="ignore"):
-        predictions = predict(X)
+        for start, stop in zip(edges, edges[1:]):
+            predictions[start:stop] = predict(X[start:stop])
     bad = int(np.count_nonzero(~np.isfinite(predictions)))
     if bad:
         raise NumericError(f"{source}: {bad} of {predictions.size} predictions are not finite")

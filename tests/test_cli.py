@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from pricelab.artifacts import load_model
 from pricelab.cli import build_parser, main, replay_manifest
 from pricelab.dataset import CSV_COLUMNS, MAX_ROWS, GeneratorParams, encode_dataset, load_csv
 from pricelab.errors import ValidationError
+from pricelab.evaluation import _PRICE_ROWS, FAMILIES, GlmFamily
 from pricelab.gam import MAX_KNOTS, GamModel, SmoothConfig
 from pricelab.glm import GlmModel, predict_glm
 
@@ -382,6 +384,105 @@ def test_predict_refuses_prices_that_are_not_finite(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {damaged}: ") and err.count("\n") == 1, err
     assert "not finite" in err and not (tmp_path / "p.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def book_rows(tmp_path_factory):
+    """(header, rows) of a generated book two price blocks and 3 rows long."""
+    path = tmp_path_factory.mktemp("book") / "book.csv"
+    assert run("gen", "--n", 2 * _PRICE_ROWS + 3, "--seed", 2, "-o", path) == 0
+    header, *rows = path.read_text().splitlines()
+    return header, rows
+
+
+def whole_file_predictions(model_path, input_path):
+    """The bytes predict wrote when it priced a file with one call and
+    joined every formatted line into one string."""
+    model = load_model(model_path)
+    data = load_csv(input_path)
+    X, actual = encode_dataset(data)
+    predictions = FAMILIES[model.family].predict(model, X).tolist()
+    ids = data.ids.tolist()
+    if actual is None:
+        lines = ["id,predicted_expenditure"]
+        lines += [f"{i},{p!r}" for i, p in zip(ids, predictions)]
+    else:
+        lines = ["id,predicted_expenditure,ratio"]
+        lines += [
+            f"{i},{p!r}," + ("" if a == 0 else repr(p / a))
+            for i, p, a in zip(ids, predictions, actual.tolist())
+        ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("actuals", [True, False], ids=["actuals", "no-actuals"])
+@pytest.mark.parametrize("n", [1, _PRICE_ROWS - 1, _PRICE_ROWS, _PRICE_ROWS + 1,
+                               2 * _PRICE_ROWS + 3])
+def test_predict_writes_the_bytes_of_whole_file_formatting(
+    tmp_path, fitted_artifacts, book_rows, n, actuals
+):
+    """Lines formatted and written a block at a time are the bytes of the
+    whole file formatted at once; the last row's zero expenditure leaves
+    its ratio cell empty."""
+    header, rows = book_rows
+    rows = rows[:n - 1] + [rows[n - 1].rsplit(",", 1)[0] + ",0.0"]
+    if not actuals:  # the expenditure column cut off
+        header, rows = header.rsplit(",", 1)[0], [row.rsplit(",", 1)[0] for row in rows]
+    book = tmp_path / "book.csv"
+    book.write_text("\n".join([header, *rows]) + "\n")
+    model = fitted_artifacts / "gam.model"
+    out = tmp_path / "p.csv"
+    assert run("predict", "--model", model, "--in", book, "-o", out) == 0
+    written = out.read_bytes()
+    assert written == whole_file_predictions(model, book)
+    assert written.count(b"\n") == n + 1
+    assert written.endswith(b",\n") == actuals
+
+
+def test_predict_memory_grows_with_its_arrays_not_its_text(tmp_path, fitted_artifacts):
+    """predict's traced peak grows by less than 200 bytes per row of the
+    book: the model's temporaries and the formatted lines are bounded by
+    the price blocks, not by the book (pricing and formatting the whole
+    file at once grew about 347)."""
+    peaks = []
+    for n in (20000, 40000):
+        book = tmp_path / f"book{n}.csv"
+        assert run("gen", "--n", n, "--seed", 2, "-o", book) == 0
+        tracemalloc.start()
+        try:
+            assert run("predict", "--model", fitted_artifacts / "gam.model", "--in", book,
+                       "-o", tmp_path / "p.csv") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 20000 < 200, peaks
+
+
+@pytest.mark.filterwarnings("error")
+def test_prices_not_finite_in_the_last_block_refuse_before_writing(
+    tmp_path, fitted_artifacts, book_rows, monkeypatch, capsys
+):
+    """Prices that are not finite only on the book's last rows end predict
+    with exit 4, counted out of the whole book, and nothing is written."""
+    header, rows = book_rows
+    book = tmp_path / "book.csv"
+    book.write_text("\n".join([header, *rows]) + "\n")
+    last = encode_dataset(load_csv(book))[0][-2:]
+    price = GlmFamily.predict
+
+    def predict(model, X):
+        prices = price(model, X)
+        prices[(X[:, None, :] == last).all(axis=2).any(axis=1)] = math.inf
+        return prices
+
+    monkeypatch.setattr(GlmFamily, "predict", staticmethod(predict))
+    model = fitted_artifacts / "glm.model"
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert run("predict", "--model", model, "--in", book, "-o", out) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: {model}: 2 of {len(rows)} predictions are not finite\n"
+    assert not out.exists() and not Path(f"{out}.manifest").exists()
 
 
 @pytest.mark.filterwarnings("error")

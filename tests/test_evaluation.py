@@ -552,3 +552,31 @@ def test_family_predict_matches_direct_calls():
         (train(train_half, training=TrainingConfig(max_epochs=50)), predict_ann),
     ):
         assert np.array_equal(FAMILIES[model.family].predict(model, X), direct(model, X))
+
+
+@pytest.fixture(scope="module")
+def priced_book():
+    """(a 200-row portfolio to fit on, a book two price blocks and 3 rows long)."""
+    portfolio = generate_synthetic(GeneratorParams(n=200, seed=7))
+    book = generate_synthetic(GeneratorParams(n=2 * evaluation._PRICE_ROWS + 3, seed=2))
+    return portfolio, encode_with_response(book)[0]
+
+
+@pytest.mark.parametrize("family", [
+    GlmFamily(),
+    GlmFamily(link=LinkKind.LOG),
+    GamFamily(),
+    GamFamily(smooth=gam_mod.SmoothConfig(knots=18)),
+    GamFamily(link=LinkKind.LOG),
+    *(AnnFamily(topology=ann_mod.NetworkTopology(hidden), training=TrainingConfig(max_epochs=200))
+      for hidden in [(8,), (1,), (4, 3), (32, 8)]),
+], ids=["glm", "glm-log", "gam", "gam-knots-18", "gam-log",
+        "ann-8", "ann-1", "ann-4-3", "ann-32-8"])
+def test_block_pricing_equals_one_call(priced_book, family):
+    """Pricing in blocks of rows gives the bits of one batch call, the last
+    block's remainder rows included (the facts are in ``finite_predictions``)."""
+    portfolio, X = priced_book
+    model = family.fit(portfolio)
+    predict = FAMILIES[model.family].predict
+    blocked = evaluation.finite_predictions(lambda rows: predict(model, rows), X, "model")
+    assert np.array_equal(blocked, predict(model, X))
