@@ -32,9 +32,10 @@ same call on a copy.  Faster forms of the same calls keep the bits too
 (numpy 2.4): ``ndarray.dot`` for ``np.dot``; the bias tile ``ones @
 b[None, :]``; ``einsum('ij->j')`` for a hidden bias gradient when h >= 2 (a
 1-unit layer keeps ``add.reduce``, the one shape rule), called through
-``c_einsum``, the C entry ``np.einsum`` itself calls; and ``fmax`` in the
-sigmoid.  The gemm against a contiguous copy of W.T is faster but changes
-the last bits at some shapes, so the forward gemm keeps ``W.T``.
+``c_einsum``, the C entry ``np.einsum`` itself calls; and, in the sigmoid,
+``fmax`` for ``maximum`` and integer ops on the sign bit for -|z| and
+copysign(1, z).  The gemm against a contiguous copy of W.T is faster but
+changes the last bits at some shapes, so the forward gemm keeps ``W.T``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ MAX_EPOCHS = 1_000_000
 # operand in about a third of the time it takes a Python float.
 _ONE = np.ones(())
 _ONE.flags.writeable = False
+# The float64 sign bit and the bits of 1.0, as read-only int64 operands.
+_SIGN_BIT = np.array(np.iinfo(np.int64).min)
+_SIGN_BIT.flags.writeable = False
+_ONE_BITS = _ONE.view(np.int64)
 # np.dot's C function, minus the dispatch np.dot runs in Python first (~0.3 us).
 _DOT = np.ndarray.dot
 
@@ -80,15 +85,18 @@ def _sigmoid_calls(z: np.ndarray, scratch: np.ndarray) -> Iterator[tuple]:
     With ``e = exp(-|z|)``, which never overflows, it is ``1 / (1 + e)`` for
     z >= 0 and ``e / (1 + e)`` below (NaN stays NaN).  Each branch is the
     textbook stable form, so the bits equal a two-branch masked evaluation.
-    The numerator is ``max(e, sign(z))``: 0 <= e <= 1, and e = 1 at z = 0,
-    so it is 1 where z >= 0 and e elsewhere, with no mask.
+    The numerator is ``fmax(e, copysign(1, z))``: 0 <= e <= 1, and e = 1 at
+    z = +-0, so it is 1 where z >= 0 and e elsewhere, with no mask; at NaN
+    it is +-1 over a NaN denominator.  -|z| and copysign(1, z) only set or
+    copy the sign bit (IEEE 754 abs, negate, copySign), so they are integer
+    ops on the float64 words, through int64 views taken once here.
     """
-    yield np.sign, (z, scratch)
-    yield np.abs, (z, z)
-    yield np.negative, (z, z)
+    zi, si = z.view(np.int64), scratch.view(np.int64)
+    yield np.bitwise_and, (zi, _SIGN_BIT, si)  # the sign bit of z
+    yield np.bitwise_or, (si, _ONE_BITS, si)  # copysign(1, z)
+    yield np.bitwise_or, (zi, _SIGN_BIT, zi)  # -|z|
     yield np.exp, (z, z)
-    # fmax is maximum here, since e and sign(z) are NaN together; unlike
-    # maximum, it takes a positional out without a DeprecationWarning.
+    # fmax, not maximum: it takes a positional out without a DeprecationWarning.
     yield np.fmax, (z, scratch, scratch)
     yield np.add, (z, _ONE, z)
     yield np.divide, (scratch, z, z)

@@ -69,21 +69,37 @@ def two_branch_sigmoid(z):
     return out
 
 
+# Signed zeros, subnormals, the ends of exp's range, the largest finite
+# float, infinities and NaNs of both signs.
+_EDGES = [0.0, 5e-324, 1e-310, 1e-300, 1.0, 709.0, 745.0, 746.0, 800.0, 1e308, np.inf, np.nan]
+_SPECIALS = np.array(_EDGES + [-v for v in _EDGES])
+
+
 def test_sigmoid_equals_two_branch_formula_bit_for_bit():
-    edges = [0.0, 1e-300, 1.0, 709.0, 745.0, 800.0, np.inf]
-    grid = np.array(edges + [-v for v in edges] + [np.nan])
     rng = np.random.default_rng(0)
     wide = rng.normal(size=(500, 8)) * rng.choice([1e-3, 1.0, 10.0, 300.0], size=(500, 1))
-    for z in (grid, grid.reshape(3, 5), wide):
+    for z in (_SPECIALS, _SPECIALS.reshape(4, 6), wide):
         before = z.copy()
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             got = sigmoid(z)
         want = two_branch_sigmoid(z)
         assert got.shape == z.shape
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(z, before, equal_nan=True)  # input left alone
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(bits(got[~nan]), bits(want[~nan]))
+        assert np.array_equal(bits(z), bits(before))  # input left alone
     assert sigmoid(0.0) == 0.5
+    # The descent's fit layers are row-slice views: only the first k rows
+    # change, and they get the bits of the same rows on their own.
+    buf = np.tile(_SPECIALS, (5, 1))
+    scratch, k = np.empty_like(buf), 3
+    ann._sigmoid_into(buf[:k], scratch[:k])
+    want = two_branch_sigmoid(_SPECIALS)
+    nan = np.isnan(want)
+    for row in buf[:k]:
+        assert np.array_equal(np.isnan(row), nan)
+        assert np.array_equal(bits(row[~nan]), bits(want[~nan]))
+    assert np.array_equal(bits(buf[k:]), bits(np.tile(_SPECIALS, (2, 1))))
 
 
 def bits(x):
@@ -133,18 +149,30 @@ def test_rank_one_bias_tile_equals_the_broadcast_bias():
             assert np.array_equal(bits(z), bits(a @ w.T + b)), (n, h)
 
 
+def test_sign_bit_integer_ops_equal_abs_negate_and_copysign():
+    """Setting the sign bit of a float64's word is -|z|, and its sign bit
+    over the bits of 1.0 is copysign(1, z), bit for bit: NaN payloads, signed
+    zeros and subnormals included, and on arbitrary words."""
+    words = np.random.default_rng(2).integers(-(2**63), 2**63, size=2000, dtype=np.int64)
+    for z in (_SPECIALS, words.view(float)):
+        zi = z.view(np.int64)
+        assert np.array_equal(zi | ann._SIGN_BIT, bits(np.negative(np.abs(z))))
+        assert np.array_equal((zi & ann._SIGN_BIT) | ann._ONE_BITS, bits(np.copysign(1.0, z)))
+
+
 def test_fmax_equals_maximum_on_the_sigmoid_numerators_operands():
-    """The sigmoid's numerator is max(exp(-|z|), sign(z)); the two operands
-    are NaN together, so ``fmax`` (which skips a lone NaN) gives what
-    ``maximum`` (which propagates it) gives: the same bits at signed zeros
-    and infinities, and NaN at NaN (its sign bit aside)."""
-    edges = [0.0, 1e-300, 1.0, 745.0, 800.0, np.inf]
-    z = np.array(edges + [-v for v in edges] + [np.nan, -np.nan])
-    e, sign = np.exp(-np.abs(z)), np.sign(z)
+    """The sigmoid's numerator is fmax(exp(-|z|), copysign(1, z)).  Off NaN
+    neither operand is NaN, so it is ``maximum``, bit for bit.  At NaN z,
+    e is NaN and copysign(1, z) is +-1: fmax skips the lone NaN and gives
+    +-1, while the denominator 1 + e is NaN, so the quotient is still NaN."""
+    z = _SPECIALS
+    e, one = np.exp(-np.abs(z)), np.copysign(1.0, z)
     nan = np.isnan(z)
-    assert np.array_equal(np.isnan(e), nan) and np.array_equal(np.isnan(sign), nan)
-    got, want = np.fmax(e, sign), np.maximum(e, sign)
-    assert np.array_equal(bits(got[~nan]), bits(want[~nan])) and np.isnan(got[nan]).all()
+    assert np.array_equal(np.isnan(e), nan) and not np.isnan(one).any()
+    got, want = np.fmax(e, one), np.maximum(e, one)
+    assert np.array_equal(bits(got[~nan]), bits(want[~nan]))
+    assert np.array_equal(np.abs(got[nan]), np.ones(nan.sum()))
+    assert np.isnan(got[nan] / (1.0 + e[nan])).all()
 
 
 def forward(weights, X):

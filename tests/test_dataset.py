@@ -499,14 +499,17 @@ def _outcome(load, path):
 
 # Cell texts per column: the first ones parse (padded, mixed case, a quoted
 # line break), the rest fail to parse or break an invariant.
+# Numbers padded with U+001C-U+001F, which str.strip removes and int() and
+# float() refuse (the only such code points), and with U+2003, which all
+# three take: a number parse that skipped the strip fails on the first four.
 _GOOD_CELLS = (
     None,  # the id is the row's position unless it is mangled
     ("male", " female", "male "),
-    ("44", " 18", "100 "),
-    ("1000", "2.5e4", " 0 "),
+    ("44", " 18", "100 ", "\x1c44\x1d", "\u200318"),
+    ("1000", "2.5e4", " 0 ", "\x1e1000\x1f", "0\u2003"),
     ("yes", "No", " YES "),
     ("none", "copd ", "other"),
-    ("50", "0.25", " 1e3 ", "7\n"),
+    ("50", "0.25", " 1e3 ", "7\n", "\x1f50\x1c", "\u20030.25"),
 )
 _BAD_CELLS = (
     ("x", "", "1.5", "1", "9223372036854775808", "99999999999999999999", "1\n2"),
@@ -635,15 +638,38 @@ def _csv_writer_bytes(data):
         min_size=1, max_size=20, unique_by=lambda r: r[0],
     ),
     st.booleans(),
+    st.sampled_from([1, 3, dataset._WRITE_ROWS]),
 )
 @settings(max_examples=100, deadline=None)
-def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, rows, with_response):
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, rows, with_response,
+                                                  write_rows):
+    """Blocks of 1 and 3 rows put rows on and across block edges; the
+    bytes are the same at every block size."""
     data = make_dataset(rows)
     if not with_response:
         data = replace(data, expenditure=None)
     path = tmp_path_factory.mktemp("write") / "data.csv"
-    write_csv(data, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_WRITE_ROWS", write_rows)
+        write_csv(data, path)
     assert path.read_bytes() == _csv_writer_bytes(data)
+
+
+def test_writing_a_large_book_holds_one_block_of_lines(tmp_path):
+    """The traced peak of ``write_csv`` does not grow with the table: one
+    block's strings are held at a time.  Whole-column formatting held about
+    317 B a row of a 20000-row book."""
+    peaks = []
+    for n in (20000, 40000):
+        data = generate_synthetic(GeneratorParams(n=n, seed=2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(data, tmp_path / f"book{n}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 20 * 20000
 
 
 # Traced peak of the row-by-row reader, which held every value in Python
