@@ -3,9 +3,9 @@
 Default topology is 6-8-1: six scaled inputs, one logistic-sigmoid hidden
 layer of eight units, one linear output.  Training is full-batch gradient
 descent on the mean squared error of min-max scaled targets, with early
-stopping on an internal validation slice.  Everything is plain numpy; the
-forward pass, the gradients and the finite-difference checker are the point
-of the module, not wrappers around a framework.
+stopping on an internal validation slice.  Everything is plain numpy: the
+forward pass and the gradients are written out here, not wrapped from a
+framework, and the tests check the gradients by central differences.
 
 A descent run builds its arrays and its numpy calls once, in a
 ``_Workspace``: all weights live in one flat vector and all gradients in
@@ -15,7 +15,7 @@ calls whose every matrix product and elementwise step writes into a buffer
 of that workspace, so epochs allocate nothing and make no views.  The
 forward pass and the sigmoid are each written once, as generators of calls
 (``_forward_calls``, ``_sigmoid_calls``) that the descent, ``predict_ann``
-(one layer's buffers at a time) and ``gradient_check`` all run.
+(one layer's buffers at a time) and the tests' gradient checker all run.
 
 ``train``'s validation rows ride the descent's forward pass, after the fit
 rows; the loss and the backward pass read the fit rows through row-slice
@@ -105,10 +105,6 @@ def _sigmoid_calls(z: np.ndarray, scratch: np.ndarray) -> Iterator[tuple]:
 def _run(calls: Iterable[tuple]) -> None:
     for function, args in calls:
         function(*args)
-
-
-def _sigmoid_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    _run(_sigmoid_calls(z, scratch))
 
 
 @dataclass(frozen=True)
@@ -256,11 +252,6 @@ def _forward_calls(
     for rows in blocks:
         yield _DOT, (a[rows], weights.matrices[-1][0], out[rows])
     yield np.add, (out, weights.biases[-1].reshape(()), out)
-
-
-def _forward(weights: Weights, X: np.ndarray, layers: Iterable, out: np.ndarray) -> np.ndarray:
-    _run(_forward_calls(weights, X, layers, out))
-    return out
 
 
 class _Workspace:
@@ -467,37 +458,7 @@ def train_trajectory(
 def predict_ann(model: AnnModel, X: np.ndarray) -> np.ndarray:
     """Expenditure-scale predictions at the rows of an (n, 6) feature matrix."""
     X = feature_matrix(X)
-    n = X.shape[0]
-    out = _forward(model.weights, X, _layer_buffers(n, model.topology.hidden), np.empty(n))
+    out = np.empty(X.shape[0])
+    _run(_forward_calls(model.weights, X, _layer_buffers(out.size, model.topology.hidden), out))
     return model.scaler.inverse(out)
 
-
-def gradient_check(
-    weights: Weights, sample: tuple[np.ndarray, float], epsilon: float = 1e-6
-) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    The checked objective is the per-sample squared error of the scaled
-    output.  Relative error per parameter is |a - n| / max(|a| + |n|, 1e-8).
-    """
-    if not (1e-8 <= epsilon <= 1e-4):
-        raise ValidationError(f"epsilon must lie in [1e-8, 1e-4], got {epsilon}")
-    x, target = sample
-    work = _Workspace(weights, np.asarray(x, dtype=float)[None, :], np.array([float(target)]))
-    _gradients(work)
-    analytic, flat = work.grad.copy(), work.theta.copy()
-
-    def loss_at(k: int, value: float) -> float:
-        work.theta[k] = value
-        _run(work.forward)
-        work.theta[k] = flat[k]
-        return float((work.out[0] - work.targets[0]) ** 2)
-
-    worst = 0.0
-    for k in range(flat.size):
-        up = loss_at(k, flat[k] + epsilon)
-        down = loss_at(k, flat[k] - epsilon)
-        numeric = (up - down) / (2.0 * epsilon)
-        rel = abs(analytic[k] - numeric) / max(abs(analytic[k]) + abs(numeric), 1e-8)
-        worst = max(worst, rel)
-    return worst

@@ -281,15 +281,6 @@ def _upturn_at(train_err: Sequence[float], val_err: Sequence[float], t: int) -> 
     return rising and train_err[t] < train_err[t - 1]
 
 
-def _detect_threshold(train_err: Sequence[float], val_err: Sequence[float]) -> int | None:
-    """First index t where val rises for ``PATIENCE`` straight steps while
-    train falls at the upturn."""
-    for t in range(1, len(val_err) - PATIENCE + 1):
-        if _upturn_at(train_err, val_err, t):
-            return t
-    return None
-
-
 def _scan_val_rows(n: int) -> int:
     return max(1, int(round(n * 0.2)))
 

@@ -1,5 +1,6 @@
-"""Shared test helpers: hand-written datasets, and an oracle for the
-additive model's penalized objective.
+"""Shared test helpers: hand-written datasets, oracles for the additive
+model's penalized objective, the network's gradients and the overfitting
+scan's threshold.
 
 ``make_dataset`` builds a ``Dataset`` from rows written by hand and
 ``rows_of`` reads one back as rows; both use the row layout
@@ -14,16 +15,24 @@ with N_j the uncentred design of component j in the model's own basis (the
 column x for a linear component).  Scipy minimises it independently of the
 package: one least-squares solve of the stacked system [1 N; 0 L] with
 L' L = blockdiag(lambda Omega_j), no centring.
+
+``gradient_check`` compares the network's backprop gradient with central
+finite differences, and ``_detect_threshold`` scans a whole ladder for the
+threshold that ``overfit_scan`` finds incrementally.
 """
 
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from pricelab import smoothing
+from pricelab.ann import Weights, _gradients, _run, _Workspace
 from pricelab.dataset import CLAIMS, Dataset, Gender, encode_dataset
+from pricelab.errors import ValidationError
+from pricelab.evaluation import PATIENCE, _upturn_at
 from pricelab.gam import predict_gam
 
 
@@ -105,3 +114,43 @@ def gam_oracle():
     return SimpleNamespace(
         objective_and_minimum=objective_and_minimum, relative_gradient=relative_gradient,
     )
+
+
+def gradient_check(
+    weights: Weights, sample: tuple[np.ndarray, float], epsilon: float = 1e-6
+) -> float:
+    """Max relative error between backprop and central finite differences.
+
+    The checked objective is the per-sample squared error of the scaled
+    output.  Relative error per parameter is |a - n| / max(|a| + |n|, 1e-8).
+    """
+    if not (1e-8 <= epsilon <= 1e-4):
+        raise ValidationError(f"epsilon must lie in [1e-8, 1e-4], got {epsilon}")
+    x, target = sample
+    work = _Workspace(weights, np.asarray(x, dtype=float)[None, :], np.array([float(target)]))
+    _gradients(work)
+    analytic, flat = work.grad.copy(), work.theta.copy()
+
+    def loss_at(k: int, value: float) -> float:
+        work.theta[k] = value
+        _run(work.forward)
+        work.theta[k] = flat[k]
+        return float((work.out[0] - work.targets[0]) ** 2)
+
+    worst = 0.0
+    for k in range(flat.size):
+        up = loss_at(k, flat[k] + epsilon)
+        down = loss_at(k, flat[k] - epsilon)
+        numeric = (up - down) / (2.0 * epsilon)
+        rel = abs(analytic[k] - numeric) / max(abs(analytic[k]) + abs(numeric), 1e-8)
+        worst = max(worst, rel)
+    return worst
+
+
+def _detect_threshold(train_err: Sequence[float], val_err: Sequence[float]) -> int | None:
+    """First index t where val rises for ``PATIENCE`` straight steps while
+    train falls at the upturn."""
+    for t in range(1, len(val_err) - PATIENCE + 1):
+        if _upturn_at(train_err, val_err, t):
+            return t
+    return None

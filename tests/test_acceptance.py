@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from conftest import gradient_check
 from pricelab.ann import (
     NetworkTopology,
     TrainingConfig,
-    gradient_check,
     init_weights,
     predict_ann,
     train,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from conftest import gradient_check
 from pricelab import ann
 from pricelab.ann import (
     AnnModel,
@@ -18,7 +19,6 @@ from pricelab.ann import (
     TargetScaler,
     TrainingConfig,
     Weights,
-    gradient_check,
     init_weights,
     predict_ann,
     train,
@@ -44,9 +44,9 @@ def constant_expenditure_data(value=4200.0, n=30, seed=1):
 
 
 def sigmoid(z):
-    """``ann._sigmoid_into`` on a float copy of ``z``, as a new array."""
+    """``ann._sigmoid_calls`` run on a float copy of ``z``, as a new array."""
     out = np.array(z, dtype=float)
-    ann._sigmoid_into(out, np.empty_like(out))
+    ann._run(ann._sigmoid_calls(out, np.empty_like(out)))
     return out
 
 
@@ -93,7 +93,7 @@ def test_sigmoid_equals_two_branch_formula_bit_for_bit():
     # change, and they get the bits of the same rows on their own.
     buf = np.tile(_SPECIALS, (5, 1))
     scratch, k = np.empty_like(buf), 3
-    ann._sigmoid_into(buf[:k], scratch[:k])
+    ann._run(ann._sigmoid_calls(buf[:k], scratch[:k]))
     want = two_branch_sigmoid(_SPECIALS)
     nan = np.isnan(want)
     for row in buf[:k]:
@@ -176,10 +176,10 @@ def test_fmax_equals_maximum_on_the_sigmoid_numerators_operands():
 
 
 def forward(weights, X):
-    """Scaled outputs and hidden activations of one ``ann._forward`` pass."""
-    n = X.shape[0]
-    layers = list(ann._layer_buffers(n, [m.shape[0] for m in weights.matrices[:-1]]))
-    out = ann._forward(weights, X, layers, np.empty(n))
+    """Scaled outputs and hidden activations of one forward pass."""
+    out = np.empty(X.shape[0])
+    layers = list(ann._layer_buffers(out.size, [m.shape[0] for m in weights.matrices[:-1]]))
+    ann._run(ann._forward_calls(weights, X, layers, out))
     return out, [a for a, _ in layers]
 
 

@@ -4,7 +4,10 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
+import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -406,21 +409,37 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(path)
 
 
-@pytest.mark.parametrize("where, line", [("header", 1), ("body", 3)])
-def test_an_over_long_cell_is_a_parse_error_naming_its_line(tmp_path, where, line):
+@pytest.mark.parametrize("where, pad, line", [
+    pytest.param("header", "x", 1, id="header-1"),
+    pytest.param("body", "x", 3, id="body-3"),
+    *(pytest.param(column, pad, 3, id=f"{column}-{name}-3")
+      for column in ("id", "age", "income", "expenditure")
+      for pad, name in (("0", "zeros"), (" ", "spaces"))),
+])
+def test_an_over_long_cell_is_a_parse_error_naming_its_line(tmp_path, where, pad, line):
     """A cell past ``csv.reader``'s field size limit is refused as a
-    ``ParseError`` naming the file and the line, in the header or a row."""
-    long = "x" * (csv.field_size_limit() + 1)
+    ``ParseError`` naming the file and the line, in the header or a row.
+    So is a number padded with zeros or spaces past the limit, which
+    ``int`` and ``float`` would read, also after a block of lines that the
+    fast reader takes."""
+    long = pad * (csv.field_size_limit() + 1)
     header = ",".join(CSV_COLUMNS)
     rows = ["1,male,44,1000,no,none,50", "2,male,44,1000,no,none,50"]
     if where == "header":
         header = header.replace("gender", "gender" + long)
-    else:
+    elif where == "body":
         rows[1] = rows[1].replace("male", long)
+    else:
+        cells = rows[1].split(",")
+        cells[CSV_COLUMNS.index(where)] = long + cells[CSV_COLUMNS.index(where)]
+        rows[1] = ",".join(cells)
     path = tmp_path / "long.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: field larger"):
-        load_csv(path)
+    for parse_lines in (dataset._PARSE_LINES, 1):
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(
+                ParseError, match=f"^{re.escape(str(path))}: line {line}: field larger"):
+            patch.setattr(dataset, "_PARSE_LINES", parse_lines)
+            load_csv(path)
 
 
 def _row_by_row_load_csv(path):
@@ -551,17 +570,152 @@ def mangled_csvs(draw):
     return text.getvalue()
 
 
-@given(mangled_csvs(), st.sampled_from([1, 3]))
-@settings(max_examples=300, deadline=None)
-def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, text, block_rows):
-    """Blocks of 1 and 3 rows put blank rows and errors on and across block
-    edges: the columns, or the first error in row order with its message and
-    row, are the reference loader's."""
-    path = tmp_path_factory.mktemp("mangled") / "data.csv"
+# Per CSV column, cells that are almost canonical: the fast reader must
+# refuse them, or read them as ``int``/``float`` of the stripped cell would.
+_NEAR_MISSES = (
+    ("+44", "0044", "9223372036854775808", "1.0"),
+    ("femalex", '"male"', "m\u00e2le", "Male"),
+    ("+44", "0044", "1.0", " 44"),
+    ("1e400", "nan", "+1000", "1_000"),
+    ("Yes", " no", "yes "),
+    ("lung_cancerx", "NONE", '"copd"'),
+    ("1e400", "nan", "-0", "5."),
+)
+# Row ends that are almost CRLF: a lone CR, then a line of spaces or a row
+# of commas after the row.
+_NEAR_MISS_ENDS = ("\r", "\r\n    \r\n", "\r\n,,,,,,\r\n")
+
+
+@st.composite
+def near_miss_csvs(draw):
+    """``write_csv`` text of generated rows, with or without the response
+    column, with at most two cells or row ends swapped for near misses:
+    many such files are read by the fast reader, at any block size."""
+    data = generate_synthetic(GeneratorParams(n=draw(st.integers(min_value=1, max_value=12)),
+                                              seed=draw(st.integers(min_value=0, max_value=99))))
+    if draw(st.booleans()):
+        data = replace(data, expenditure=None)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(data, Path(tmp) / "data.csv")
+        header, *rows = (Path(tmp) / "data.csv").read_bytes().decode().split("\r\n")[:-1]
+    rows = [row.split(",") for row in rows]
+    ends = ["\r\n"] * len(rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        row = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if draw(st.booleans()):
+            column = draw(st.integers(min_value=0, max_value=len(rows[row]) - 1))
+            rows[row][column] = draw(st.sampled_from(_NEAR_MISSES[column]))
+        else:
+            ends[row] = draw(st.sampled_from(_NEAR_MISS_ENDS))
+    return header + "\r\n" + "".join(",".join(row) + end for row, end in zip(rows, ends))
+
+
+def _assert_loads_as_the_row_by_row_reader(path, text, block_rows):
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+        patch.setattr(dataset, "_PARSE_LINES", block_rows)
         assert _outcome(load_csv, path) == _outcome(_row_by_row_load_csv, path)
+
+
+@given(mangled_csvs(), st.sampled_from([1, 3]))
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, text, block_rows):
+    """Blocks of 1 and 3 rows, and of 1 and 3 lines for the fast reader, put
+    blank rows and errors on and across block edges: the columns, or the
+    first error in row order with its message and row, are the reference
+    loader's."""
+    path = tmp_path_factory.mktemp("mangled") / "data.csv"
+    _assert_loads_as_the_row_by_row_reader(path, text, block_rows)
+
+
+@given(near_miss_csvs(), st.sampled_from([1, 3]))
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_the_row_by_row_reader_on_near_misses(tmp_path_factory, text,
+                                                               block_rows):
+    """Near misses among canonical lines, on and across the edges of the
+    fast reader's blocks, leave the reference loader's outcome: the fast
+    reader takes the blocks before them, and the block reader the rest."""
+    path = tmp_path_factory.mktemp("near") / "data.csv"
+    _assert_loads_as_the_row_by_row_reader(path, text, block_rows)
+
+
+class _BlockReaderReached(Exception):
+    pass
+
+
+def _refuse_block_reader(rows, width):
+    """``_convert`` for a block reader that must convert no row."""
+    if rows:
+        raise _BlockReaderReached
+    return []
+
+
+def test_a_canonical_file_is_read_by_the_fast_reader_and_a_padded_one_is_not(tmp_path,
+                                                                             monkeypatch):
+    """With the block reader's converter refusing to run, a canonical
+    5000-row file still loads, to its table.  In a copy with one gender cell
+    padded deep into the file, the block reader converts only the rows from
+    the start of that cell's block of lines on."""
+    data = generate_synthetic(GeneratorParams(n=5000, seed=3))
+    path = tmp_path / "book.csv"
+    write_csv(data, path)
+    convert, converted = dataset._convert, []
+
+    def counting_convert(rows, width):
+        converted.append(len(rows))
+        return convert(rows, width)
+
+    monkeypatch.setattr(dataset, "_convert", _refuse_block_reader)
+    assert rows_of(load_csv(path)) == rows_of(data)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[4001] = lines[4001].replace(b",male,", b", male,").replace(b",female,", b",female ,")
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(_BlockReaderReached):
+        load_csv(padded)
+    monkeypatch.setattr(dataset, "_convert", counting_convert)
+    assert rows_of(load_csv(padded)) == rows_of(data)
+    assert sum(converted) == 5000 - 4000 // dataset._PARSE_LINES * dataset._PARSE_LINES
+
+
+@pytest.mark.parametrize("cell", ["male\x00", "\x00male"])
+def test_a_nul_in_a_text_cell_goes_to_the_block_reader(tmp_path, monkeypatch, cell):
+    """A byte string drops trailing NULs, so the fast reader would read
+    ``male\\x00`` as ``male``: a NUL sends its block of lines to the block
+    reader, which refuses the cell (or, before Python 3.11, the line)."""
+    path = tmp_path / "nul.csv"
+    path.write_text(",".join(CSV_COLUMNS) + f"\r\n1,{cell},44,1000,no,none,50\r\n",
+                    encoding="utf-8", newline="")
+    with pytest.raises(ParseError):
+        load_csv(path)
+    monkeypatch.setattr(dataset, "_convert", _refuse_block_reader)
+    with pytest.raises(_BlockReaderReached):
+        load_csv(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("gender", [b",male,", b", male,"])
+def test_a_pipe_loads_as_a_file_does(tmp_path, gender):
+    """A pipe is read once, by the fast reader and, from its first padded
+    cell on, by the block reader, canonical or not, to the table a regular
+    file loads to."""
+    data = generate_synthetic(GeneratorParams(n=3000, seed=4))
+    path, pipe = tmp_path / "book.csv", tmp_path / "pipe.csv"
+    write_csv(data, path)
+    text = path.read_bytes().replace(b",male,", gender)
+    os.mkfifo(pipe)
+
+    def feed():
+        with open(pipe, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    loaded = load_csv(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert rows_of(loaded) == rows_of(data)
 
 
 @pytest.mark.parametrize("width, columns", [
@@ -588,8 +742,10 @@ def test_a_row_with_two_bad_cells_reports_the_reference_readers_error(tmp_path, 
 def test_an_error_before_undecodable_bytes_still_comes_first(tmp_path, block_rows, monkeypatch):
     """Text is decoded a chunk at a time, so rows before the chunk that holds a
     bad byte are read before it fails.  A bad row among them is reported, as
-    the row-by-row reader reports it, whichever block it falls in."""
+    the row-by-row reader reports it, whichever block of rows or of the fast
+    reader's lines it falls in."""
     monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(dataset, "_PARSE_LINES", block_rows)
     good = [f"{k},male,44,1000,no,none,50\r\n".encode() for k in range(1, 400)]
     good[320] = b"\xff" + good[320]  # in the second 8 KB chunk
     seen = set()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from conftest import make_dataset
+from conftest import _detect_threshold, make_dataset
 from pricelab import ann as ann_mod
 from pricelab import evaluation
 from pricelab import gam as gam_mod
@@ -45,7 +45,6 @@ from pricelab.evaluation import (
     render_markdown,
     report_csv,
     PATIENCE,
-    _detect_threshold,
     _relative_rmse,
     _split_for_scan,
 )
