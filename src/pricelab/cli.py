@@ -3,11 +3,16 @@
 ``predict`` prices an input file in blocks of ``_PRICE_ROWS`` rows, with the
 bits of the library's one batch call, refuses prices that are not finite
 before it writes any, and formats and writes its lines a block at a time, so
-its memory grows with the file's arrays, not with its text.  Every command
-but ``replay`` writes a ``<output>.manifest`` next to its primary output, in
-the ``key = value`` syntax of config files, recording the exact argv, working
-directory, config path, seed and tool version; replaying the manifest from
-any directory reproduces the artifact byte for byte (timestamps aside).
+its memory grows with the file's arrays, not with its text.  A block is
+formatted a column at a time: the ``repr`` of each id (an int's ``str``)
+and price, and of each ratio, whose column is one numpy division (IEEE
+division gives the bits of Python's ``p / a``), blank where the actual is 0.
+
+Every command but ``replay`` writes a ``<output>.manifest`` next to its
+primary output, in the ``key = value`` syntax of config files, recording the
+exact argv, working directory, config path, seed and tool version; replaying
+the manifest from any directory reproduces the artifact byte for byte
+(timestamps aside).
 
 Exit codes: 0 success, 2 usage, 3 data, file or validation problem, 4 fit
 failure.
@@ -184,15 +189,14 @@ def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
         fh.write("id,predicted_expenditure" + ("" if actual is None else ",ratio") + "\n")
         for start in range(0, data.n, _PRICE_ROWS):
             block = slice(start, start + _PRICE_ROWS)
-            ids, prices = data.ids[block].tolist(), predictions[block].tolist()
-            if actual is None:
-                lines = [f"{i},{p!r}" for i, p in zip(ids, prices)]
-            else:
-                lines = [
-                    f"{i},{p!r}," + ("" if a == 0 else repr(p / a))
-                    for i, p, a in zip(ids, prices, actual[block].tolist())
-                ]
-            fh.write("\n".join(lines) + "\n")
+            columns = [map(repr, data.ids[block].tolist()),
+                       map(repr, predictions[block].tolist())]
+            if actual is not None:  # main's errstate silences the zero divisions
+                ratios = list(map(repr, (predictions[block] / actual[block]).tolist()))
+                for i in np.flatnonzero(actual[block] == 0).tolist():
+                    ratios[i] = ""
+                columns.append(ratios)
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     _write_manifest(
         out, "predict", argv, seed=None, config_path=None,
         inputs=[str(args.model), str(args.input)], outputs=[str(out)],

@@ -12,11 +12,15 @@ customer in file order:
     expenditure  float64  finite, >= 0; None when the response column is absent
 
 ``write_csv`` and ``load_csv`` move a table to and from a CSV file with the
-``CSV_COLUMNS`` header.  ``load_csv`` parses lines in C (``np.loadtxt``)
-while they load as the block reader would load them; from the first other
-block on, that reader converts rows a column at a time and reports the first
-error in row order, as a row-by-row read would, checking the numbers (id,
-age, income) of a row before its other columns.
+``CSV_COLUMNS`` header.  ``write_csv`` formats a block of rows a column at
+a time: texts and ages by lookup in a table, and income and expenditure by
+three masks (a whole value below 2**63 as the text of its int64, any
+other value by ``repr``, a whole value past int64 as ``str(int(value))``).
+``load_csv`` parses lines in C (``np.loadtxt``) and decodes their texts by
+``searchsorted``, while they load as the block reader would load them; from
+the first other block on, that reader converts rows a column at a time and
+reports the first error in row order, as a row-by-row read would, checking
+the numbers (id, age, income) of a row before its other columns.
 
 Every model in the package consumes the same six-component feature vector,
 all components scaled into [0, 1]:
@@ -378,10 +382,38 @@ _WRITE_ROWS = 4096
 _GENDER_TEXT = (Gender.FEMALE.value, Gender.MALE.value)  # indexed by the ``male`` flag
 _SMOKE_TEXT = ("no", "yes")  # indexed by the ``smoker`` flag
 _CLAIM_TEXT = tuple(claim.value for claim in CLAIMS)
-# Per CSV column, in ``Dataset`` column order: the text of a value.
+
+
+def _lookup(texts):
+    """The formatter of a column of indices into ``texts``: one ``take``
+    from a read-only object array per block."""
+    table = np.array(texts, dtype=object)
+    table.flags.writeable = False
+    return lambda values: table.take(values).tolist()
+
+
+def _ints(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))  # an int's ``str``, by a faster call
+
+
+def _numbers(values: np.ndarray) -> list[str]:
+    """``_format_number`` of each (finite) value, by three masks: a whole
+    value below 2**63 is the text of its int64, any other value is its
+    ``repr``, and a whole value past int64 goes to ``_format_number``."""
+    texts = np.empty(values.size, dtype=object)
+    whole = values == np.trunc(values)
+    fits = whole & (np.abs(values) < 2.0**63)
+    texts[fits] = _ints(values[fits].astype(np.int64))
+    texts[~whole] = list(map(repr, values[~whole].tolist()))
+    texts[whole & ~fits] = list(map(_format_number, values[whole & ~fits].tolist()))
+    return texts.tolist()
+
+
+# Per CSV column, in ``Dataset`` column order: the texts of a block of values
+# (``Dataset`` bounds ages to [18, 100]).
 _FORMATTERS = (
-    str, _GENDER_TEXT.__getitem__, str, _format_number,
-    _SMOKE_TEXT.__getitem__, _CLAIM_TEXT.__getitem__, _format_number,
+    _ints, _lookup(_GENDER_TEXT), _lookup([str(age) for age in range(101)]), _numbers,
+    _lookup(_SMOKE_TEXT), _lookup(_CLAIM_TEXT), _numbers,
 )
 
 
@@ -390,14 +422,16 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
 
     The bytes are those of ``csv.writer``: no field needs quoting (digits,
     enum values and the ``repr`` of finite floats), and every row ends in
-    CRLF.
+    CRLF.  Each block of ``_WRITE_ROWS`` rows is formatted a column at a
+    time by ``_FORMATTERS``, with no Python call per cell but the ``repr``
+    of an integer and of a float that is not whole.
     """
     names = dataset._columns()
     arrays = [getattr(dataset, name) for name in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS[:len(names)]) + "\r\n")
         for start in range(0, dataset.n, _WRITE_ROWS):
-            columns = [list(map(text, array[start:start + _WRITE_ROWS].tolist()))
+            columns = [text(array[start:start + _WRITE_ROWS])
                        for array, text in zip(arrays, _FORMATTERS)]
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
@@ -517,6 +551,9 @@ _PARSE_LINES = 1024  # lines per loadtxt call: as fast as 4096, with a quarter o
 _TEXTS = {1: _GENDER_TEXT, 4: _SMOKE_TEXT, 5: _CLAIM_TEXT}  # by CSV column
 _RECORD = [(name, f"S{max(map(len, _TEXTS[j])) + 1}" if j in _TEXTS else dtype)
            for j, (name, dtype) in enumerate(_COLUMNS.items())]  # see _parse_lines
+# Per text column: its canonical texts as sorted bytes, and their flags or codes.
+_DECODE = {j: (np.array(sorted(text.encode() for text in texts)), np.argsort(texts))
+           for j, texts in _TEXTS.items()}
 
 
 def _parse_lines(lines: list[str], width: int) -> list[np.ndarray] | None:
@@ -536,11 +573,11 @@ def _parse_lines(lines: list[str], width: int) -> list[np.ndarray] | None:
         except (ValueError, Warning):
             return None
     columns = [block[name] for name in block.dtype.names]
-    for j, texts in _TEXTS.items():
-        hits = np.stack([columns[j] == text.encode() for text in texts])
-        if not hits.any(axis=0).all():
+    for j, (keys, codes) in _DECODE.items():
+        at = np.minimum(keys.searchsorted(columns[j]), keys.size - 1)
+        if not (keys[at] == columns[j]).all():
             return None
-        columns[j] = hits.argmax(axis=0)  # the flag or the code
+        columns[j] = codes[at]  # the flag or the code
     return columns
 
 

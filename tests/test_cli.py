@@ -423,9 +423,16 @@ def test_predict_writes_the_bytes_of_whole_file_formatting(
 ):
     """Lines formatted and written a block at a time are the bytes of the
     whole file formatted at once; the last row's zero expenditure leaves
-    its ratio cell empty."""
+    its ratio cell empty.  So does an expenditure of -0.0, and one of
+    5e-324 gives a ratio of inf, as ``p / a`` does, on and across the edge
+    of the first block."""
     header, rows = book_rows
     rows = rows[:n - 1] + [rows[n - 1].rsplit(",", 1)[0] + ",0.0"]
+    odd = {k: spend for k, spend in [(_PRICE_ROWS - 2, "-0.0"), (_PRICE_ROWS - 1, "5e-324"),
+                                     (_PRICE_ROWS, "-0.0"), (_PRICE_ROWS + 1, "5e-324")]
+           if k < n - 1}
+    for k, spend in odd.items():
+        rows[k] = rows[k].rsplit(",", 1)[0] + "," + spend
     if not actuals:  # the expenditure column cut off
         header, rows = header.rsplit(",", 1)[0], [row.rsplit(",", 1)[0] for row in rows]
     book = tmp_path / "book.csv"
@@ -437,6 +444,10 @@ def test_predict_writes_the_bytes_of_whole_file_formatting(
     assert written == whole_file_predictions(model, book)
     assert written.count(b"\n") == n + 1
     assert written.endswith(b",\n") == actuals
+    if actuals:
+        lines = written.decode().split("\n")
+        for k, spend in odd.items():
+            assert lines[k + 1].rsplit(",", 1)[1] == ("" if spend == "-0.0" else "inf")
 
 
 def test_predict_memory_grows_with_its_arrays_not_its_text(tmp_path, fitted_artifacts):

@@ -694,6 +694,28 @@ def test_a_nul_in_a_text_cell_goes_to_the_block_reader(tmp_path, monkeypatch, ce
         load_csv(path)
 
 
+@pytest.mark.parametrize("width", [len(CSV_COLUMNS), len(CSV_COLUMNS) - 1])
+@pytest.mark.parametrize("column", ["gender", "smoke", "previous_claim"])
+@pytest.mark.parametrize("cell", ["a", "fe", "mal", "nonex", "zz", ""])
+def test_a_text_cell_between_the_canonical_texts_goes_to_the_block_reader(tmp_path, width,
+                                                                          column, cell):
+    """Cells that sort before, between and after a column's canonical texts
+    are refused by the fast reader's ``searchsorted`` decode, and the file
+    loads to the row-by-row reader's error, message and row."""
+    rows = [["1", "male", "44", "1000", "no", "none", "50"],
+            ["2", "female", "45", "2000", "yes", "copd", "60"],
+            ["3", "male", "46", "3000", "no", "other", "70"]]
+    rows[1][CSV_COLUMNS.index(column)] = cell
+    lines = [",".join(row[:width]) + "\r\n" for row in rows]
+    assert dataset._parse_lines(lines, width) is None
+    path = tmp_path / "between.csv"
+    path.write_text(",".join(CSV_COLUMNS[:width]) + "\r\n" + "".join(lines),
+                    encoding="utf-8", newline="")
+    outcome = _outcome(load_csv, path)
+    assert outcome[0] is ParseError and outcome[2] == 3
+    assert outcome == _outcome(_row_by_row_load_csv, path)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 @pytest.mark.parametrize("gender", [b",male,", b", male,"])
 def test_a_pipe_loads_as_a_file_does(tmp_path, gender):
@@ -809,6 +831,32 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, rows, with_r
         patch.setattr(dataset, "_WRITE_ROWS", write_rows)
         write_csv(data, path)
     assert path.read_bytes() == _csv_writer_bytes(data)
+
+
+# Numbers on the edges of ``write_csv``'s three masks: both zeros, values
+# that are not whole, whole values up to the largest double below 2**63,
+# and whole values from 2**63 on.
+_MASK_EDGES = (0.0, -0.0, 0.5, 1.0, 2.0**53, 2.0**53 + 2, 9223372036854774784.0, 2.0**63,
+               1e16, 1e20, 1e300, 5e-324)
+
+
+@pytest.mark.parametrize("write_rows", [1, 3, dataset._WRITE_ROWS])
+def test_numbers_on_the_formatters_mask_edges_write_the_bytes_of_csv_writer(tmp_path,
+                                                                             monkeypatch,
+                                                                             write_rows):
+    """Income and expenditure texts of one block holding every mask edge
+    are ``_format_number``'s, and the file is ``csv.writer``'s bytes at
+    every block size; ages 18 and 100 are the age table's edges."""
+    data = make_dataset([
+        (k + 1, (Gender.FEMALE, Gender.MALE)[k % 2], (18, 100)[k % 2], value, k % 3 == 0,
+         CLAIMS[k % len(CLAIMS)], value)
+        for k, value in enumerate(_MASK_EDGES)
+    ])
+    for j, column in ((3, data.income), (6, data.expenditure)):
+        assert dataset._FORMATTERS[j](column) == list(map(dataset._format_number, _MASK_EDGES))
+    monkeypatch.setattr(dataset, "_WRITE_ROWS", write_rows)
+    write_csv(data, tmp_path / "edges.csv")
+    assert (tmp_path / "edges.csv").read_bytes() == _csv_writer_bytes(data)
 
 
 def test_writing_a_large_book_holds_one_block_of_lines(tmp_path):
