@@ -47,9 +47,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-# The C function np.einsum calls when optimize is off, minus its Python
-# wrapper (~0.6 us); a numpy that moves it fails this import, not silently.
-from numpy._core.multiarray import c_einsum
+
+try:
+    # The C function np.einsum calls when optimize is off, minus its Python
+    # wrapper (~0.6 us a call).
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # a numpy that moves it: the wrapper, same function, same bits
+    c_einsum = np.einsum
 
 from .dataset import (
     Dataset,

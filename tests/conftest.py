@@ -18,9 +18,12 @@ L' L = blockdiag(lambda Omega_j), no centring.
 
 ``gradient_check`` compares the network's backprop gradient with central
 finite differences, and ``_detect_threshold`` scans a whole ladder for the
-threshold that ``overfit_scan`` finds incrementally.
+threshold that ``overfit_scan`` finds incrementally.  ``package_env`` is the
+environment of a fresh Python process that imports this package.
 """
 
+import os
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -28,6 +31,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import pricelab
 from pricelab import smoothing
 from pricelab.ann import Weights, _gradients, _run, _Workspace
 from pricelab.dataset import CLAIMS, Dataset, Gender, encode_dataset
@@ -154,3 +158,10 @@ def _detect_threshold(train_err: Sequence[float], val_err: Sequence[float]) -> i
         if _upturn_at(train_err, val_err, t):
             return t
     return None
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a ``python`` process that imports this package."""
+    package_root = str(Path(pricelab.__file__).resolve().parent.parent)
+    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

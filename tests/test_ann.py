@@ -1,7 +1,9 @@
 """Backprop network: forward/gradient correctness, training behavior."""
 
+import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -589,6 +591,33 @@ def test_descent_epochs_allocate_nothing():
     finally:
         tracemalloc.stop()
     assert peak - before < 640 * 8 * np.dtype(float).itemsize
+
+
+def test_without_numpys_private_c_einsum_descent_keeps_its_bits(monkeypatch):
+    """On a numpy that moves ``numpy._core.multiarray.c_einsum``, a fresh
+    import of ``ann`` falls back to ``np.einsum``, the wrapper that calls
+    the same C function: a trajectory through two hidden layers, whose bias
+    gradients are both einsum sums, gives the default import's weights bit
+    for bit."""
+    import numpy._core.multiarray as multiarray
+
+    monkeypatch.delattr(multiarray, "c_einsum")
+    name = "pricelab._ann_without_c_einsum"
+    spec = importlib.util.spec_from_file_location(name, ann.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, fallback)
+    spec.loader.exec_module(fallback)
+    assert fallback.c_einsum is np.einsum
+    data = generate_synthetic(GeneratorParams(n=40, seed=3))
+    runs = [
+        list(module.train_trajectory(data, module.NetworkTopology(hidden=(4, 3)),
+                                     module.TrainingConfig(), [1, 50]))
+        for module in (ann, fallback)
+    ]
+    for model, other in zip(*runs):
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model.weights.matrices + model.weights.biases,
+            other.weights.matrices + other.weights.biases))
 
 
 def test_train_trajectory_validates_checkpoints():

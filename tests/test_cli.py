@@ -1,6 +1,7 @@
 """End-to-end command pipeline: gen, fit, predict, compare, manifests."""
 
 import contextlib
+import csv
 import io
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pricelab
+from conftest import package_env
 from pricelab.ann import MAX_EPOCHS, MAX_HIDDEN, AnnModel, NetworkTopology, TrainingConfig
 from pricelab.artifacts import load_model
 from pricelab.cli import build_parser, main, replay_manifest
@@ -331,6 +332,7 @@ def fitted_artifacts(tmp_path_factory):
     ("ann", "row_0", "0.1 0.2 0.3 0.4 0.5"),  # the first layer takes six inputs
     ("ann", "bias", "0 0 0 0 0 0 0 0 0"),  # and has eight hidden units
     ("gam", "intercept", "1e999"),
+    ("glm", "age_max", "90.0"),  # another encoding, as older versions could fit
     ("ann", "scaler_hi", "inf"),
     ("ann", "bias", "nan"),
     ("ann", "scaler_lo", "1e12"),  # above scaler_hi
@@ -358,6 +360,8 @@ def test_damaged_artifact_exits_3_with_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert repr(key) in err
+    if value in ("1e999", "inf", "nan"):
+        assert f"key {key!r}: not a finite number" in err, err
 
 
 @pytest.mark.filterwarnings("error")
@@ -392,6 +396,8 @@ def book_rows(tmp_path_factory):
     path = tmp_path_factory.mktemp("book") / "book.csv"
     assert run("gen", "--n", 2 * _PRICE_ROWS + 3, "--seed", 2, "-o", path) == 0
     header, *rows = path.read_text().splitlines()
+    # softplus underflows to an expenditure of exactly 0 on 102 of them
+    assert sum(float(row.rsplit(",", 1)[1]) == 0 for row in rows) == 102
     return header, rows
 
 
@@ -421,11 +427,14 @@ def whole_file_predictions(model_path, input_path):
 def test_predict_writes_the_bytes_of_whole_file_formatting(
     tmp_path, fitted_artifacts, book_rows, n, actuals
 ):
-    """Lines formatted and written a block at a time are the bytes of the
-    whole file formatted at once; the last row's zero expenditure leaves
-    its ratio cell empty.  So does an expenditure of -0.0, and one of
-    5e-324 gives a ratio of inf, as ``p / a`` does, on and across the edge
-    of the first block."""
+    """Each family's lines, formatted and written a block at a time, are the
+    bytes of the whole file formatted at once.  A ratio cell is empty
+    exactly where the expenditure is 0: on the generated book's own zeros,
+    where softplus underflows, and on the last row's.  So is it for an
+    expenditure of -0.0, and one of 5e-324 gives a ratio of inf, as
+    ``p / a`` does, on and across the edge of the first block.  With the
+    expenditure column cut off, the lines are the first two columns of the
+    book's own."""
     header, rows = book_rows
     rows = rows[:n - 1] + [rows[n - 1].rsplit(",", 1)[0] + ",0.0"]
     odd = {k: spend for k, spend in [(_PRICE_ROWS - 2, "-0.0"), (_PRICE_ROWS - 1, "5e-324"),
@@ -433,21 +442,58 @@ def test_predict_writes_the_bytes_of_whole_file_formatting(
            if k < n - 1}
     for k, spend in odd.items():
         rows[k] = rows[k].rsplit(",", 1)[0] + "," + spend
-    if not actuals:  # the expenditure column cut off
-        header, rows = header.rsplit(",", 1)[0], [row.rsplit(",", 1)[0] for row in rows]
+    zeros = [float(row.rsplit(",", 1)[1]) == 0 for row in rows]
     book = tmp_path / "book.csv"
     book.write_text("\n".join([header, *rows]) + "\n")
-    model = fitted_artifacts / "gam.model"
+    priced = book
+    if not actuals:  # the expenditure column cut off
+        priced = tmp_path / "future.csv"
+        priced.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in [header, *rows]))
     out = tmp_path / "p.csv"
-    assert run("predict", "--model", model, "--in", book, "-o", out) == 0
-    written = out.read_bytes()
-    assert written == whole_file_predictions(model, book)
-    assert written.count(b"\n") == n + 1
-    assert written.endswith(b",\n") == actuals
-    if actuals:
-        lines = written.decode().split("\n")
-        for k, spend in odd.items():
-            assert lines[k + 1].rsplit(",", 1)[1] == ("" if spend == "-0.0" else "inf")
+    for family in FAMILIES:
+        model = fitted_artifacts / f"{family}.model"
+        assert run("predict", "--model", model, "--in", priced, "-o", out) == 0
+        written = out.read_bytes()
+        assert written == whole_file_predictions(model, priced), family
+        assert written.count(b"\n") == n + 1
+        assert written.endswith(b",\n") == actuals
+        lines = written.decode().split("\n")[1:-1]
+        if actuals:
+            assert [line.endswith(",") for line in lines] == zeros
+            for k, spend in odd.items():
+                assert lines[k].rsplit(",", 1)[1] == ("" if spend == "-0.0" else "inf")
+        else:  # the first two columns of the book's own predictions
+            book_lines = whole_file_predictions(model, book).decode().split("\n")[1:-1]
+            assert lines == [line.rsplit(",", 1)[0] for line in book_lines]
+
+
+@pytest.mark.parametrize("cell", ["gender", "id"])
+def test_a_bad_cell_deep_in_a_book_exits_3_with_one_error_line(
+    tmp_path, fitted_artifacts, book_rows, capsys, cell
+):
+    """One bad cell on line 8001 of the book, past seven of the fast
+    reader's blocks of lines: a gender that is not one, or an id padded with
+    zeros past the CSV field size limit (a number the fast reader alone
+    would read).  predict exits 3 with the one error line naming that line,
+    and writes no predictions."""
+    header, rows = book_rows
+    cells = rows[7999].split(",")
+    if cell == "gender":
+        cells[1] = "robot"
+        expected = "error: row 8001: invalid gender 'robot' (expected one of: female, male)"
+    else:
+        cells[0] = "0" * csv.field_size_limit() + cells[0]
+        expected = (f"error: {tmp_path / 'book.csv'}: line 8001: "
+                    f"field larger than field limit ({csv.field_size_limit()})")
+    rows = [*rows[:7999], ",".join(cells), *rows[8000:]]
+    book = tmp_path / "book.csv"
+    book.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert run("predict", "--model", fitted_artifacts / "glm.model", "--in", book,
+               "-o", out) == 3
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists()
 
 
 def test_predict_memory_grows_with_its_arrays_not_its_text(tmp_path, fitted_artifacts):
@@ -593,6 +639,12 @@ def extreme_portfolios(tmp_path_factory):
     ("glm", "1e200", None, "key 'rss': the fit is not finite"),
     ("gam", "1e308", None, "the fit is not finite"),
     ("glm", "1e300", "log.cfg", "GLM fit: the least-squares system is not finite"),
+    ("glm", "1e300", None, "key 'rss': the fit is not finite"),
+    ("glm", "1e308", None, "key 'rss': the fit is not finite"),
+    ("gam", "1e200", None, "key 'rss': the fit is not finite"),
+    ("gam", "1e300", None, "key 'rss': the fit is not finite"),
+    ("glm", "1e200", "log.cfg", "IRLS did not converge in 100 iterations"),
+    ("glm", "1e308", "log.cfg", "GLM fit: the least-squares system is not finite"),
 ])
 def test_fit_that_is_not_finite_exits_4_and_writes_nothing(
     tmp_path, extreme_portfolios, capsys, family, value, config, message
@@ -624,13 +676,6 @@ def overflow_inputs(extreme_portfolios):
     return d
 
 
-def package_env():
-    """The environment for a ``python -m pricelab`` process that imports this package."""
-    package_root = str(Path(pricelab.__file__).resolve().parent.parent)
-    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-
-
 @pytest.mark.parametrize("argv, code", [
     (["fit", "--family", "glm", "--in", "1e200.csv", "-o", "out.model"], 4),
     (["fit", "--family", "glm", "--in", "1e308.csv", "-o", "out.model"], 4),
@@ -651,6 +696,25 @@ def test_numeric_overflow_prints_no_warning(overflow_inputs, argv, code):
     expected = 0 if code == 0 else 1
     assert len(done.stderr.splitlines()) == expected, done.stderr
     assert done.stderr.startswith("error: ") or code == 0, done.stderr
+
+
+@pytest.mark.parametrize("family", ["gam", "ann"])
+def test_a_fit_on_one_openblas_thread_writes_the_default_artifact(
+    tmp_path, extreme_portfolios, family
+):
+    """OpenBLAS reads its thread count once, at import, so only a process
+    of its own can run on one thread: there the README portfolio's fit
+    writes this process's artifact, at the default thread count, byte for
+    byte, and nothing to stderr."""
+    argv = ["fit", "--family", family, "--in", extreme_portfolios / "portfolio.csv",
+            "--seed", "1", "-o"]
+    assert run(*argv, tmp_path / "default.model") == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "pricelab", *map(str, argv), tmp_path / "one.model"],
+        capture_output=True, env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (tmp_path / "one.model").read_bytes() == (tmp_path / "default.model").read_bytes()
 
 
 @pytest.mark.parametrize("portfolio", [8, 18, 19, 26, 47])
@@ -792,7 +856,11 @@ def test_replay_refuses_a_damaged_or_replay_argv(tmp_path, capsys, argv):
 def test_one_process_writes_the_bytes_of_a_process_per_command(tmp_path, monkeypatch):
     """The parser is built once per process and only read after that, so
     commands run one after another in this process, a usage error among
-    them, write the bytes that each command writes in a process of its own."""
+    them, write the bytes that each command writes in a process of its own,
+    a book priced in three blocks of rows by every family among them.  In
+    its own process, where no test harness captures warnings, each command
+    that succeeds writes nothing to stderr, and the usage error writes
+    argparse's usage and one error line."""
     assert build_parser() is build_parser()
     usage_error = ["fit", "--family", "glm", "--in", "p.csv", "--seed", "-1", "-o", "x.model"]
     commands = [
@@ -801,13 +869,20 @@ def test_one_process_writes_the_bytes_of_a_process_per_command(tmp_path, monkeyp
         *(["fit", "--family", f, "--in", "p.csv", "--seed", "1", "-o", f"{f}.model"]
           for f in ("glm", "gam", "ann")),
         ["predict", "--model", "gam.model", "--in", "p.csv", "-o", "gam.preds.csv"],
+        ["gen", "--n", str(2 * _PRICE_ROWS + 3), "--seed", "2", "-o", "book.csv"],
+        *(["predict", "--model", f"{f}.model", "--in", "book.csv", "-o", f"{f}.book.csv"]
+          for f in ("glm", "gam", "ann")),
+        ["fit", "--family", "ann", "--config", "deep.cfg", "--in", "p.csv", "--seed", "1",
+         "-o", "deep-ann.model"],
+        ["predict", "--model", "deep-ann.model", "--in", "book.csv", "-o", "deep-ann.book.csv"],
         ["compare", "--model", "glm.model", "--model", "gam.model", "--model", "ann.model",
          "--in", "p.csv", "--seed", "1", "-o", "report"],
         ["replay", "gam.model.manifest"],
     ]
     one, each = tmp_path / "one", tmp_path / "each"
-    one.mkdir()
-    each.mkdir()
+    for d in (one, each):
+        d.mkdir()
+        (d / "deep.cfg").write_text("hidden = 4,3\n")
     monkeypatch.chdir(one)
     for argv in commands:
         code = 2 if argv is usage_error else 0
@@ -818,6 +893,12 @@ def test_one_process_writes_the_bytes_of_a_process_per_command(tmp_path, monkeyp
         done = subprocess.run([sys.executable, "-m", "pricelab", *argv], cwd=each,
                               capture_output=True, env=package_env())
         assert done.returncode == code, done.stderr
+        errors = [line for line in done.stderr.splitlines() if b"error:" in line]
+        if code:
+            assert done.stderr.startswith(b"usage: ") and len(errors) == 1, done.stderr
+            assert done.stderr.endswith(errors[0] + b"\n"), done.stderr
+        else:
+            assert done.stderr == b"", (argv, done.stderr)
     outputs = sorted(p.name for p in one.iterdir() if p.suffix != ".manifest")
     assert outputs == sorted(p.name for p in each.iterdir() if p.suffix != ".manifest")
     assert "x.model" not in outputs and "report.csv" in outputs
