@@ -306,6 +306,9 @@ def overfit_scan(
 ) -> OverfitReport:
     """Walk the family's capacity ladder until the first validation upturn.
 
+    The split permutes row positions, so the scan depends on the row order
+    of ``train``; ``compare`` fixes that order by record id.
+
     Each step is scored as the ladder yields it.  Index t is decided once
     step t + PATIENCE - 1 is in, and every earlier index was decided
     before, so only that index is checked; the threshold equals the one a
@@ -462,15 +465,20 @@ def compare(
     """Bands for every model plus, when the train half is provided,
     overfitting scans and (for the additive model) interaction and
     collinearity findings.  Train/test sharing a record id is refused.
+
+    Each half is first put in record-id order, the order the scans permute,
+    so a report does not depend on the row order the halves come in.
     """
     if not models:
         raise ValidationError("compare needs at least one fitted model")
+    test = test.take(np.argsort(test.ids))
     if train is not None:
         overlap = np.intersect1d(train.ids, test.ids)
         if overlap.size:
             raise ValidationError(
                 f"leakage: {len(overlap)} record id(s) appear in both train and test"
             )
+        train = train.take(np.argsort(train.ids))
 
     results = []
     for position, model in enumerate(models, 1):

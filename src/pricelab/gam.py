@@ -219,7 +219,7 @@ def fit_gam_ladder(
     intercept = float(np.mean(z))
     rhs = design.T @ (z - intercept)
     for penalty in penalties:
-        config = replace(smooth, penalty=penalty)  # refuses a penalty that is negative or not finite
+        config = replace(smooth, penalty=penalty)  # refuses a negative or non-finite penalty
         system, start = gram.copy(), 0
         for _, _, omega in blocks:
             with np.errstate(over="ignore"):  # an overflow is refused below
@@ -321,6 +321,9 @@ def interaction_scan(
     score exceeds ``INTERACTION_THRESHOLD`` and (u_c' r)^2 beats
     ``PERMUTATIONS`` shuffled replicas at p < 0.05.  A pair whose product
     is constant scores n * mean(r)^2 alone, with p-value 1.
+
+    The shuffles permute row positions, so the p-values depend on the row
+    order of ``train``; ``compare`` fixes that order by record id.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")

@@ -21,9 +21,13 @@ from conftest import package_env
 from pricelab.ann import MAX_EPOCHS, MAX_HIDDEN, AnnModel, NetworkTopology, TrainingConfig
 from pricelab.artifacts import load_model
 from pricelab.cli import build_parser, main, replay_manifest
-from pricelab.dataset import CSV_COLUMNS, MAX_ROWS, GeneratorParams, encode_dataset, load_csv
+from pricelab.dataset import (
+    CSV_COLUMNS, MAX_ROWS, GeneratorParams, encode_dataset, load_csv, split_half,
+)
 from pricelab.errors import ValidationError
-from pricelab.evaluation import _PRICE_ROWS, FAMILIES, GlmFamily
+from pricelab.evaluation import (
+    _PRICE_ROWS, FAMILIES, GlmFamily, compare, render_markdown, report_csv,
+)
 from pricelab.gam import MAX_KNOTS, GamModel, SmoothConfig
 from pricelab.glm import GlmModel, predict_glm
 
@@ -182,6 +186,27 @@ def test_compare_end_to_end(tmp_path, data_csv):
     assert csv[0].startswith("model,ratio_min")
     assert len(csv) == 3
     assert (tmp_path / "report.md.manifest").exists()
+
+
+def test_library_compare_of_split_halves_writes_the_cli_report(tmp_path):
+    """``compare`` on the ``split_half`` halves of the file, with the CLI's
+    artifacts loaded back, writes the bytes of the CLI's report.  On this
+    portfolio the GAM scans find other results in the halves' row order than
+    in the file's, so the bytes show that both scan in one order."""
+    data_csv, config = tmp_path / "p.csv", tmp_path / "gen.cfg"
+    config.write_text("noise_scale = 600\ninteraction = 8000\n")
+    assert run("gen", "--n", 200, "--seed", 3, "--config", config, "-o", data_csv) == 0
+    paths = [tmp_path / f"{family}.model" for family in ("glm", "gam", "ann")]
+    for path in paths:
+        assert run("fit", "--family", path.stem, "--in", data_csv, "--seed", 3, "-o", path) == 0
+    assert run("compare", *[a for path in paths for a in ("--model", path)],
+               "--in", data_csv, "--seed", 3, "-o", tmp_path / "report") == 0
+
+    train_half, test_half = split_half(load_csv(data_csv), seed=3)
+    report = compare([load_model(p) for p in paths], test_half, train=train_half, seed=3)
+    assert [r.name for r in report.results] == ["glm", "gam", "ann"]
+    assert (tmp_path / "report.csv").read_text() == report_csv(report)
+    assert (tmp_path / "report.md").read_text() == render_markdown(report)
 
 
 # Bytes that are not UTF-8 text, as at the start of an executable.

@@ -508,6 +508,26 @@ def test_compare_full_report():
     assert len(lines) == 3
 
 
+# On this portfolio the GAM scans of the ``split_half`` halves find another
+# overfitting threshold and other interactions in their row order than in
+# record-id order, so a report shows which order ``compare`` scans in.
+ROW_ORDER_PARAMS = GeneratorParams(n=200, seed=3, noise_scale=600.0, interaction=8000.0)
+
+
+def test_compare_report_does_not_depend_on_row_order():
+    """The report is a function of the models, the records of each half and
+    the seed: halves shuffled by a fixed permutation write the text of the
+    same halves in record-id order, for all three families."""
+    train_half, test_half = split_half(generate_synthetic(ROW_ORDER_PARAMS), seed=3)
+    models = [fit_glm(train_half), fit_gam(train_half), train(train_half)]
+    by_id = [half.take(np.argsort(half.ids)) for half in (train_half, test_half)]
+    shuffled = [half.take(np.random.default_rng(1).permutation(half.n)) for half in by_id]
+    reports = [compare(models, test, train=fit, seed=3) for fit, test in (by_id, shuffled)]
+    assert [r.name for r in reports[0].results] == ["glm", "gam", "ann"]
+    assert report_csv(reports[1]) == report_csv(reports[0])
+    assert render_markdown(reports[1]) == render_markdown(reports[0])
+
+
 def test_compare_results_ignore_wall_time():
     """Result equality is about the numbers, not how long the run took."""
     train_half, test_half = interaction_datasets()

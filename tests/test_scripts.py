@@ -1,6 +1,5 @@
 """The scripts under ``scripts/`` run on the library as it stands."""
 
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -11,21 +10,6 @@ from pricelab.dataset import GeneratorParams
 from pricelab.evaluation import AnnFamily, learning_curve, learning_curve_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_run_comparison_reports_three_models(tmp_path, capsys):
-    run_comparison = load_script("run_comparison")
-    assert run_comparison.main(["--n", "200", "--seed", "3", "--out", str(tmp_path / "r")]) == 0
-    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["glm", "gam", "ann"]
-    assert "# Model comparison" in capsys.readouterr().out
 
 
 def test_learning_curve_script_writes_the_in_process_curve_and_no_stderr(tmp_path):
