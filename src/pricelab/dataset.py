@@ -17,10 +17,10 @@ a time: texts and ages by lookup in a table, and income and expenditure by
 three masks (a whole value below 2**63 as the text of its int64, any
 other value by ``repr``, a whole value past int64 as ``str(int(value))``).
 ``load_csv`` parses lines in C (``np.loadtxt``) and decodes their texts by
-``searchsorted``, while they load as the block reader would load them; from
-the first other block on, that reader converts rows a column at a time and
-reports the first error in row order, as a row-by-row read would, checking
-the numbers (id, age, income) of a row before its other columns.
+``searchsorted``, while they load as its row parser would load them; from
+the first other block on, that parser reads the file a row at a time and
+reports the first error in row order, checking the numbers (id, age,
+income) of a row before its other columns.
 
 Every model in the package consumes the same six-component feature vector,
 all components scaled into [0, 1]:
@@ -371,10 +371,6 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-# Rows of a CSV file read at a time.  A block of rows read is converted a
-# column at a time, so row lists never hold more than one block; larger
-# blocks load no faster and hold more strings at a time.
-_BLOCK_ROWS = 256
 # Rows of a CSV file formatted and written at a time: the strings of one
 # block, not of the whole table, at about 0.5 ms more per 20000 rows.
 _WRITE_ROWS = 4096
@@ -451,50 +447,10 @@ _PARSERS = (
     ((_CLAIM_CODES.__getitem__,), "one of: " + ", ".join(_CLAIM_TEXT)),
     ((float,), None),
 )
-# The order in which ``_check_rows`` checks a row's cells: the numbers (id,
+# The order in which ``_parse_row`` checks a row's cells: the numbers (id,
 # age, income) first.  The response is last, so a file without it checks a
 # prefix of this order.
 _CHECK_ORDER = (0, 2, 3, 1, 4, 5, 6)
-
-
-def _blocks(reader, path: Path, skipped: int):
-    """The rows of ``reader`` (after line ``skipped``) in lists of ``_BLOCK_ROWS``.
-
-    A read that fails part way first yields the rows read before it, so
-    that an error in one of them is still reported first.
-    """
-    while True:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(reader, _BLOCK_ROWS))
-        except UnicodeDecodeError:
-            yield rows
-            raise not_utf8(path) from None
-        except csv.Error as exc:
-            yield rows
-            raise ParseError(f"{path}: line {skipped + reader.line_num}: {exc}") from None
-        yield rows
-        if len(rows) < _BLOCK_ROWS:
-            return
-
-
-def _convert(rows: list[list[str]], width: int) -> list[list]:
-    """The values of a block of rows, a list per column, converted a column
-    at a time.
-
-    Raises ``ValueError`` or ``KeyError`` when a row is not ``width`` cells
-    wide (a blank row among them) or a cell does not parse; ``_check_rows``
-    then finds the first such row.
-    """
-    if any(map(width.__ne__, map(len, rows))):
-        raise ValueError("a row of another width")
-    columns = []
-    for cells, (steps, _) in zip(zip(*rows), _PARSERS):
-        values = map(str.strip, cells)
-        for step in steps:
-            values = map(step, values)
-        columns.append(list(values))
-    return columns
 
 
 def _append(arrays: list[np.ndarray], n: int, columns: list) -> tuple[list[np.ndarray], int]:
@@ -519,35 +475,34 @@ def _append(arrays: list[np.ndarray], n: int, columns: list) -> tuple[list[np.nd
     return arrays, n + k
 
 
-def _check_rows(rows: list[list[str]], first: int, width: int) -> list[list[str]]:
-    """The non-blank rows of a block whose first row is row ``first``.
+def _parse_row(row: list[str], row_no: int, width: int) -> list | None:
+    """The values of ``csv.reader`` row ``row_no``, or None for a blank row.
 
-    Checks each row in turn, its cells in ``_CHECK_ORDER`` (numbers first),
-    and raises the ``ParseError`` of the first cell that does not parse.
+    Checks the cells in ``_CHECK_ORDER`` (numbers first) and raises the
+    ``ParseError`` of the first cell that does not parse.
     """
-    kept = []
-    for row_no, row in enumerate(rows, start=first):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != width:
-            raise ParseError(
-                f"row {row_no}: expected {width} cells, got {len(row)}", row=row_no
-            )
-        for j in _CHECK_ORDER[:width]:
-            steps, expected = _PARSERS[j]
-            value = text = row[j].strip()
-            try:
-                for step in steps:
-                    value = step(value)
-            except (ValueError, KeyError) as exc:
-                detail = (str(exc) if expected is None
-                          else f"invalid {CSV_COLUMNS[j]} {text!r} (expected {expected})")
-                raise ParseError(f"row {row_no}: {detail}", row=row_no) from None
-        kept.append(row)
-    return kept
+    if not any(map(str.strip, row)):
+        return None
+    if len(row) != width:
+        raise ParseError(f"row {row_no}: expected {width} cells, got {len(row)}", row=row_no)
+    values: list = [None] * width
+    for j in _CHECK_ORDER[:width]:
+        steps, expected = _PARSERS[j]
+        value = text = row[j].strip()
+        try:
+            for step in steps:
+                value = step(value)
+        except (ValueError, KeyError) as exc:
+            detail = (str(exc) if expected is None
+                      else f"invalid {CSV_COLUMNS[j]} {text!r} (expected {expected})")
+            raise ParseError(f"row {row_no}: {detail}", row=row_no) from None
+        values[j] = value
+    return values
 
 
-_PARSE_LINES = 1024  # lines per loadtxt call: as fast as 4096, with a quarter of the text
+# Lines per loadtxt call (as fast as 4096, with a quarter of the text), and
+# rows per append of the values ``_parse_row`` returns.
+_PARSE_LINES = 1024
 _TEXTS = {1: _GENDER_TEXT, 4: _SMOKE_TEXT, 5: _CLAIM_TEXT}  # by CSV column
 _RECORD = [(name, f"S{max(map(len, _TEXTS[j])) + 1}" if j in _TEXTS else dtype)
            for j, (name, dtype) in enumerate(_COLUMNS.items())]  # see _parse_lines
@@ -558,7 +513,7 @@ _DECODE = {j: (np.array(sorted(text.encode() for text in texts)), np.argsort(tex
 
 def _parse_lines(lines: list[str], width: int) -> list[np.ndarray] | None:
     """The fast reader: the columns of ``lines`` parsed by ``np.loadtxt``,
-    texts as flags or codes, or None for the block reader.  It takes numbers
+    texts as flags or codes, or None for ``_parse_row``.  It takes numbers
     that ``int`` and ``float`` read alike and canonical texts (each read one
     byte wider than the longest, to cut none down to one), so each line it
     takes holds no ``"`` and is one ``csv.reader`` row."""
@@ -593,9 +548,10 @@ def load_csv(path: str | Path) -> Dataset:
     The header must match the canonical contract exactly; the expenditure
     column may be absent (prediction-only input).  ``_parse_lines`` loads
     blocks of ``_PARSE_LINES`` lines up to the first it refuses; from there
-    the block reader skips blank rows and reports the first parse failure
-    in row order, naming its row (``csv.reader`` rows, the header is row 1).
-    Invariant failures name the record id.
+    ``_parse_row`` checks one ``csv.reader`` row at a time (the header is
+    row 1), skipping blank rows, and the first parse failure in row order
+    is reported naming its row; its values too are appended
+    ``_PARSE_LINES`` rows at a time.  Invariant failures name the record id.
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -628,23 +584,32 @@ def load_csv(path: str | Path) -> Dataset:
         while True:
             try:
                 lines.extend(islice(fh, _PARSE_LINES))
-            except UnicodeDecodeError as exc:  # the block reader meets it after these lines
+            except UnicodeDecodeError as exc:  # the row loop meets it after these lines
                 rest = _failing(exc)
                 break
             columns = lines and _parse_lines(lines, width)
-            if not columns:  # the end, or lines for the block reader
+            if not columns:  # the end, or lines for the row loop
                 break
             arrays, n = _append(arrays, n, columns)
             row_no += len(lines)
             lines = []
-        for rows in _blocks(csv.reader(chain(lines, rest)), path, reader.line_num + row_no - 2):
-            try:
-                columns = _convert(rows, width)
-            except (ValueError, KeyError):  # a blank or bad row: find it in row order
-                columns = _convert(_check_rows(rows, row_no, width), width)
-            if columns:
-                arrays, n = _append(arrays, n, columns)
-            row_no += len(rows)
+        body = csv.reader(chain(lines, rest))
+        skipped = reader.line_num + row_no - 2  # lines read before ``body``
+        values = []  # the parsed rows not yet appended
+        try:
+            for row_no, row in enumerate(body, start=row_no):
+                parsed = _parse_row(row, row_no, width)
+                if parsed is not None:
+                    values.append(parsed)
+                if len(values) == _PARSE_LINES:
+                    arrays, n = _append(arrays, n, list(zip(*values)))
+                    values = []
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {skipped + body.line_num}: {exc}") from None
+        if values:
+            arrays, n = _append(arrays, n, list(zip(*values)))
     if n == 0:
         raise ValidationError(f"{path}: empty dataset")
     return Dataset(*(a[:n] for a in arrays))

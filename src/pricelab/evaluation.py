@@ -119,7 +119,8 @@ def accuracy_band(
 ) -> AccuracyBand:
     """Trimmed band of per-record predicted/actual ratios on a test half;
     ``predict`` maps an (n, 6) feature matrix to n predictions, which must
-    be finite (``source`` names the model in the error)."""
+    be finite (``source`` names the model in the errors).  So must each
+    edge of the band as a percentage, as ``format_band`` renders it."""
     if not (0.0 <= trim_fraction < 0.5):
         raise ValidationError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
     if not floor >= 0:
@@ -128,14 +129,19 @@ def accuracy_band(
     evaluable = (actual >= floor) & (actual != 0)
     if not evaluable.any():
         raise ValidationError("no evaluable records above the currency floor")
-    ratios = np.sort(finite_predictions(predict, X[evaluable], source) / actual[evaluable])
+    with np.errstate(over="ignore"):  # a ratio past the float range: see the edges below
+        ratios = np.sort(finite_predictions(predict, X[evaluable], source) / actual[evaluable])
     drop = int(math.floor(ratios.size * trim_fraction))
     kept = ratios[drop : ratios.size - drop]
     if not kept.size:
         raise ValidationError("trimming removed every evaluable record")
+    low, high = float(kept[0]), float(kept[-1])
+    for edge in (low, high):
+        if not math.isfinite(edge * 100):
+            raise ValidationError(f"{source}: band edge {edge!r} is not a finite percentage")
     return AccuracyBand(
-        ratio_min=float(kept[0]),
-        ratio_max=float(kept[-1]),
+        ratio_min=low,
+        ratio_max=high,
         n_evaluated=int(ratios.size),
         n_excluded=int(actual.size - ratios.size),
     )

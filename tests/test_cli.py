@@ -591,6 +591,30 @@ def test_compare_refuses_a_gam_whose_interaction_scan_overflows(
     assert err.startswith("error: interaction scan: ") and err.count("\n") == 1, err
 
 
+def test_compare_refuses_a_band_edge_that_is_not_a_finite_percentage(
+    tmp_path, fitted_artifacts, capsys
+):
+    """A subnormal expenditure in the test half, kept by a zero floor and
+    no trimming, makes a predicted/actual ratio overflow: compare exits 3
+    with one error line naming the model, and writes no report."""
+    first = (fitted_artifacts / "glm.model.test-index").read_text().split()[0]
+    lines = (fitted_artifacts / "data.csv").read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(f"{first},"))
+    lines[at] = lines[at].rsplit(",", 1)[0] + ",1e-320"
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "band.cfg"
+    config.write_text("floor = 0\ntrim_fraction = 0\n")
+    models = [arg for family in ("glm", "gam")
+              for arg in ("--model", fitted_artifacts / f"{family}.model")]
+    capsys.readouterr()
+    assert run("compare", *models, "--in", data, "--config", config,
+               "-o", tmp_path / "report") == 3
+    err = capsys.readouterr().err
+    assert err == "error: model 1 (glm): band edge inf is not a finite percentage\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["band.cfg", "data.csv"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("config, code", [
     ("penalty = nan", 3),

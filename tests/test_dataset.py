@@ -613,7 +613,6 @@ def near_miss_csvs(draw):
 def _assert_loads_as_the_row_by_row_reader(path, text, block_rows):
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataset, "_BLOCK_ROWS", block_rows)
         patch.setattr(dataset, "_PARSE_LINES", block_rows)
         assert _outcome(load_csv, path) == _outcome(_row_by_row_load_csv, path)
 
@@ -621,10 +620,10 @@ def _assert_loads_as_the_row_by_row_reader(path, text, block_rows):
 @given(mangled_csvs(), st.sampled_from([1, 3]))
 @settings(max_examples=300, deadline=None)
 def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, text, block_rows):
-    """Blocks of 1 and 3 rows, and of 1 and 3 lines for the fast reader, put
-    blank rows and errors on and across block edges: the columns, or the
-    first error in row order with its message and row, are the reference
-    loader's."""
+    """Blocks of 1 and 3 lines for the fast reader, and of 1 and 3 rows for
+    the row loop, put blank rows and errors on and across block edges: the
+    columns, or the first error in row order with its message and row, are
+    the reference loader's."""
     path = tmp_path_factory.mktemp("mangled") / "data.csv"
     _assert_loads_as_the_row_by_row_reader(path, text, block_rows)
 
@@ -635,62 +634,60 @@ def test_load_csv_matches_the_row_by_row_reader_on_near_misses(tmp_path_factory,
                                                                block_rows):
     """Near misses among canonical lines, on and across the edges of the
     fast reader's blocks, leave the reference loader's outcome: the fast
-    reader takes the blocks before them, and the block reader the rest."""
+    reader takes the blocks before them, and the row loop the rest."""
     path = tmp_path_factory.mktemp("near") / "data.csv"
     _assert_loads_as_the_row_by_row_reader(path, text, block_rows)
 
 
-class _BlockReaderReached(Exception):
+class _RowLoopReached(Exception):
     pass
 
 
-def _refuse_block_reader(rows, width):
-    """``_convert`` for a block reader that must convert no row."""
-    if rows:
-        raise _BlockReaderReached
-    return []
+def _refuse_row(row, row_no, width):
+    """``_parse_row`` for a row loop that must parse no row."""
+    raise _RowLoopReached
 
 
 def test_a_canonical_file_is_read_by_the_fast_reader_and_a_padded_one_is_not(tmp_path,
                                                                              monkeypatch):
-    """With the block reader's converter refusing to run, a canonical
-    5000-row file still loads, to its table.  In a copy with one gender cell
-    padded deep into the file, the block reader converts only the rows from
-    the start of that cell's block of lines on."""
+    """With the row loop's parser refusing to run, a canonical 5000-row file
+    still loads, to its table.  In a copy with one gender cell padded deep
+    into the file, the row loop parses only the rows from the start of that
+    cell's block of lines on."""
     data = generate_synthetic(GeneratorParams(n=5000, seed=3))
     path = tmp_path / "book.csv"
     write_csv(data, path)
-    convert, converted = dataset._convert, []
+    parse_row, parsed = dataset._parse_row, []
 
-    def counting_convert(rows, width):
-        converted.append(len(rows))
-        return convert(rows, width)
+    def counting_parse_row(row, row_no, width):
+        parsed.append(row_no)
+        return parse_row(row, row_no, width)
 
-    monkeypatch.setattr(dataset, "_convert", _refuse_block_reader)
+    monkeypatch.setattr(dataset, "_parse_row", _refuse_row)
     assert rows_of(load_csv(path)) == rows_of(data)
     lines = path.read_bytes().split(b"\r\n")
     lines[4001] = lines[4001].replace(b",male,", b", male,").replace(b",female,", b",female ,")
     padded = tmp_path / "padded.csv"
     padded.write_bytes(b"\r\n".join(lines))
-    with pytest.raises(_BlockReaderReached):
+    with pytest.raises(_RowLoopReached):
         load_csv(padded)
-    monkeypatch.setattr(dataset, "_convert", counting_convert)
+    monkeypatch.setattr(dataset, "_parse_row", counting_parse_row)
     assert rows_of(load_csv(padded)) == rows_of(data)
-    assert sum(converted) == 5000 - 4000 // dataset._PARSE_LINES * dataset._PARSE_LINES
+    assert len(parsed) == 5000 - 4000 // dataset._PARSE_LINES * dataset._PARSE_LINES
 
 
 @pytest.mark.parametrize("cell", ["male\x00", "\x00male"])
 def test_a_nul_in_a_text_cell_goes_to_the_block_reader(tmp_path, monkeypatch, cell):
     """A byte string drops trailing NULs, so the fast reader would read
-    ``male\\x00`` as ``male``: a NUL sends its block of lines to the block
-    reader, which refuses the cell (or, before Python 3.11, the line)."""
+    ``male\\x00`` as ``male``: a NUL sends its block of lines to the row
+    loop, which refuses the cell (or, before Python 3.11, the line)."""
     path = tmp_path / "nul.csv"
     path.write_text(",".join(CSV_COLUMNS) + f"\r\n1,{cell},44,1000,no,none,50\r\n",
                     encoding="utf-8", newline="")
     with pytest.raises(ParseError):
         load_csv(path)
-    monkeypatch.setattr(dataset, "_convert", _refuse_block_reader)
-    with pytest.raises(_BlockReaderReached):
+    monkeypatch.setattr(dataset, "_parse_row", _refuse_row)
+    with pytest.raises(_RowLoopReached):
         load_csv(path)
 
 
@@ -717,15 +714,24 @@ def test_a_text_cell_between_the_canonical_texts_goes_to_the_block_reader(tmp_pa
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-@pytest.mark.parametrize("gender", [b",male,", b", male,"])
-def test_a_pipe_loads_as_a_file_does(tmp_path, gender):
-    """A pipe is read once, by the fast reader and, from its first padded
-    cell on, by the block reader, canonical or not, to the table a regular
-    file loads to."""
+@pytest.mark.parametrize("edits", [
+    pytest.param([], id=",male,"),
+    pytest.param([(b",male,", b", male,")], id=", male,"),
+    pytest.param([(b",yes,", b",Yes,"), (b",no,", b",No,")], id=",Yes,-,No,"),
+    pytest.param([(b",male,", b',"male",'), (b",female,", b',"female",')], id=',"male",'),
+])
+def test_a_pipe_loads_as_a_file_does(tmp_path, edits):
+    """A pipe is read once, by the fast reader and, from its first
+    non-canonical cell on, by the row loop, to the table a regular file
+    loads to.  The C reader refuses every row of a book with capitalised
+    smoke cells or quoted gender cells, so the row loop appends several
+    blocks of ``_PARSE_LINES`` rows."""
     data = generate_synthetic(GeneratorParams(n=3000, seed=4))
     path, pipe = tmp_path / "book.csv", tmp_path / "pipe.csv"
     write_csv(data, path)
-    text = path.read_bytes().replace(b",male,", gender)
+    text = path.read_bytes()
+    for old, new in edits:
+        text = text.replace(old, new)
     os.mkfifo(pipe)
 
     def feed():
@@ -760,13 +766,12 @@ def test_a_row_with_two_bad_cells_reports_the_reference_readers_error(tmp_path, 
     assert outcome == _outcome(_row_by_row_load_csv, path)
 
 
-@pytest.mark.parametrize("block_rows", [3, dataset._BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [3, dataset._PARSE_LINES])
 def test_an_error_before_undecodable_bytes_still_comes_first(tmp_path, block_rows, monkeypatch):
     """Text is decoded a chunk at a time, so rows before the chunk that holds a
     bad byte are read before it fails.  A bad row among them is reported, as
     the row-by-row reader reports it, whichever block of rows or of the fast
     reader's lines it falls in."""
-    monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(dataset, "_PARSE_LINES", block_rows)
     good = [f"{k},male,44,1000,no,none,50\r\n".encode() for k in range(1, 400)]
     good[320] = b"\xff" + good[320]  # in the second 8 KB chunk

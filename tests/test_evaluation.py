@@ -4,6 +4,7 @@ comparison reports."""
 import math
 import multiprocessing
 import os
+import re
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
@@ -129,6 +130,20 @@ def test_band_validation():
         AccuracyBand(ratio_min=1.2, ratio_max=0.8, n_evaluated=1, n_excluded=0)
     with pytest.raises(ValidationError, match="expenditure"):
         accuracy_band(predict, replace(test, expenditure=None))
+
+
+@pytest.mark.parametrize("actual, price, edge", [(1e-320, 1000.0, "inf"),
+                                                 (1e-320, -1000.0, "-inf"),
+                                                 (0.5, 1e306, "2e+306")])
+def test_a_band_edge_that_is_not_a_finite_percentage_is_refused(actual, price, edge):
+    """A ratio past the float range (a price over a subnormal expenditure),
+    or one whose percentage is, cannot be rendered, at either edge: the
+    band is refused with one line naming the model."""
+    test = flat_records([1000.0, actual])
+    predict = age_keyed_predictor({0: 1000.0, 1: price})
+    with pytest.raises(ValidationError, match=re.escape(
+            f"model 2 (gam): band edge {edge} is not a finite percentage")):
+        accuracy_band(predict, test, trim_fraction=0.0, floor=0.0, source="model 2 (gam)")
 
 
 def test_format_band_rounds_to_integer_percent():

@@ -1,5 +1,6 @@
-"""The Python sources keep to the project's line width."""
+"""The Python sources keep to the project's line width and import only what they use."""
 
+import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,3 +16,29 @@ def test_no_python_line_is_wider_than_the_limit():
         if len(line) > MAX_LINE
     ]
     assert wide == []
+
+
+def _unused_imports(path):
+    """``path:line: name`` for each name the module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = [
+        entry
+        for folder in ("src", "tests", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for entry in _unused_imports(path)
+    ]
+    assert unused == []
