@@ -1,9 +1,9 @@
 """Pricing laboratory for health expenditure models.
 
 Three model families share one tabular pipeline: a linear model (GLM), an
-additive model with spline smooths and optional interaction terms (GAM), and
-a small backpropagation network (ANN).  The evaluation harness compares them
-on held-out accuracy bands and overfitting behaviour.
+additive model with spline smooths (GAM), and a small backpropagation
+network (ANN).  The evaluation harness compares them on held-out accuracy
+bands and overfitting behaviour.
 
 Public names live in the submodules; the package exports only ``__version__``.
 The layers are ``dataset``, ``glm``, ``smoothing``, ``gam``, ``ann``,

@@ -7,8 +7,10 @@ GAM smoothing, ANN hidden sizes) and one-line fit summaries (``rss``,
 ``iterations``, ``stopped_epoch``).  Its ``[encoding]`` section records the
 one encoding, ``config.ENCODING_PAIRS``; ``load_model`` refuses a section
 with another value (an older version's custom encoding), naming the key, so
-such a model is never priced on inputs it was not fit on.  A loaded ANN has
-empty loss histories.  Keys and sections no codec asks for are skipped, so
+such a model is never priced on inputs it was not fit on.  For the same
+reason it refuses a GAM's ``[interaction]`` section, which older versions
+wrote: no model prices interaction terms.  A loaded ANN has empty loss
+histories.  Keys and sections no codec asks for are skipped, so
 older artifacts, such as ANN ones with ``[loss_history]``, still load.
 ``save_model`` and ``load_model`` write and read the frame; each family's
 codec handles its head keys and its own sections.  Floats are written with
@@ -38,7 +40,7 @@ from .config import (
 )
 from .dataset import FEATURE_NAMES
 from .errors import NumericError, ValidationError
-from .gam import GamModel, InteractionTerm, SmoothConfig, SmoothFunction
+from .gam import GamModel, SmoothConfig, SmoothFunction
 from .glm import GlmModel
 
 
@@ -119,22 +121,11 @@ def _gam_sections(model: GamModel) -> tuple[Pairs, Sections]:
             pairs.append(("knot_positions", _floats(smooth.knots)))
             pairs.append(("knot_values", _floats(smooth.values)))
         sections.append((f"smooth {name}", pairs))
-    for term in model.interactions:
-        sections.append(
-            (
-                "interaction",
-                [
-                    ("pair", f"{FEATURE_NAMES[term.i]} {FEATURE_NAMES[term.j]}"),
-                    ("gamma", format_float(term.gamma)),
-                ],
-            )
-        )
     return head, sections
 
 
 def _gam_from_sections(head: dict, sections: Sections) -> GamModel:
     smooths: dict[int, SmoothFunction] = {}
-    interactions: list[InteractionTerm] = []
     for name, pairs in sections:
         data = dict(pairs)
         if name.startswith("smooth "):
@@ -157,19 +148,14 @@ def _gam_from_sections(head: dict, sections: Sections) -> GamModel:
             center = _finite_of(data, "center")
             smooths[feature] = SmoothFunction(kind, knots, values, slope, center)
         elif name == "interaction":
-            names = _value_of(data, "pair").split()
-            if len(names) != 2:
-                raise ValidationError(f"interaction pair needs two feature names, got {names}")
-            interactions.append(
-                InteractionTerm(*map(_feature_index, names), _finite_of(data, "gamma"))
-            )
+            raise ValidationError("[interaction]: interaction terms are no longer priced; "
+                                  "refit the model")
     if sorted(smooths) != list(range(len(FEATURE_NAMES))):
         raise ValidationError("artifact is missing smooth sections")
     return GamModel(
         intercept=_finite_of(head, "intercept"),
         link=_link_of(head, "link"),
         smooths=tuple(smooths[j] for j in range(len(FEATURE_NAMES))),
-        interactions=tuple(interactions),
         rss=_finite_of(head, "rss"),
         smooth_config=SmoothConfig(
             knots=_int_of(head, "knots"),

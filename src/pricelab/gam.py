@@ -1,7 +1,6 @@
 """Additive pricing model fit as one penalized least-squares problem.
 
-Base model:      g(E[y]) = b0 + f1(x1) + ... + f6(x6)
-With interaction terms:   ... + gamma_k * f_i(x_i) * f_j(x_j)
+    g(E[y]) = b0 + f1(x1) + ... + f6(x6)
 
 Each f_j is a natural cubic spline on quantile knots, f_j = N_j a_j in its
 knot values a_j, with the exact curvature penalty a_j' Omega_j a_j (see
@@ -29,19 +28,14 @@ penalty it adds penalty * Omega_j to a copy of D'D (a NumericError if any
 entry is not finite), solves by ``lstsq``, and forms each f_j and its center.
 ``fit_gam`` is its one-penalty case; the overfitting scan walks its ladder.
 
-Interaction terms follow the literal product form: one scalar gamma scaling
-the product of two fitted univariate smooths.  They are fitted with the
-smooths held fixed.  ``add_interaction`` takes the least-squares intercept
-and gammas of all its pairs,
-
-    min over (b0, gamma) of ||z - sum_j f_j - b0 - sum_k gamma_k f_ik f_jk||^2,
-
-one ``lstsq`` solve.  ``interaction_scan`` scores a pair by the exact RSS
-drop of the same step for that one pair on top of the model: with r the
-model's residual and u_c the centred product f_i f_j, regressing r on
-[1, u] lowers the RSS by n * mean(r)^2 + (u_c' r)^2 / (u_c' u_c).  The
-first term vanishes on the model's own fit rows, where r has mean zero;
-the second is the statistic the permutation test shuffles.
+The model prices no interaction terms.  ``interaction_scan`` names the
+feature pairs it leaves out: it scores a pair by the exact RSS drop from
+one scalar gamma scaling the product of two fitted smooths, fitted with the
+smooths held fixed.  With r the model's residual and u_c the centred
+product f_i f_j, regressing r on [1, u] lowers the RSS by
+n * mean(r)^2 + (u_c' r)^2 / (u_c' u_c).  The first term vanishes on the
+model's own fit rows, where r has mean zero; the second is the statistic
+the permutation test shuffles.
 
 The scan protocol is fixed by module constants: a pair is significant when
 its relative RSS drop exceeds ``INTERACTION_THRESHOLD`` and its statistic
@@ -117,25 +111,10 @@ class SmoothFunction:
 
 
 @dataclass(frozen=True)
-class InteractionTerm:
-    i: int
-    j: int
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.i < self.j < N_FEATURES):
-            raise ValidationError(
-                f"interaction pair must satisfy 0 <= i < j < {N_FEATURES}, "
-                f"got ({self.i}, {self.j})"
-            )
-
-
-@dataclass(frozen=True)
 class GamModel:
     intercept: float
     link: LinkKind
     smooths: tuple[SmoothFunction, ...]
-    interactions: tuple[InteractionTerm, ...]
     rss: float
     smooth_config: SmoothConfig = field(default_factory=SmoothConfig)
     family = "gam"  # class constant, not a field
@@ -143,9 +122,6 @@ class GamModel:
     def __post_init__(self) -> None:
         if len(self.smooths) != N_FEATURES:
             raise ValidationError(f"expected {N_FEATURES} smooths")
-        pairs = [(t.i, t.j) for t in self.interactions]
-        if len(set(pairs)) != len(pairs):
-            raise ValidationError("duplicate interaction pair")
 
 
 @dataclass(frozen=True)
@@ -181,14 +157,6 @@ def _working_data(link: LinkKind, train: Dataset):
 def _components(model: GamModel, X: np.ndarray) -> list[np.ndarray]:
     """The model's centred smooth values f_j(x_j) at the rows of X."""
     return [smooth(x) for smooth, x in zip(model.smooths, X.T)]
-
-
-def _eta(intercept: float, values, terms) -> np.ndarray:
-    """Linear predictor from per-feature values and interaction terms."""
-    eta = intercept + sum(values)
-    for term in terms:
-        eta = eta + term.gamma * values[term.i] * values[term.j]
-    return eta
 
 
 def fit_gam_ladder(
@@ -247,7 +215,6 @@ def fit_gam_ladder(
             intercept=intercept,
             link=link,
             smooths=tuple(smooths),
-            interactions=(),
             rss=float(r @ r),
             smooth_config=config,
         )
@@ -266,38 +233,8 @@ def fit_gam(
 
 def predict_gam(model: GamModel, X: np.ndarray) -> np.ndarray:
     """Predictions at the rows of an (n, 6) encoded feature matrix."""
-    eta = _eta(model.intercept, _components(model, feature_matrix(X)), model.interactions)
+    eta = model.intercept + sum(_components(model, feature_matrix(X)))
     return np.exp(eta) if model.link is LinkKind.LOG else eta
-
-
-def add_interaction(model: GamModel, i: int, j: int, train: Dataset) -> GamModel:
-    """Extend the model with one gamma * f_i * f_j term, smooths held fixed.
-
-    The intercept b0 and the gammas of every interaction pair, old and new,
-    are the least-squares minimiser on ``train`` of
-
-        ||z - sum_j f_j - b0 - sum_k gamma_k f_ik f_jk||^2,
-
-    with f_j the model's own smooths: one solve, no iteration.  The model
-    itself is a feasible point (its intercept and gammas, the new gamma 0),
-    so the returned RSS is never above the model's own RSS on ``train``.
-    """
-    if i == j:
-        raise ValidationError(f"interaction needs two distinct features, got ({i}, {j})")
-    i, j = min(i, j), max(i, j)
-    if any((t.i, t.j) == (i, j) for t in model.interactions):
-        raise ValidationError(f"interaction ({i}, {j}) already present")
-    pairs = (*model.interactions, InteractionTerm(i, j, 0.0))  # bounds-checks (i, j)
-
-    X, z = _working_data(model.link, train)
-    components = _components(model, X)
-    design = np.column_stack(
-        [np.ones(X.shape[0])] + [components[t.i] * components[t.j] for t in pairs]
-    )
-    coef = np.linalg.lstsq(design, z - sum(components), rcond=None)[0]
-    terms = tuple(InteractionTerm(t.i, t.j, float(g)) for t, g in zip(pairs, coef[1:]))
-    r = z - _eta(float(coef[0]), components, terms)
-    return replace(model, intercept=float(coef[0]), rss=float(r @ r), interactions=terms)
 
 
 @np.errstate(all="ignore")  # a sum of squares that overflows is refused below
@@ -307,17 +244,17 @@ def interaction_scan(
     *,
     seed: int = 0,
 ) -> tuple[InteractionCandidate, ...]:
-    """Score every unordered feature pair for an interaction term.
+    """Score every unordered feature pair for the interaction term the
+    additive ``base`` leaves out.
 
     The score is the relative RSS drop on ``train`` from adding gamma * u,
-    u = f_i * f_j, to ``base`` with its smooths and any existing gammas held
-    fixed: the minimum over (c, gamma) of ||r - c - gamma u||^2, with r the
-    base residual, is below ||r||^2 by exactly
+    u = f_i * f_j, to ``base`` with its smooths held fixed: the minimum over
+    (c, gamma) of ||r - c - gamma u||^2, with r the base residual, is below
+    ||r||^2 by exactly
 
         n * mean(r)^2 + (u_c' r)^2 / (u_c' u_c),    u_c = u - mean(u),
 
-    and that drop is divided by ||r||^2.  For a base without interactions it
-    is the RSS drop of ``add_interaction``.  A pair is significant when its
+    and that drop is divided by ||r||^2.  A pair is significant when its
     score exceeds ``INTERACTION_THRESHOLD`` and (u_c' r)^2 beats
     ``PERMUTATIONS`` shuffled replicas at p < 0.05.  A pair whose product
     is constant scores n * mean(r)^2 alone, with p-value 1.
@@ -329,7 +266,7 @@ def interaction_scan(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     X, z = _working_data(base.link, train)
     components = _components(base, X)
-    residual = z - _eta(base.intercept, components, base.interactions)
+    residual = z - (base.intercept + sum(components))
     base_rss = float(residual @ residual)
     if not np.isfinite(base_rss):
         raise NumericError("interaction scan: the base model's residuals overflow")

@@ -389,6 +389,47 @@ def test_damaged_artifact_exits_3_with_one_error_line(
         assert f"key {key!r}: not a finite number" in err, err
 
 
+def test_a_gam_artifact_with_an_interaction_section_is_refused(
+    tmp_path, fitted_artifacts, capsys
+):
+    """Older versions saved a GAM extended by an interaction term with an
+    ``[interaction]`` section.  No model prices such a term, so the artifact
+    is refused, naming the section, rather than priced without it."""
+    model = tmp_path / "gam.model"
+    model.write_text((fitted_artifacts / "gam.model").read_text()
+                     + "[interaction]\npair = smoker claim_severity\n"
+                       "gamma = 0.00010513959795347634\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{model}: [interaction]: ")):
+        load_model(model)
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    assert run("predict", "--model", model, "--in", fitted_artifacts / "data.csv",
+               "-o", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: [interaction]: ") and err.count("\n") == 1, err
+    assert not out.exists() and not Path(f"{out}.manifest").exists()
+
+
+def test_compare_refuses_a_gam_artifact_with_an_interaction_section(
+    tmp_path, fitted_artifacts, capsys
+):
+    """``compare`` loads its models the same way: the GAM with an
+    ``[interaction]`` section stops it before any report is written."""
+    model = tmp_path / "gam.model"
+    model.write_text((fitted_artifacts / "gam.model").read_text()
+                     + "[interaction]\npair = smoker claim_severity\n"
+                       "gamma = 0.00010513959795347634\n")
+    Path(f"{model}.test-index").write_bytes(
+        (fitted_artifacts / "gam.model.test-index").read_bytes())
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert run("compare", "--model", fitted_artifacts / "glm.model", "--model", model,
+               "--in", fitted_artifacts / "data.csv", "-o", report) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: [interaction]: ") and err.count("\n") == 1, err
+    assert not report.exists() and not Path(f"{report}.manifest").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family, section, key, value", [
     ("ann", "[layer 1]", "bias", "1e308"),  # every price overflows to inf

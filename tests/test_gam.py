@@ -23,7 +23,6 @@ from pricelab.gam import (
     GamModel,
     SmoothConfig,
     SmoothFunction,
-    add_interaction,
     collinearity_report,
     fit_gam,
     fit_gam_ladder,
@@ -35,8 +34,8 @@ from pricelab.glm import LinkKind, fit_glm, predict_glm
 # strong planted smoker x severity interaction over a quiet noise floor
 INTERACTION_PARAMS = GeneratorParams(seed=0, interaction=12000.0, noise_scale=300.0)
 
-# RSS comparisons between a model and its interaction refit run at
-# float-noise slack: the two RSS values are summed from differently
+# RSS comparisons between a model and its one-step interaction refit run
+# at float-noise slack: the two RSS values are summed from differently
 # rounded fitted values, so they can disagree by a few ulps.
 def rss_slack(rss):
     return 1e-9 + 1e-11 * rss
@@ -157,7 +156,6 @@ def test_knots_are_computed_only_for_spline_features(monkeypatch):
 def assert_same_gam(got, want):
     assert got.intercept == want.intercept and got.rss == want.rss
     assert got.link is want.link and got.smooth_config == want.smooth_config
-    assert got.interactions == want.interactions
     assert len(got.smooths) == len(want.smooths)
     for a, b in zip(got.smooths, want.smooths):
         assert (a.kind, a.slope, a.center) == (b.kind, b.slope, b.center)
@@ -255,38 +253,28 @@ def test_interaction_scan_quiet_without_planted_signal():
     assert sum(c.significant for c in candidates) <= 2
 
 
-def test_add_interaction_improves_held_out_error():
-    data = generate_synthetic(INTERACTION_PARAMS)
-    train, test = split_half(data, seed=0)
-    base = fit_gam(train)
-    extended = add_interaction(base, 3, 5, train)
-    assert [(t.i, t.j) for t in extended.interactions] == [(3, 5)]
-    assert extended.rss <= base.rss + rss_slack(base.rss)
-
-    X, y = encode_dataset(test)
-    def rmse(model):
-        preds = predict_gam(model, X)
-        return float(np.sqrt(np.mean((preds - y) ** 2)))
-    assert rmse(extended) < 0.7 * rmse(base)
-
-
 def test_interaction_score_is_the_one_step_rss_drop():
-    """Each scanned pair's score is the relative RSS drop of the one-step
-    ``add_interaction`` on the scanned rows: on the model's fit rows, and on
-    the other half, where the base residual has a nonzero mean and the drop
-    includes its n * mean(r)^2 term."""
+    """Each scanned pair's score is the relative RSS drop of one
+    least-squares step, the base residual regressed on [1, f_i * f_j], on
+    the scanned rows: on the model's fit rows, and on the other half, where
+    the base residual has a nonzero mean and the drop includes its
+    n * mean(r)^2 term."""
     train, test = split_half(generate_synthetic(INTERACTION_PARAMS), seed=0)
     base = fit_gam(train)
     for rows in (train, test):
         X, y = encode_dataset(rows)
         residual = y - predict_gam(base, X)
         base_rss = float(residual @ residual)
+        components = [smooth(x) for smooth, x in zip(base.smooths, X.T)]
         candidates = interaction_scan(rows, base)
         assert len(candidates) == 15
         for c in candidates:
-            refit = add_interaction(base, c.i, c.j, rows)
-            assert refit.rss <= base_rss + rss_slack(base_rss), (c.i, c.j)
-            assert c.score == approx((base_rss - refit.rss) / base_rss, abs=1e-9), (c.i, c.j)
+            design = np.column_stack([np.ones(rows.n), components[c.i] * components[c.j]])
+            coef = np.linalg.lstsq(design, residual, rcond=None)[0]
+            refit = residual - design @ coef
+            refit_rss = float(refit @ refit)
+            assert refit_rss <= base_rss + rss_slack(base_rss), (c.i, c.j)
+            assert c.score == approx((base_rss - refit_rss) / base_rss, abs=1e-9), (c.i, c.j)
     # on the other half the mean term alone is far above the tolerance
     assert rows.n * float(np.mean(residual)) ** 2 / base_rss > 1e-3
 
@@ -300,21 +288,12 @@ def test_interaction_scan_scores_every_pair():
         assert isinstance(scores[pair], float) and scores[pair] > 0, pair
 
 
-def test_interaction_scan_on_a_model_with_an_interaction():
-    """A pair already in the model explains nothing more of its residual."""
-    data = generate_synthetic(INTERACTION_PARAMS)
-    extended = add_interaction(fit_gam(data), 3, 5, data)
-    candidates = interaction_scan(data, extended)
-    assert len(candidates) == 15
-    assert not next(c for c in candidates if (c.i, c.j) == (3, 5)).significant
-
-
 def reference_scan(rows, base, seed):
     """(i, j, score, p-value) of every pair in pair order, one
     ``rng.permutation`` and one ``u @ shuffled`` dot per shuffle."""
     X, z = gam._working_data(base.link, rows)
     components = gam._components(base, X)
-    residual = z - gam._eta(base.intercept, components, base.interactions)
+    residual = z - (base.intercept + sum(components))
     base_rss = float(residual @ residual)
     mean_term = residual.size * float(np.mean(residual)) ** 2
     rng = np.random.default_rng(seed)
@@ -398,18 +377,6 @@ def test_interaction_scan_refuses_a_negative_seed():
         interaction_scan(data, fit_gam(data), seed=-1)
 
 
-def test_add_interaction_validation():
-    data = generate_synthetic(INTERACTION_PARAMS)
-    base = fit_gam(data)
-    with pytest.raises(ValidationError, match="distinct"):
-        add_interaction(base, 2, 2, data)
-    with pytest.raises(ValidationError):
-        add_interaction(base, 1, 9, data)
-    once = add_interaction(base, 3, 5, data)
-    with pytest.raises(ValidationError, match="already"):
-        add_interaction(once, 5, 3, data)  # order-insensitive duplicate
-
-
 # ------------------------------------------------------------- collinearity
 
 
@@ -473,15 +440,13 @@ def test_collinearity_matrix_matches_per_pair_corrcoef(n, seed, rho, constant):
 
 def test_artifact_round_trip(tmp_path):
     data = generate_synthetic(INTERACTION_PARAMS)
-    model = add_interaction(fit_gam(data), 3, 5, data)
+    model = fit_gam(data)
     path = tmp_path / "gam.model"
     save_model(model, path)
     back = load_model(path)
     assert isinstance(back, GamModel)
     assert back.intercept == model.intercept
     assert back.link is model.link
-    assert len(back.interactions) == 1
-    assert back.interactions[0].gamma == model.interactions[0].gamma
     for ours, theirs in zip(model.smooths, back.smooths):
         assert theirs.kind == ours.kind
         assert np.array_equal(theirs.knots, ours.knots)

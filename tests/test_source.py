@@ -1,4 +1,5 @@
-"""The Python sources keep to the project's line width and import only what they use."""
+"""The Python sources keep to the project's line width and import only what
+they use, and the package defines no public name that its code never uses."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,63 @@ def test_no_module_imports_a_name_it_does_not_use():
         for entry in _unused_imports(path)
     ]
     assert unused == []
+
+
+def _public_definitions(path):
+    """(name, line) of each public function, class and method ``path`` defines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _named(path):
+    """Every name ``path`` reads, as a bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _unused_definitions(package, users, root=ROOT):
+    """``path:line: name``, ``path`` relative to ``root``, of each public
+    definition in the ``package`` files that no file of ``users`` names."""
+    used = set().union(*(_named(path) for path in users))
+    return [f"{path.relative_to(root)}:{line}: {name}"
+            for path in package
+            for name, line in _public_definitions(path)
+            if name not in used]
+
+
+def test_every_public_definition_in_the_package_is_used_outside_the_tests():
+    """Library code that only tests call is dead code: it must be named by
+    the package itself or by a script."""
+    package = sorted((ROOT / "src").rglob("*.py"))
+    users = [path for folder in ("src", "scripts")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unused_definitions(package, users) == []
+
+
+def test_the_dead_definition_check_finds_what_nothing_names(tmp_path):
+    """The check reports a public function, class or method that no code
+    names, counts a name read bare or as an attribute as a use, and
+    ignores private definitions."""
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class Model:\n"
+        "    def price(self):\n"
+        "        return helper()\n"
+        "    def unused_method(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def dead():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    script = tmp_path / "script.py"
+    script.write_text("from lib import Model\nModel().price()\n")
+    assert sorted(_unused_definitions([lib], [lib, script], root=tmp_path)) == [
+        "lib.py:4: unused_method",
+        "lib.py:8: dead",
+    ]
