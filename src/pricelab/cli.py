@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .artifacts import load_model, save_model
 from .config import (
-    band_from_mapping,
     dump_sections,
     generator_from_mapping,
     model_settings_from_mapping,
@@ -208,7 +207,6 @@ def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     if len(args.models) < 2:
         args.parser.error("compare needs at least two --model artifacts")
-    band = band_from_mapping(_load_mapping(args.config))
     models = [load_model(p) for p in args.models]
     index_sets = []
     for path in args.models:
@@ -232,13 +230,13 @@ def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     test = data.take(in_test)
     train = data.take(~in_test)
 
-    report = compare(models, test, train=train, seed=args.seed, **band)
+    report = compare(models, test, train, seed=args.seed)
     out_md = Path(args.out + ".md")
     out_csv = Path(args.out + ".csv")
     out_md.write_text(render_markdown(report), encoding="utf-8")
     out_csv.write_text(report_csv(report), encoding="utf-8")
     _write_manifest(
-        out_md, "compare", argv, seed=args.seed, config_path=args.config,
+        out_md, "compare", argv, seed=args.seed, config_path=None,
         inputs=[str(args.input), *map(str, args.models)],
         outputs=[str(out_md), str(out_csv)],
     )
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--in", dest="input", required=True, help="full data CSV")
     p_cmp.add_argument("--seed", type=_seed, default=0, help="seed for the scans")
-    p_cmp.add_argument("--config", default=None, help="key-value config file")
     p_cmp.add_argument("-o", "--out", required=True, help="output prefix (.md/.csv)")
     p_cmp.set_defaults(func=_cmd_compare, parser=p_cmp)
 
@@ -322,7 +319,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

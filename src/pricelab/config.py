@@ -133,7 +133,6 @@ _TRAINING_FIELDS = {
     "validation_fraction": ("validation_fraction", _float_of),
     "train_seed": ("seed", _int_of),
 }
-_BAND_FIELDS = {"trim_fraction": ("trim_fraction", _float_of), "floor": ("floor", _float_of)}
 # one key per GeneratorParams field, read as its declared type
 _GENERATOR_FIELDS = {
     f.name: (f.name, _int_of if f.type in (int, "int") else _float_of)
@@ -143,8 +142,7 @@ _GENERATOR_FIELDS = {
 
 GENERATOR_KEYS = frozenset(_GENERATOR_FIELDS)
 MODEL_KEYS = frozenset({"link", "hidden", *_SMOOTH_FIELDS, *_TRAINING_FIELDS})
-BAND_KEYS = frozenset(_BAND_FIELDS)
-KNOWN_KEYS = GENERATOR_KEYS | MODEL_KEYS | BAND_KEYS
+KNOWN_KEYS = GENERATOR_KEYS | MODEL_KEYS
 
 # The ``[encoding]`` section of every artifact: ``DEFAULT_ENCODING``, age_min first.
 ENCODING_PAIRS = (
@@ -168,8 +166,3 @@ def model_settings_from_mapping(mapping: dict[str, str]) -> dict[str, object]:
         "topology": NetworkTopology(**_present(mapping, {"hidden": ("hidden", _hidden_of)})),
         "training": TrainingConfig(**_present(mapping, _TRAINING_FIELDS)),
     }
-
-
-def band_from_mapping(mapping: dict[str, str]) -> dict[str, float]:
-    """``compare`` keyword arguments for the band keys present in ``mapping``."""
-    return _present(mapping, _BAND_FIELDS)

@@ -1,8 +1,10 @@
 """Model comparison harness: accuracy bands, overfitting scans, reports.
 
 The accuracy band is the (min, max) of predicted/actual ratios on a held-out
-half, after dropping near-zero actuals (a currency floor) and trimming a
-small quantile from both tails.  Overfitting is probed along a
+half, after dropping actuals below a currency floor (``RATIO_FLOOR``, 500)
+and trimming ``TRIM_FRACTION`` (5%) of the ratios from each tail.  The
+comparison protocol is fixed by these constants and ``PATIENCE``, not by
+options.  Overfitting is probed along a
 family-specific capacity ladder (epoch checkpoints for the network, a
 decreasing smoothing penalty for the additive model, a single point for the
 linear one) on an internal 80/20 split: the reported threshold is the
@@ -42,8 +44,8 @@ from .errors import NumericError, ValidationError
 from .glm import LinkKind
 
 PATIENCE = 3
-DEFAULT_TRIM_FRACTION = 0.05
-DEFAULT_RATIO_FLOOR = 500.0
+TRIM_FRACTION = 0.05
+RATIO_FLOOR = 500.0
 # Rows priced per model call (the last call of a book takes the rest, up to
 # twice as many), and lines written per block by ``predict``.
 _PRICE_ROWS = 4096
@@ -110,38 +112,23 @@ def finite_predictions(
 
 
 def accuracy_band(
-    predict: Callable[[np.ndarray], np.ndarray],
-    test: Dataset,
-    *,
-    trim_fraction: float = DEFAULT_TRIM_FRACTION,
-    floor: float = DEFAULT_RATIO_FLOOR,
-    source: str = "model",
+    predict: Callable[[np.ndarray], np.ndarray], test: Dataset, *, source: str = "model"
 ) -> AccuracyBand:
     """Trimmed band of per-record predicted/actual ratios on a test half;
     ``predict`` maps an (n, 6) feature matrix to n predictions, which must
-    be finite (``source`` names the model in the errors).  So must each
-    edge of the band as a percentage, as ``format_band`` renders it."""
-    if not (0.0 <= trim_fraction < 0.5):
-        raise ValidationError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
-    if not floor >= 0:
-        raise ValidationError(f"floor must be >= 0, got {floor}")
+    be finite (``source`` names the model in the error).  A finite price
+    over an actual of at least ``RATIO_FLOOR`` is a ratio of at most
+    1.8e308 / 500 in size, so each edge is a finite percentage."""
     X, actual = encode_with_response(test)
-    evaluable = (actual >= floor) & (actual != 0)
+    evaluable = actual >= RATIO_FLOOR
     if not evaluable.any():
         raise ValidationError("no evaluable records above the currency floor")
-    with np.errstate(over="ignore"):  # a ratio past the float range: see the edges below
-        ratios = np.sort(finite_predictions(predict, X[evaluable], source) / actual[evaluable])
-    drop = int(math.floor(ratios.size * trim_fraction))
+    ratios = np.sort(finite_predictions(predict, X[evaluable], source) / actual[evaluable])
+    drop = int(math.floor(ratios.size * TRIM_FRACTION))
     kept = ratios[drop : ratios.size - drop]
-    if not kept.size:
-        raise ValidationError("trimming removed every evaluable record")
-    low, high = float(kept[0]), float(kept[-1])
-    for edge in (low, high):
-        if not math.isfinite(edge * 100):
-            raise ValidationError(f"{source}: band edge {edge!r} is not a finite percentage")
     return AccuracyBand(
-        ratio_min=low,
-        ratio_max=high,
+        ratio_min=float(kept[0]),
+        ratio_max=float(kept[-1]),
         n_evaluated=int(ratios.size),
         n_excluded=int(actual.size - ratios.size),
     )
@@ -449,7 +436,7 @@ def learning_curve_csv(curve: LearningCurve) -> str:
 class FamilyResult:
     name: str
     band: AccuracyBand
-    overfit: OverfitReport | None
+    overfit: OverfitReport
     interaction_finding: str
     collinearity_finding: str
 
@@ -460,17 +447,11 @@ class ComparisonReport:
 
 
 def compare(
-    models: Sequence,
-    test: Dataset,
-    *,
-    train: Dataset | None = None,
-    trim_fraction: float = DEFAULT_TRIM_FRACTION,
-    floor: float = DEFAULT_RATIO_FLOOR,
-    seed: int = 0,
+    models: Sequence, test: Dataset, train: Dataset, *, seed: int = 0
 ) -> ComparisonReport:
-    """Bands for every model plus, when the train half is provided,
-    overfitting scans and (for the additive model) interaction and
-    collinearity findings.  Train/test sharing a record id is refused.
+    """Each model's band on the test half, its overfitting scan on the train
+    half and (for the additive model) interaction and collinearity findings.
+    Train/test sharing a record id is refused.
 
     Each half is first put in record-id order, the order the scans permute,
     so a report does not depend on the row order the halves come in.
@@ -478,31 +459,25 @@ def compare(
     if not models:
         raise ValidationError("compare needs at least one fitted model")
     test = test.take(np.argsort(test.ids))
-    if train is not None:
-        overlap = np.intersect1d(train.ids, test.ids)
-        if overlap.size:
-            raise ValidationError(
-                f"leakage: {len(overlap)} record id(s) appear in both train and test"
-            )
-        train = train.take(np.argsort(train.ids))
+    overlap = np.intersect1d(train.ids, test.ids)
+    if overlap.size:
+        raise ValidationError(
+            f"leakage: {len(overlap)} record id(s) appear in both train and test"
+        )
+    train = train.take(np.argsort(train.ids))
 
     results = []
     for position, model in enumerate(models, 1):
         family = FAMILIES[model.family].of(model)
-        band = accuracy_band(partial(family.predict, model), test, trim_fraction=trim_fraction,
-                             floor=floor, source=f"model {position} ({family.name})")
-        overfit = None
-        findings = ("none", "none")
-        if train is not None:
-            overfit = overfit_scan(family, train, seed=seed)
-            findings = family.findings(model, train, seed)
+        band = accuracy_band(partial(family.predict, model), test,
+                             source=f"model {position} ({family.name})")
+        overfit = overfit_scan(family, train, seed=seed)
+        findings = family.findings(model, train, seed)
         results.append(FamilyResult(family.name, band, overfit, *findings))
     return ComparisonReport(results=tuple(results))
 
 
 def _threshold_text(result: FamilyResult) -> str:
-    if result.overfit is None:
-        return "not scanned"
     if not result.overfit.threshold_found:
         return "not detected"
     return f"{result.overfit.threshold * 100:.1f}%"
@@ -542,12 +517,8 @@ def report_csv(report: ComparisonReport) -> str:
         "threshold_found,threshold,interaction,collinearity"
     ]
     for r in report.results:
-        found = "" if r.overfit is None else ("yes" if r.overfit.threshold_found else "no")
-        threshold = (
-            repr(r.overfit.threshold)
-            if r.overfit is not None and r.overfit.threshold is not None
-            else ""
-        )
+        found = "yes" if r.overfit.threshold_found else "no"
+        threshold = "" if r.overfit.threshold is None else repr(r.overfit.threshold)
         lines.append(
             f"{r.name},{r.band.ratio_min!r},{r.band.ratio_max!r},"
             f"{r.band.n_evaluated},{r.band.n_excluded},{found},{threshold},"

@@ -213,13 +213,16 @@ def test_library_compare_of_split_halves_writes_the_cli_report(tmp_path):
 NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
 
 
+# Keys of settings that are fixed now: the input encoding's and the band's.
+RETIRED_KEYS = ("age_max", "income_max", "trim_fraction", "floor")
+
+
 @pytest.mark.parametrize("command, config", [
     ("fit", "knots = abc"),
     ("fit", "link = cubic"),
     ("fit", "hidden = 4,x"),
     ("fit", "max_epochs = 1.5"),
     ("fit", "force_linear = maybe"),
-    ("compare", "trim_fraction = x"),
     ("compare", "# garbled test index"),
     ("fit", "# missing config file"),
     ("predict", "# missing input file"),
@@ -233,6 +236,8 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
     ("fit gam", "income_max = 1e300"),
     ("fit ann", "income_max = 1e300"),
     ("fit", "age_max = 90"),
+    ("gen", "trim_fraction = 0.05"),
+    ("fit", "floor = 500"),
     ("gen", "n = 10000000000"),
     ("fit", "hidden = 100000000"),
     ("fit", "knots = 100000000"),
@@ -273,16 +278,35 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, comma
         elif "non-UTF-8" in config:
             index.write_bytes(NOT_UTF8)
             damaged = index
-        argv = ["compare", "--model", a, "--model", b, "--in", data_csv,
-                "--config", cfg, "-o", tmp_path / "r"]
+        argv = ["compare", "--model", a, "--model", b, "--in", data_csv, "-o", tmp_path / "r"]
     capsys.readouterr()
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if "non-UTF-8" in config:
         assert f"{damaged}: not a UTF-8 text file" in err
-    if "_max" in config:  # the encoding is fixed: its old keys are unknown
+    if config.split()[0] in RETIRED_KEYS:
         assert err.endswith(f": unknown key(s): {config.split()[0]}\n")
+
+
+def test_compare_takes_no_config(tmp_path, capsys):
+    """The comparison protocol is fixed, so ``compare --config`` is a usage
+    error, before any file is read."""
+    (tmp_path / "band.cfg").write_text("floor = 500\n")
+    with pytest.raises(SystemExit) as exc:
+        run("compare", "--model", tmp_path / "a", "--model", tmp_path / "b",
+            "--in", tmp_path / "x.csv", "--config", tmp_path / "band.cfg", "-o", tmp_path / "r")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.endswith("unrecognized arguments: --config "
+                                                      f"{tmp_path / 'band.cfg'}\n"), err
+    # so a compare manifest recorded with --config by an older version no longer replays
+    manifest = tmp_path / "r.md.manifest"
+    manifest.write_text(f"command = compare\nargv = compare --model a --model b --in x.csv "
+                        f"--config band.cfg -o r\ncwd = {tmp_path}\n")
+    with pytest.raises(SystemExit) as exc:
+        run("replay", manifest)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["fit", "predict"])
@@ -630,30 +654,6 @@ def test_compare_refuses_a_gam_whose_interaction_scan_overflows(
                "-o", tmp_path / "report") == 4
     err = capsys.readouterr().err
     assert err.startswith("error: interaction scan: ") and err.count("\n") == 1, err
-
-
-def test_compare_refuses_a_band_edge_that_is_not_a_finite_percentage(
-    tmp_path, fitted_artifacts, capsys
-):
-    """A subnormal expenditure in the test half, kept by a zero floor and
-    no trimming, makes a predicted/actual ratio overflow: compare exits 3
-    with one error line naming the model, and writes no report."""
-    first = (fitted_artifacts / "glm.model.test-index").read_text().split()[0]
-    lines = (fitted_artifacts / "data.csv").read_text().splitlines()
-    at = next(k for k, line in enumerate(lines) if line.startswith(f"{first},"))
-    lines[at] = lines[at].rsplit(",", 1)[0] + ",1e-320"
-    data = tmp_path / "data.csv"
-    data.write_text("\n".join(lines) + "\n")
-    config = tmp_path / "band.cfg"
-    config.write_text("floor = 0\ntrim_fraction = 0\n")
-    models = [arg for family in ("glm", "gam")
-              for arg in ("--model", fitted_artifacts / f"{family}.model")]
-    capsys.readouterr()
-    assert run("compare", *models, "--in", data, "--config", config,
-               "-o", tmp_path / "report") == 3
-    err = capsys.readouterr().err
-    assert err == "error: model 1 (glm): band edge inf is not a finite percentage\n"
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["band.cfg", "data.csv"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -1007,7 +1007,6 @@ def test_version_flag():
 VALID_CONFIG = (
     "# every command reads the keys it knows\n"
     "link = identity\nknots = 4\nhidden = 4,3\nmax_epochs = 50\n"
-    "trim_fraction = 0.05\nfloor = 500\n"
     "noise_scale = 600\ninteraction = 5000\n"
 )
 # input kind -> file name; the b model shares the a model's split.
@@ -1016,7 +1015,7 @@ READS = {
     "gen": ("config",),
     "fit": ("csv", "config"),
     "predict": ("model", "csv"),
-    "compare": ("model", "index", "csv", "config"),
+    "compare": ("model", "index", "csv"),
 }
 
 
@@ -1067,7 +1066,7 @@ def argv_for(command: str, d: Path) -> list:
         "predict": ["predict", "--model", d / "a.model", "--in", d / "data.csv",
                     "-o", d / "out.csv"],
         "compare": ["compare", "--model", d / "a.model", "--model", d / "b.model",
-                    "--in", d / "data.csv", "--config", d / "run.cfg", "-o", d / "report"],
+                    "--in", d / "data.csv", "-o", d / "report"],
     }[command]
 
 

@@ -4,7 +4,6 @@ comparison reports."""
 import math
 import multiprocessing
 import os
-import re
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
@@ -46,6 +45,8 @@ from pricelab.evaluation import (
     render_markdown,
     report_csv,
     PATIENCE,
+    RATIO_FLOOR,
+    TRIM_FRACTION,
     _relative_rmse,
     _split_for_scan,
 )
@@ -74,7 +75,7 @@ def age_keyed_predictor(mapping, age0=20):
 def test_band_hand_example():
     test = flat_records([1000.0, 1000.0, 1000.0])
     predict = age_keyed_predictor({0: 940.0, 1: 1070.0, 2: 1000.0})
-    band = accuracy_band(predict, test, trim_fraction=0.0)
+    band = accuracy_band(predict, test)  # 5% of 3 records trims none
     assert band.ratio_min == approx(0.94)
     assert band.ratio_max == approx(1.07)
     assert band.n_evaluated == 3
@@ -84,23 +85,23 @@ def test_band_hand_example():
 
 def test_band_perfect_predictions():
     test = flat_records([800.0, 1200.0, 5000.0])
-    band = accuracy_band(age_keyed_predictor({0: 800.0, 1: 1200.0, 2: 5000.0}),
-                         test, trim_fraction=0.0)
+    band = accuracy_band(age_keyed_predictor({0: 800.0, 1: 1200.0, 2: 5000.0}), test)
     assert (band.ratio_min, band.ratio_max) == (1.0, 1.0)
     assert format_band(band) == "100%~100%"
 
 
 def test_band_trimming_drops_tails():
-    # 20 records; ratios are 1.0 except one 0.5 and one 2.0 outlier
-    values = [1000.0] * 20
-    test = flat_records(values)
+    # ratios are 1.0 except one 0.5 and one 2.0 outlier
     mapping = {i: 1000.0 for i in range(20)}
     mapping[3] = 500.0
     mapping[11] = 2000.0
-    loose = accuracy_band(age_keyed_predictor(mapping), test, trim_fraction=0.0)
+    assert TRIM_FRACTION == 0.05  # the sizes below are written for it
+    # floor(19 * 0.05) = 0 dropped
+    loose = accuracy_band(age_keyed_predictor(mapping), flat_records([1000.0] * 19))
     assert (loose.ratio_min, loose.ratio_max) == approx((0.5, 2.0))
+    assert loose.n_evaluated == 19
     # floor(20 * 0.05) = 1 dropped from each tail
-    trimmed = accuracy_band(age_keyed_predictor(mapping), test, trim_fraction=0.05)
+    trimmed = accuracy_band(age_keyed_predictor(mapping), flat_records([1000.0] * 20))
     assert (trimmed.ratio_min, trimmed.ratio_max) == approx((1.0, 1.0))
     assert trimmed.n_evaluated == 20
 
@@ -108,7 +109,7 @@ def test_band_trimming_drops_tails():
 def test_band_floor_and_zero_exclusion():
     test = flat_records([0.0, 200.0, 1000.0, 2000.0])
     predict = age_keyed_predictor({i: 1000.0 for i in range(4)})
-    band = accuracy_band(predict, test)  # default floor 500
+    band = accuracy_band(predict, test)  # RATIO_FLOOR is 500
     assert band.n_excluded == 2
     assert band.n_evaluated == 2
     assert band.ratio_min == approx(0.5)
@@ -118,32 +119,34 @@ def test_band_floor_and_zero_exclusion():
 
 
 def test_band_validation():
-    test = flat_records([1000.0])
-    predict = age_keyed_predictor({0: 1000.0})
-    with pytest.raises(ValidationError):
-        accuracy_band(predict, test, trim_fraction=0.5)
-    with pytest.raises(ValidationError):
-        accuracy_band(predict, test, floor=-1.0)
-    with pytest.raises(ValidationError, match="floor must be"):
-        accuracy_band(predict, test, floor=math.nan)
     with pytest.raises(ValidationError):
         AccuracyBand(ratio_min=1.2, ratio_max=0.8, n_evaluated=1, n_excluded=0)
-    with pytest.raises(ValidationError, match="expenditure"):
-        accuracy_band(predict, replace(test, expenditure=None))
 
 
-@pytest.mark.parametrize("actual, price, edge", [(1e-320, 1000.0, "inf"),
-                                                 (1e-320, -1000.0, "-inf"),
-                                                 (0.5, 1e306, "2e+306")])
-def test_a_band_edge_that_is_not_a_finite_percentage_is_refused(actual, price, edge):
-    """A ratio past the float range (a price over a subnormal expenditure),
-    or one whose percentage is, cannot be rendered, at either edge: the
-    band is refused with one line naming the model."""
-    test = flat_records([1000.0, actual])
-    predict = age_keyed_predictor({0: 1000.0, 1: price})
-    with pytest.raises(ValidationError, match=re.escape(
-            f"model 2 (gam): band edge {edge} is not a finite percentage")):
-        accuracy_band(predict, test, trim_fraction=0.0, floor=0.0, source="model 2 (gam)")
+@pytest.mark.parametrize("test, message", [
+    (replace(flat_records([1000.0]), expenditure=None), "expenditure"),
+    (flat_records([0.0, np.nextafter(RATIO_FLOOR, 0.0)]), "no evaluable records"),
+])
+def test_band_refuses_a_test_half_it_cannot_rate(test, message):
+    """A band needs actuals, and at least one of them at or above
+    ``RATIO_FLOOR``."""
+    predict = age_keyed_predictor({0: 1000.0, 1: 1000.0})
+    with pytest.raises(ValidationError, match=message):
+        accuracy_band(predict, test)
+
+
+def test_the_largest_finite_prices_give_band_edges_that_render():
+    """Prices are refused unless finite and actuals below ``RATIO_FLOOR``
+    are dropped, so no ratio exceeds the largest float over the floor in
+    size: both edges, times 100, are finite, and ``format_band`` renders
+    them."""
+    biggest = float(np.finfo(float).max)
+    test = flat_records([RATIO_FLOOR, RATIO_FLOOR])
+    band = accuracy_band(age_keyed_predictor({0: -biggest, 1: biggest}), test)
+    assert (band.ratio_min, band.ratio_max) == (-biggest / RATIO_FLOOR, biggest / RATIO_FLOOR)
+    assert math.isfinite(band.ratio_min * 100) and math.isfinite(band.ratio_max * 100)
+    assert format_band(band) == (
+        f"{round(band.ratio_min * 100)}%~{round(band.ratio_max * 100)}%")
 
 
 def test_format_band_rounds_to_integer_percent():
@@ -490,15 +493,6 @@ def test_compare_refuses_leakage():
     compare([model], test_half, train=train_half)  # disjoint halves are fine
 
 
-def test_compare_without_train_skips_scans():
-    train_half, test_half = interaction_datasets()
-    report = compare([fit_glm(train_half)], test_half)
-    result = report.results[0]
-    assert result.overfit is None
-    assert result.interaction_finding == "none"
-    assert "not scanned" in render_markdown(report)
-
-
 def test_compare_full_report():
     train_half, test_half = interaction_datasets()
     glm = fit_glm(train_half)
@@ -547,15 +541,15 @@ def test_compare_results_ignore_wall_time():
     """Result equality is about the numbers, not how long the run took."""
     train_half, test_half = interaction_datasets()
     model = fit_glm(train_half)
-    a = compare([model], test_half).results[0]
-    b = compare([model], test_half).results[0]
+    a = compare([model], test_half, train_half).results[0]
+    b = compare([model], test_half, train_half).results[0]
     assert a == b
 
 
 def test_compare_needs_models():
-    _, test_half = interaction_datasets()
+    train_half, test_half = interaction_datasets()
     with pytest.raises(ValidationError):
-        compare([], test_half)
+        compare([], test_half, train_half)
 
 
 # ------------------------------------------------------------------- families

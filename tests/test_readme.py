@@ -1,7 +1,9 @@
-"""The README's python snippets run as written."""
+"""The README's python snippets run as written, and its key lists are the code's."""
 
 import re
 from pathlib import Path
+
+from pricelab.config import MODEL_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +13,11 @@ def test_readme_python_blocks_run():
     assert blocks, "README has no python block"
     for k, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {k}", "exec"), {})
+
+
+def test_readme_model_keys_are_the_config_model_keys():
+    """The backticked keys of the README's ``Model keys:`` sentence, up to
+    its closing ``.``, are exactly ``config.MODEL_KEYS``."""
+    sentence = re.search(r"Model keys:(.*?`)\.\s", README.read_text(encoding="utf-8"), re.S)
+    assert sentence, "README has no 'Model keys:' sentence"
+    assert set(re.findall(r"`(\w+)`", sentence.group(1))) == MODEL_KEYS
