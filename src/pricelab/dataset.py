@@ -16,11 +16,13 @@ customer in file order:
 a time: texts and ages by lookup in a table, and income and expenditure by
 three masks (a whole value below 2**63 as the text of its int64, any
 other value by ``repr``, a whole value past int64 as ``str(int(value))``).
-``load_csv`` parses lines in C (``np.loadtxt``) and decodes their texts by
-``searchsorted``, while they load as its row parser would load them; from
-the first other block on, that parser reads the file a row at a time and
-reports the first error in row order, checking the numbers (id, age,
-income) of a row before its other columns.
+``load_csv`` reads the grammar ``write_csv`` writes: one line per row, no
+quoting, ASCII numbers that ``np.loadtxt`` and ``int``/``float`` read alike,
+the exact lowercase texts, and empty lines skipped.  ``_parse_lines`` is its
+only parser: it parses blocks of lines in C (``np.loadtxt``) and decodes
+their texts by ``searchsorted``.  A file with a line it refuses does not
+load; ``_check_row`` names that line's error, checking the numbers (id,
+age, income) of a row before its other columns.
 
 Every model in the package consumes the same six-component feature vector,
 all components scaled into [0, 1]:
@@ -45,7 +47,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
@@ -432,27 +434,6 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-_MALE = {text: bool(flag) for flag, text in enumerate(_GENDER_TEXT)}
-_SMOKER = {text: bool(flag) for flag, text in enumerate(_SMOKE_TEXT)}
-_CLAIM_CODES = {text: code for code, text in enumerate(_CLAIM_TEXT)}
-# Per CSV column: the steps that turn its stripped text into a value (of the
-# column's ``_COLUMNS`` dtype), and what a cell that fails them should have
-# been; None reports the failing step's own message.
-_PARSERS = (
-    ((int,), None),
-    ((_MALE.__getitem__,), "one of: " + ", ".join(_GENDER_TEXT)),
-    ((int,), None),
-    ((float,), None),
-    ((str.lower, _SMOKER.__getitem__), "yes or no"),
-    ((_CLAIM_CODES.__getitem__,), "one of: " + ", ".join(_CLAIM_TEXT)),
-    ((float,), None),
-)
-# The order in which ``_parse_row`` checks a row's cells: the numbers (id,
-# age, income) first.  The response is last, so a file without it checks a
-# prefix of this order.
-_CHECK_ORDER = (0, 2, 3, 1, 4, 5, 6)
-
-
 def _append(arrays: list[np.ndarray], n: int, columns: list) -> tuple[list[np.ndarray], int]:
     """(``arrays`` with ``columns`` written from row ``n`` on, the new row
     count); a full array grows to twice its size or to fit the block.
@@ -466,42 +447,12 @@ def _append(arrays: list[np.ndarray], n: int, columns: list) -> tuple[list[np.nd
         for new, old in zip(grown, arrays):
             new[:n] = old[:n]
         arrays = grown
-    for j, values in enumerate(columns):
-        try:
-            arrays[j][n:n + k] = values
-        except OverflowError:  # an integer past int64: ``Dataset`` reports it
-            arrays[j] = arrays[j].astype(object)
-            arrays[j][n:n + k] = values
+    for array, values in zip(arrays, columns):
+        array[n:n + k] = values
     return arrays, n + k
 
 
-def _parse_row(row: list[str], row_no: int, width: int) -> list | None:
-    """The values of ``csv.reader`` row ``row_no``, or None for a blank row.
-
-    Checks the cells in ``_CHECK_ORDER`` (numbers first) and raises the
-    ``ParseError`` of the first cell that does not parse.
-    """
-    if not any(map(str.strip, row)):
-        return None
-    if len(row) != width:
-        raise ParseError(f"row {row_no}: expected {width} cells, got {len(row)}", row=row_no)
-    values: list = [None] * width
-    for j in _CHECK_ORDER[:width]:
-        steps, expected = _PARSERS[j]
-        value = text = row[j].strip()
-        try:
-            for step in steps:
-                value = step(value)
-        except (ValueError, KeyError) as exc:
-            detail = (str(exc) if expected is None
-                      else f"invalid {CSV_COLUMNS[j]} {text!r} (expected {expected})")
-            raise ParseError(f"row {row_no}: {detail}", row=row_no) from None
-        values[j] = value
-    return values
-
-
-# Lines per loadtxt call (as fast as 4096, with a quarter of the text), and
-# rows per append of the values ``_parse_row`` returns.
+# Lines per loadtxt call (as fast as 4096, with a quarter of the text).
 _PARSE_LINES = 1024
 _TEXTS = {1: _GENDER_TEXT, 4: _SMOKE_TEXT, 5: _CLAIM_TEXT}  # by CSV column
 _RECORD = [(name, f"S{max(map(len, _TEXTS[j])) + 1}" if j in _TEXTS else dtype)
@@ -509,16 +460,24 @@ _RECORD = [(name, f"S{max(map(len, _TEXTS[j])) + 1}" if j in _TEXTS else dtype)
 # Per text column: its canonical texts as sorted bytes, and their flags or codes.
 _DECODE = {j: (np.array(sorted(text.encode() for text in texts)), np.argsort(texts))
            for j, texts in _TEXTS.items()}
+# The order in which ``_check_row`` checks a line's cells: the numbers (id,
+# age, income) first.  The response is last, so a file without it checks a
+# prefix of this order.
+_CHECK_ORDER = (0, 2, 3, 1, 4, 5, 6)
 
 
 def _parse_lines(lines: list[str], width: int) -> list[np.ndarray] | None:
-    """The fast reader: the columns of ``lines`` parsed by ``np.loadtxt``,
-    texts as flags or codes, or None for ``_parse_row``.  It takes numbers
-    that ``int`` and ``float`` read alike and canonical texts (each read one
-    byte wider than the longest, to cut none down to one), so each line it
-    takes holds no ``"`` and is one ``csv.reader`` row."""
-    # A byte string drops NULs, and loadtxt has no field size limit.
-    if "\x00" in "".join(lines) or max(map(len, lines)) > csv.field_size_limit():
+    """The only parser of a customer-CSV body: the columns of ``lines``
+    parsed by ``np.loadtxt``, texts as flags or codes, or None if it
+    refuses a line or every line is empty.  It takes ASCII numbers that
+    ``int`` and ``float`` read alike and the exact texts of ``_TEXTS``
+    (each read one byte wider than the longest, to cut none down to one)."""
+    # A byte string drops NULs; loadtxt reads U+001C-U+001F, which ``int``
+    # and ``float`` refuse, and Unicode spaces as spaces; and loadtxt has
+    # no field size limit.
+    text = "".join(lines)
+    if (not text.isascii() or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a deprecated parse, or no rows
@@ -536,22 +495,45 @@ def _parse_lines(lines: list[str], width: int) -> list[np.ndarray] | None:
     return columns
 
 
-def _failing(exc: Exception):
-    """What is left of a file that failed to decode: an iterator raising ``exc``."""
-    raise exc
-    yield
+def _check_row(path: Path, line: str, row_no: int, width: int) -> ParseError:
+    """The error of line ``row_no``, which ``_parse_lines`` refuses.
+
+    The line is split on commas, and no cell is stripped, case-folded or
+    unquoted.  The error names the first cell, in ``_CHECK_ORDER``, that is
+    not one of its column's ``_TEXTS`` or that ``int`` or ``float`` (by the
+    column's ``_COLUMNS`` dtype) refuses; failing that, a number that the C
+    reader alone refuses.
+    """
+    if len(line) > csv.field_size_limit():
+        return ParseError(f"{path}: line {row_no}: field larger than field limit "
+                          f"({csv.field_size_limit()})")
+    cells = line.rstrip("\r\n").split(",")
+    if len(cells) != width:
+        return ParseError(f"row {row_no}: expected {width} cells, got {len(cells)}", row=row_no)
+    for j in _CHECK_ORDER[:width]:
+        cell = cells[j]
+        if j in _TEXTS:
+            if cell not in _TEXTS[j]:
+                return ParseError(f"row {row_no}: invalid {CSV_COLUMNS[j]} {cell!r} "
+                                  f"(expected one of: {', '.join(_TEXTS[j])})", row=row_no)
+            continue
+        try:
+            (int if _RECORD[j][1] is np.int64 else float)(cell)
+        except ValueError as exc:
+            return ParseError(f"row {row_no}: {exc}", row=row_no)
+    return ParseError(f"row {row_no}: a number outside the CSV grammar "
+                      "(ASCII, no '_', integers within int64)", row=row_no)
 
 
 def load_csv(path: str | Path) -> Dataset:
     """Load and validate a customer CSV.
 
     The header must match the canonical contract exactly; the expenditure
-    column may be absent (prediction-only input).  ``_parse_lines`` loads
-    blocks of ``_PARSE_LINES`` lines up to the first it refuses; from there
-    ``_parse_row`` checks one ``csv.reader`` row at a time (the header is
-    row 1), skipping blank rows, and the first parse failure in row order
-    is reported naming its row; its values too are appended
-    ``_PARSE_LINES`` rows at a time.  Invariant failures name the record id.
+    column may be absent (prediction-only input).  ``_parse_lines`` parses
+    the body in blocks of ``_PARSE_LINES`` lines.  A block it refuses is an
+    error unless every line in it is empty: ``_check_row`` names the first
+    of its lines that ``_parse_lines`` refuses on its own, by its row (the
+    header is row 1).  Invariant failures name the record id.
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -579,37 +561,25 @@ def load_csv(path: str | Path) -> Dataset:
 
         width = len(header)
         arrays = [np.empty(0, dtype) for dtype in list(_COLUMNS.values())[:width]]
-        n, row_no = 0, 2  # rows loaded, and the row of the next line read
-        lines, rest = [], fh
+        n, row_no = 0, reader.line_num + 1  # rows loaded, and the row of the next line read
         while True:
+            lines, undecodable = [], False
             try:
                 lines.extend(islice(fh, _PARSE_LINES))
-            except UnicodeDecodeError as exc:  # the row loop meets it after these lines
-                rest = _failing(exc)
-                break
+            except UnicodeDecodeError:  # raised once the lines read before it are checked
+                undecodable = True
             columns = lines and _parse_lines(lines, width)
-            if not columns:  # the end, or lines for the row loop
+            if columns:
+                arrays, n = _append(arrays, n, columns)
+            elif columns is None:  # an error, unless every line is empty
+                for row, line in enumerate(lines, start=row_no):
+                    if line.rstrip("\r\n") and _parse_lines([line], width) is None:
+                        raise _check_row(path, line, row, width)
+            if undecodable:
+                raise not_utf8(path)
+            if not lines:
                 break
-            arrays, n = _append(arrays, n, columns)
             row_no += len(lines)
-            lines = []
-        body = csv.reader(chain(lines, rest))
-        skipped = reader.line_num + row_no - 2  # lines read before ``body``
-        values = []  # the parsed rows not yet appended
-        try:
-            for row_no, row in enumerate(body, start=row_no):
-                parsed = _parse_row(row, row_no, width)
-                if parsed is not None:
-                    values.append(parsed)
-                if len(values) == _PARSE_LINES:
-                    arrays, n = _append(arrays, n, list(zip(*values)))
-                    values = []
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {skipped + body.line_num}: {exc}") from None
-        if values:
-            arrays, n = _append(arrays, n, list(zip(*values)))
     if n == 0:
         raise ValidationError(f"{path}: empty dataset")
     return Dataset(*(a[:n] for a in arrays))

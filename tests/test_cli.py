@@ -561,11 +561,11 @@ def test_predict_writes_the_bytes_of_whole_file_formatting(
 def test_a_bad_cell_deep_in_a_book_exits_3_with_one_error_line(
     tmp_path, fitted_artifacts, book_rows, capsys, cell
 ):
-    """One bad cell on line 8001 of the book, past seven of the fast
-    reader's blocks of lines: a gender that is not one, or an id padded with
-    zeros past the CSV field size limit (a number the fast reader alone
-    would read).  predict exits 3 with the one error line naming that line,
-    and writes no predictions."""
+    """One bad cell on line 8001 of the book, past seven of the C reader's
+    blocks of lines: a gender that is not one, or an id padded with zeros
+    past the CSV field size limit (a number ``int`` alone would read).
+    predict exits 3 with the one error line naming that line, and writes
+    no predictions."""
     header, rows = book_rows
     cells = rows[7999].split(",")
     if cell == "gender":
@@ -584,6 +584,70 @@ def test_a_bad_cell_deep_in_a_book_exits_3_with_one_error_line(
                "-o", out) == 3
     assert capsys.readouterr().err == expected + "\n"
     assert not out.exists()
+
+
+# Spellings outside the CSV grammar, as (column, or None for a line put
+# before the row, text, error after "row 7: "); all but ``Male`` and
+# ``NONE`` loaded before one parser read the grammar.
+OUTSIDE_THE_GRAMMAR = [
+    ("income", "1_000", "a number outside the CSV grammar"),
+    ("age", "\uff130", "a number outside the CSV grammar"),
+    ("id", "9223372036854775808", "a number outside the CSV grammar"),
+    ("smoke", "Yes", "invalid smoke 'Yes'"),
+    ("gender", " male ", "invalid gender ' male '"),
+    ("gender", '"male"', "invalid gender '\"male\"'"),
+    ("gender", "Male", "invalid gender 'Male'"),
+    ("previous_claim", "NONE", "invalid previous_claim 'NONE'"),
+    (None, "    ", "expected 7 cells, got 1"),
+    (None, ",,,,,,", "invalid literal for int() with base 10: ''"),
+]
+
+
+@pytest.mark.parametrize("column, text, error", OUTSIDE_THE_GRAMMAR,
+                         ids=[repr(text) for _, text, _ in OUTSIDE_THE_GRAMMAR])
+def test_a_spelling_outside_the_csv_grammar_exits_3_naming_its_row(
+    tmp_path, fitted_artifacts, data_csv, capsys, column, text, error
+):
+    """predict exits 3 with one error line naming row 7, and writes no
+    predictions."""
+    header, *rows = data_csv.read_text().splitlines()
+    if column is None:
+        rows.insert(5, text)
+    else:
+        cells = rows[5].split(",")
+        cells[CSV_COLUMNS.index(column)] = text
+        rows[5] = ",".join(cells)
+    book = tmp_path / "book.csv"
+    book.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert run("predict", "--model", fitted_artifacts / "glm.model", "--in", book,
+               "-o", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: row 7: {error}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_signs_leading_zeros_spaces_a_trailing_point_and_empty_lines_still_load(
+    tmp_path, fitted_artifacts, data_csv
+):
+    """An id ``+1``, ages `` 44`` and ``0044``, an income ``1000.`` and an
+    empty line are in the grammar: the book is priced as the canonical one."""
+    header, *rows = data_csv.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    assert cells[0][0] == "1" and cells[3][3].isdigit()
+    cells[0][0] = "+1"
+    cells[1][2] = " " + cells[1][2]
+    cells[2][2] = "00" + cells[2][2]
+    cells[3][3] += "."
+    lines = [header, *map(",".join, cells)]
+    lines.insert(6, "")
+    book = tmp_path / "book.csv"
+    book.write_text("\n".join(lines) + "\n")
+    model = fitted_artifacts / "glm.model"
+    assert run("predict", "--model", model, "--in", data_csv, "-o", tmp_path / "a.csv") == 0
+    assert run("predict", "--model", model, "--in", book, "-o", tmp_path / "b.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_predict_memory_grows_with_its_arrays_not_its_text(tmp_path, fitted_artifacts):

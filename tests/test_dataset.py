@@ -1,5 +1,6 @@
 """Dataset layer: column validation, encoding, generator, subsets, CSV round-trips."""
 
+import contextlib
 import csv
 import io
 import itertools
@@ -442,25 +443,27 @@ def test_an_over_long_cell_is_a_parse_error_naming_its_line(tmp_path, where, pad
             load_csv(path)
 
 
+# The CSV grammar's texts per text column, in flag or code order.
+_GRAMMAR_TEXTS = {1: [g.value for g in Gender], 4: ["no", "yes"], 5: [c.value for c in CLAIMS]}
+
+
 def _row_by_row_load_csv(path):
-    """The reference loader: each row parsed and checked in turn, as
-    ``load_csv`` did before it converted blocks of columns."""
+    """The reference loader of the CSV grammar: each line of the body is
+    read in turn, empty lines are skipped, and every other line is split on
+    commas.  A text must be one of its column's exact texts; a number must
+    be ASCII, hold no ``_``, and be read by ``int`` (within int64) or
+    ``float``.  The first line outside the grammar is reported: an
+    over-long line by its line number, else by its row, naming a wrong cell
+    count, else its first bad cell (id, age and income checked first), else
+    a number outside the grammar."""
     def lines(fh):
         try:
             yield from fh
         except UnicodeDecodeError:
             raise not_utf8(path) from None
 
-    def parse_enum(cls, text, column, row):
-        try:
-            return cls(text)
-        except ValueError:
-            allowed = ", ".join(m.value for m in cls)
-            raise ParseError(
-                f"row {row}: invalid {column} {text!r} (expected one of: {allowed})", row=row
-            ) from None
-
     path = Path(path)
+    limit = csv.field_size_limit()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(lines(fh))
         try:
@@ -470,37 +473,40 @@ def _row_by_row_load_csv(path):
         header = tuple(h.strip() for h in header)
         if header not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
             raise SchemaError(f"{path}: bad header")
-        has_expenditure = header == CSV_COLUMNS
 
         columns = [[] for _ in header]
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        for row_no, line in enumerate(lines(fh), start=reader.line_num + 1):
+            if len(line) > limit:
+                raise ParseError(
+                    f"{path}: line {row_no}: field larger than field limit ({limit})")
+            cells = line.rstrip("\r\n").split(",")
+            if cells == [""]:
                 continue
-            if len(row) != len(header):
+            if len(cells) != len(header):
                 raise ParseError(
-                    f"row {row_no}: expected {len(header)} cells, got {len(row)}", row=row_no
+                    f"row {row_no}: expected {len(header)} cells, got {len(cells)}", row=row_no
                 )
-            cells = [c.strip() for c in row]
-            try:
-                rec_id = int(cells[0])
-                age = int(cells[2])
-                income = float(cells[3])
-            except ValueError as exc:
-                raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
-            gender = parse_enum(Gender, cells[1], "gender", row_no)
-            smoke = cells[4].lower()
-            if smoke not in ("yes", "no"):
-                raise ParseError(
-                    f"row {row_no}: invalid smoke {cells[4]!r} (expected yes or no)", row=row_no
-                )
-            claim = parse_enum(PriorClaim, cells[5], "previous_claim", row_no)
-            values = [rec_id, gender is Gender.MALE, age, income, smoke == "yes",
-                      CLAIMS.index(claim)]
-            if has_expenditure:
+            values, in_grammar = [None] * len(cells), True
+            for j in (0, 2, 3, 1, 4, 5, 6)[:len(cells)]:
+                cell = cells[j]
+                if j in _GRAMMAR_TEXTS:
+                    if cell not in _GRAMMAR_TEXTS[j]:
+                        raise ParseError(
+                            f"row {row_no}: invalid {CSV_COLUMNS[j]} {cell!r} "
+                            f"(expected one of: {', '.join(_GRAMMAR_TEXTS[j])})", row=row_no
+                        )
+                    values[j] = _GRAMMAR_TEXTS[j].index(cell)
+                    continue
+                number = int if j in (0, 2) else float
                 try:
-                    values.append(float(cells[6]))
+                    values[j] = number(cell)
                 except ValueError as exc:
                     raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
+                in_grammar &= (cell.isascii() and "_" not in cell
+                               and (number is float or -2**63 <= values[j] < 2**63))
+            if not in_grammar:
+                raise ParseError(f"row {row_no}: a number outside the CSV grammar "
+                                 "(ASCII, no '_', integers within int64)", row=row_no)
             for column, value in zip(columns, values):
                 column.append(value)
     if not columns[0]:
@@ -516,29 +522,34 @@ def _outcome(load, path):
         return type(exc), str(exc), getattr(exc, "row", None)
 
 
-# Cell texts per column: the first ones parse (padded, mixed case, a quoted
-# line break), the rest fail to parse or break an invariant.
-# Numbers padded with U+001C-U+001F, which str.strip removes and int() and
-# float() refuse (the only such code points), and with U+2003, which all
-# three take: a number parse that skipped the strip fails on the first four.
+# Cell texts per column: the first ones are in the grammar (ASCII spaces
+# around a number, a sign, leading zeros, a trailing point), the rest are
+# outside it or break an invariant.  Outside it are padded, capitalised and
+# quoted texts, a line break (which ``csv.writer`` quotes), a ``_`` in a
+# number and a full-width digit; so are numbers padded with U+001C-U+001F,
+# which ``np.loadtxt`` reads as spaces and ``int()`` and ``float()`` refuse,
+# or with U+2003, which all three read as a space.
 _GOOD_CELLS = (
     None,  # the id is the row's position unless it is mangled
-    ("male", " female", "male "),
-    ("44", " 18", "100 ", "\x1c44\x1d", "\u200318"),
-    ("1000", "2.5e4", " 0 ", "\x1e1000\x1f", "0\u2003"),
-    ("yes", "No", " YES "),
-    ("none", "copd ", "other"),
-    ("50", "0.25", " 1e3 ", "7\n", "\x1f50\x1c", "\u20030.25"),
+    ("male", "female"),
+    ("44", " 18", "100 ", "+44", "0044"),
+    ("1000", "2.5e4", " 0 ", "1000."),
+    ("yes", "no"),
+    ("none", "copd", "other"),
+    ("50", "0.25", " 1e3 "),
 )
 _BAD_CELLS = (
-    ("x", "", "1.5", "1", "9223372036854775808", "99999999999999999999", "1\n2"),
-    ("Male", "unknown", "", "ma\nle"),
-    ("elderly", "", "17", "4.4", "99999999999999999999"),
-    ("abc", "", "-1", "nan", "inf"),
-    ("maybe", "", "y"),
-    ("NONE", "flu", ""),
-    ("x", "", "-5", "nan"),
+    ("x", "", "1.5", "1", "9223372036854775808", "99999999999999999999", "1\n2", "1_0"),
+    ("Male", "unknown", "", "ma\nle", " female", "male ", '"male"'),
+    ("elderly", "", "17", "4.4", "99999999999999999999", "\x1c44\x1d", "\u200318",
+     "\uff130"),
+    ("abc", "", "-1", "nan", "inf", "1_000", "\x1e1000\x1f", "0\u2003"),
+    ("maybe", "", "y", "No", " YES "),
+    ("NONE", "flu", "", "copd "),
+    ("x", "", "-5", "nan", "7\n", "\x1f50\x1c", "\u20030.25"),
 )
+# Inserted rows: an empty line, the only one in the grammar; a row of
+# commas, a row of spaces, and rows with too few or too many cells.
 _ODD_ROWS = {
     "blank": [], "commas": [""] * 7, "spaces": [" ", "\t"],
     "short": ["9", "male", "40"], "long": ["9", "male", "40", "1", "no", "none", "5", "6"],
@@ -570,27 +581,28 @@ def mangled_csvs(draw):
     return text.getvalue()
 
 
-# Per CSV column, cells that are almost canonical: the fast reader must
-# refuse them, or read them as ``int``/``float`` of the stripped cell would.
+# Per CSV column, cells that are almost canonical: some are in the grammar
+# (a sign, leading zeros, a trailing point, an ASCII space), and load as
+# ``int``/``float`` read them; the rest are refused.
 _NEAR_MISSES = (
     ("+44", "0044", "9223372036854775808", "1.0"),
     ("femalex", '"male"', "m\u00e2le", "Male"),
-    ("+44", "0044", "1.0", " 44"),
+    ("+44", "0044", "1.0", " 44", "\uff130"),
     ("1e400", "nan", "+1000", "1_000"),
     ("Yes", " no", "yes "),
     ("lung_cancerx", "NONE", '"copd"'),
     ("1e400", "nan", "-0", "5."),
 )
-# Row ends that are almost CRLF: a lone CR, then a line of spaces or a row
-# of commas after the row.
-_NEAR_MISS_ENDS = ("\r", "\r\n    \r\n", "\r\n,,,,,,\r\n")
+# Row ends that are almost CRLF: a lone CR and an empty line, which load,
+# then a line of spaces or a row of commas after the row, which do not.
+_NEAR_MISS_ENDS = ("\r", "\r\n\r\n", "\r\n    \r\n", "\r\n,,,,,,\r\n")
 
 
 @st.composite
 def near_miss_csvs(draw):
     """``write_csv`` text of generated rows, with or without the response
     column, with at most two cells or row ends swapped for near misses:
-    many such files are read by the fast reader, at any block size."""
+    many such files still load, at any block size."""
     data = generate_synthetic(GeneratorParams(n=draw(st.integers(min_value=1, max_value=12)),
                                               seed=draw(st.integers(min_value=0, max_value=99))))
     if draw(st.booleans()):
@@ -620,10 +632,9 @@ def _assert_loads_as_the_row_by_row_reader(path, text, block_rows):
 @given(mangled_csvs(), st.sampled_from([1, 3]))
 @settings(max_examples=300, deadline=None)
 def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, text, block_rows):
-    """Blocks of 1 and 3 lines for the fast reader, and of 1 and 3 rows for
-    the row loop, put blank rows and errors on and across block edges: the
-    columns, or the first error in row order with its message and row, are
-    the reference loader's."""
+    """Blocks of 1 and 3 lines put empty lines and errors on and across
+    block edges: the columns, or the first error in row order with its
+    message and row, are the reference loader's."""
     path = tmp_path_factory.mktemp("mangled") / "data.csv"
     _assert_loads_as_the_row_by_row_reader(path, text, block_rows)
 
@@ -633,61 +644,51 @@ def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, text, block_ro
 def test_load_csv_matches_the_row_by_row_reader_on_near_misses(tmp_path_factory, text,
                                                                block_rows):
     """Near misses among canonical lines, on and across the edges of the
-    fast reader's blocks, leave the reference loader's outcome: the fast
-    reader takes the blocks before them, and the row loop the rest."""
+    C reader's blocks, leave the reference loader's outcome: the file loads
+    to its table, or fails with its first error."""
     path = tmp_path_factory.mktemp("near") / "data.csv"
     _assert_loads_as_the_row_by_row_reader(path, text, block_rows)
 
 
-class _RowLoopReached(Exception):
+class _CheckRowReached(Exception):
     pass
 
 
-def _refuse_row(row, row_no, width):
-    """``_parse_row`` for a row loop that must parse no row."""
-    raise _RowLoopReached
+def _refuse_check(path, line, row_no, width):
+    """``_check_row`` for a load that must refuse no line."""
+    raise _CheckRowReached
 
 
-def test_a_canonical_file_is_read_by_the_fast_reader_and_a_padded_one_is_not(tmp_path,
-                                                                             monkeypatch):
-    """With the row loop's parser refusing to run, a canonical 5000-row file
-    still loads, to its table.  In a copy with one gender cell padded deep
-    into the file, the row loop parses only the rows from the start of that
-    cell's block of lines on."""
+def test_a_canonical_file_never_reaches_check_row_and_a_padded_cell_is_its_rows_error(
+        tmp_path, monkeypatch):
+    """With ``_check_row`` refusing to run, a canonical 5000-row file still
+    loads, to its table.  A copy with one gender cell padded deep into the
+    file is refused, naming that cell's row."""
     data = generate_synthetic(GeneratorParams(n=5000, seed=3))
     path = tmp_path / "book.csv"
     write_csv(data, path)
-    parse_row, parsed = dataset._parse_row, []
-
-    def counting_parse_row(row, row_no, width):
-        parsed.append(row_no)
-        return parse_row(row, row_no, width)
-
-    monkeypatch.setattr(dataset, "_parse_row", _refuse_row)
-    assert rows_of(load_csv(path)) == rows_of(data)
     lines = path.read_bytes().split(b"\r\n")
-    lines[4001] = lines[4001].replace(b",male,", b", male,").replace(b",female,", b",female ,")
+    with monkeypatch.context() as patch:
+        patch.setattr(dataset, "_check_row", _refuse_check)
+        assert rows_of(load_csv(path)) == rows_of(data)
+    gender = "male" if data.male[4000] else "female"
+    lines[4001] = lines[4001].replace(f",{gender},".encode(), f", {gender},".encode())
     padded = tmp_path / "padded.csv"
     padded.write_bytes(b"\r\n".join(lines))
-    with pytest.raises(_RowLoopReached):
+    with pytest.raises(ParseError, match=f"^row 4002: invalid gender ' {gender}' ") as err:
         load_csv(padded)
-    monkeypatch.setattr(dataset, "_parse_row", counting_parse_row)
-    assert rows_of(load_csv(padded)) == rows_of(data)
-    assert len(parsed) == 5000 - 4000 // dataset._PARSE_LINES * dataset._PARSE_LINES
+    assert err.value.row == 4002
 
 
 @pytest.mark.parametrize("cell", ["male\x00", "\x00male"])
-def test_a_nul_in_a_text_cell_goes_to_the_block_reader(tmp_path, monkeypatch, cell):
-    """A byte string drops trailing NULs, so the fast reader would read
-    ``male\\x00`` as ``male``: a NUL sends its block of lines to the row
-    loop, which refuses the cell (or, before Python 3.11, the line)."""
+def test_a_nul_in_a_text_cell_is_refused_and_named(tmp_path, cell):
+    """A byte string drops trailing NULs, so loadtxt alone would read
+    ``male\\x00`` as ``male``: the C reader refuses a line with a NUL, and
+    the error names the cell."""
     path = tmp_path / "nul.csv"
     path.write_text(",".join(CSV_COLUMNS) + f"\r\n1,{cell},44,1000,no,none,50\r\n",
                     encoding="utf-8", newline="")
-    with pytest.raises(ParseError):
-        load_csv(path)
-    monkeypatch.setattr(dataset, "_parse_row", _refuse_row)
-    with pytest.raises(_RowLoopReached):
+    with pytest.raises(ParseError, match=f"^row 2: invalid gender {re.escape(repr(cell))} "):
         load_csv(path)
 
 
@@ -721,29 +722,32 @@ def test_a_text_cell_between_the_canonical_texts_goes_to_the_block_reader(tmp_pa
     pytest.param([(b",male,", b',"male",'), (b",female,", b',"female",')], id=',"male",'),
 ])
 def test_a_pipe_loads_as_a_file_does(tmp_path, edits):
-    """A pipe is read once, by the fast reader and, from its first
-    non-canonical cell on, by the row loop, to the table a regular file
-    loads to.  The C reader refuses every row of a book with capitalised
-    smoke cells or quoted gender cells, so the row loop appends several
-    blocks of ``_PARSE_LINES`` rows."""
+    """A pipe is read once, to the table a regular file of the same bytes
+    loads to, or to its error: a padded, capitalised or quoted cell is
+    refused, and the writer then meets a pipe closed before its end."""
     data = generate_synthetic(GeneratorParams(n=3000, seed=4))
     path, pipe = tmp_path / "book.csv", tmp_path / "pipe.csv"
     write_csv(data, path)
     text = path.read_bytes()
     for old, new in edits:
         text = text.replace(old, new)
+    path.write_bytes(text)
     os.mkfifo(pipe)
 
     def feed():
-        with open(pipe, "wb") as fh:
+        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as fh:
             fh.write(text)
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
-    loaded = load_csv(pipe)
+    outcome = _outcome(load_csv, pipe)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    assert rows_of(loaded) == rows_of(data)
+    assert outcome == _outcome(load_csv, path)
+    if edits:
+        assert outcome[0] is ParseError and outcome[2] == 2
+    else:
+        assert outcome == rows_of(data)
 
 
 @pytest.mark.parametrize("width, columns", [

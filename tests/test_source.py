@@ -1,5 +1,6 @@
 """The Python sources keep to the project's line width and import only what
-they use, and the package defines no public name that its code never uses."""
+they use, and the package defines no public name that its code never uses
+and no private top-level name that its code never reads."""
 
 import ast
 from pathlib import Path
@@ -53,20 +54,39 @@ def _public_definitions(path):
             and not node.name.startswith("_")]
 
 
+def _private_definitions(path):
+    """(name, line) of each private function, class and constant that
+    ``path`` defines at its top level; a dunder name is not private."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
 def _named(path):
-    """Every name ``path`` reads, as a bare name or as an attribute."""
+    """Every name ``path`` reads, as a bare name or as an attribute: an
+    assignment's target is not read."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+            and not isinstance(node.ctx, ast.Store)}
 
 
-def _unused_definitions(package, users, root=ROOT):
-    """``path:line: name``, ``path`` relative to ``root``, of each public
-    definition in the ``package`` files that no file of ``users`` names."""
+def _unused_definitions(package, users, definitions=_public_definitions, root=ROOT):
+    """``path:line: name``, ``path`` relative to ``root``, of each of the
+    ``definitions`` in the ``package`` files that no file of ``users`` names."""
     used = set().union(*(_named(path) for path in users))
     return [f"{path.relative_to(root)}:{line}: {name}"
             for path in package
-            for name, line in _public_definitions(path)
+            for name, line in definitions(path)
             if name not in used]
 
 
@@ -79,10 +99,19 @@ def test_every_public_definition_in_the_package_is_used_outside_the_tests():
     assert _unused_definitions(package, users) == []
 
 
+def test_every_private_top_level_definition_in_the_package_is_read():
+    """A private helper, class or constant that no code under ``src/``
+    reads is left over from code that is gone."""
+    package = sorted((ROOT / "src").rglob("*.py"))
+    assert _unused_definitions(package, package, _private_definitions) == []
+
+
 def test_the_dead_definition_check_finds_what_nothing_names(tmp_path):
-    """The check reports a public function, class or method that no code
-    names, counts a name read bare or as an attribute as a use, and
-    ignores private definitions."""
+    """The public check reports a public function, class or method that no
+    code names, counts a name read bare or as an attribute as a use, and
+    ignores private definitions.  The private check reports a private
+    top-level function or constant that no code reads, and ignores a
+    private method, a dunder and a name that is only assigned to."""
     lib = tmp_path / "lib.py"
     lib.write_text(
         "class Model:\n"
@@ -96,10 +125,28 @@ def test_the_dead_definition_check_finds_what_nothing_names(tmp_path):
         "    pass\n"
         "def _private():\n"
         "    pass\n"
+        "_LIMIT = 3\n"
+        "_TABLE: dict = {}\n"
+        "__version__ = '1'\n"
+        "def _reads():\n"
+        "    return _TABLE\n"
+        "class _Unread:\n"
+        "    def _method(self):\n"
+        "        pass\n"
+        "_unread = _Other = None\n"
     )
     script = tmp_path / "script.py"
     script.write_text("from lib import Model\nModel().price()\n")
     assert sorted(_unused_definitions([lib], [lib, script], root=tmp_path)) == [
         "lib.py:4: unused_method",
         "lib.py:8: dead",
+    ]
+    script.write_text("from lib import _reads\n_reads()\n")
+    assert sorted(_unused_definitions([lib], [lib, script], _private_definitions,
+                                      root=tmp_path)) == [
+        "lib.py:10: _private",
+        "lib.py:12: _LIMIT",
+        "lib.py:17: _Unread",
+        "lib.py:20: _Other",
+        "lib.py:20: _unread",
     ]
