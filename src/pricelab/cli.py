@@ -6,7 +6,7 @@ before it writes any, and formats and writes its lines a block at a time, so
 its memory grows with the file's arrays, not with its text.  A block is
 formatted a column at a time: the ``repr`` of each id (an int's ``str``)
 and price, and of each ratio, whose column is one numpy division (IEEE
-division gives the bits of Python's ``p / a``), blank where the actual is 0.
+division gives the bits of Python's ``p / a``), blank where it is not finite.
 
 Every command but ``replay`` writes a ``<output>.manifest`` next to its
 primary output, in the ``key = value`` syntax of config files, recording the
@@ -190,11 +190,11 @@ def _cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
             block = slice(start, start + _PRICE_ROWS)
             columns = [map(repr, data.ids[block].tolist()),
                        map(repr, predictions[block].tolist())]
-            if actual is not None:  # main's errstate silences the zero divisions
-                ratios = list(map(repr, (predictions[block] / actual[block]).tolist()))
-                for i in np.flatnonzero(actual[block] == 0).tolist():
-                    ratios[i] = ""
-                columns.append(ratios)
+            if actual is not None:  # main's errstate silences the divisions
+                ratios = predictions[block] / actual[block]
+                texts = np.array(list(map(repr, ratios.tolist())), dtype=object)
+                texts[~np.isfinite(ratios)] = ""
+                columns.append(texts.tolist())
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     _write_manifest(
         out, "predict", argv, seed=None, config_path=None,

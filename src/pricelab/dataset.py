@@ -16,10 +16,12 @@ customer in file order:
 a time: texts and ages by lookup in a table, and income and expenditure by
 three masks (a whole value below 2**63 as the text of its int64, any
 other value by ``repr``, a whole value past int64 as ``str(int(value))``).
-``load_csv`` reads the grammar ``write_csv`` writes: one line per row, no
-quoting, ASCII numbers that ``np.loadtxt`` and ``int``/``float`` read alike,
-the exact lowercase texts, and empty lines skipped.  ``_parse_lines`` is its
-only parser: it parses blocks of lines in C (``np.loadtxt``) and decodes
+``load_csv`` reads the grammar ``write_csv`` writes: a header line of the
+exact ``CSV_COLUMNS`` (the last may be left off), then one line per row,
+ASCII numbers that ``np.loadtxt`` and ``int``/``float`` read alike, the
+exact lowercase texts, and empty lines skipped; no line is padded, quoted
+or longer than ``_FIELD_LIMIT``.  ``_parse_lines`` is the only parser of
+the body: it parses blocks of lines in C (``np.loadtxt``) and decodes
 their texts by ``searchsorted``.  A file with a line it refuses does not
 load; ``_check_row`` names that line's error, checking the numbers (id,
 age, income) of a row before its other columns.
@@ -42,14 +44,13 @@ population rates are fixed: ``_SMOKE_RATE``, ``_CLAIM_RATE`` and
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -454,6 +455,7 @@ def _append(arrays: list[np.ndarray], n: int, columns: list) -> tuple[list[np.nd
 
 # Lines per loadtxt call (as fast as 4096, with a quarter of the text).
 _PARSE_LINES = 1024
+_FIELD_LIMIT = 131072  # longest line with its ending (csv's default); loadtxt has no limit
 _TEXTS = {1: _GENDER_TEXT, 4: _SMOKE_TEXT, 5: _CLAIM_TEXT}  # by CSV column
 _RECORD = [(name, f"S{max(map(len, _TEXTS[j])) + 1}" if j in _TEXTS else dtype)
            for j, (name, dtype) in enumerate(_COLUMNS.items())]  # see _parse_lines
@@ -473,11 +475,10 @@ def _parse_lines(lines: list[str], width: int) -> list[np.ndarray] | None:
     ``int`` and ``float`` read alike and the exact texts of ``_TEXTS``
     (each read one byte wider than the longest, to cut none down to one)."""
     # A byte string drops NULs; loadtxt reads U+001C-U+001F, which ``int``
-    # and ``float`` refuse, and Unicode spaces as spaces; and loadtxt has
-    # no field size limit.
+    # and ``float`` refuse, and Unicode spaces as spaces.
     text = "".join(lines)
     if (not text.isascii() or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
-            or max(map(len, lines)) > csv.field_size_limit()):
+            or max(map(len, lines)) > _FIELD_LIMIT):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a deprecated parse, or no rows
@@ -495,73 +496,71 @@ def _parse_lines(lines: list[str], width: int) -> list[np.ndarray] | None:
     return columns
 
 
-def _check_row(path: Path, line: str, row_no: int, width: int) -> ParseError:
-    """The error of line ``row_no``, which ``_parse_lines`` refuses.
+def _cells(path: Path, line: str, line_no: int) -> list[str]:
+    """Line ``line_no`` of a customer CSV, the header or a row, split on
+    commas without its line ending; no cell is stripped, case-folded or
+    unquoted.  A line longer than ``_FIELD_LIMIT`` is a ``ParseError``."""
+    if len(line) > _FIELD_LIMIT:
+        raise ParseError(f"{path}: line {line_no}: field larger than field limit ({_FIELD_LIMIT})")
+    return line.rstrip("\r\n").split(",")
 
-    The line is split on commas, and no cell is stripped, case-folded or
-    unquoted.  The error names the first cell, in ``_CHECK_ORDER``, that is
-    not one of its column's ``_TEXTS`` or that ``int`` or ``float`` (by the
-    column's ``_COLUMNS`` dtype) refuses; failing that, a number that the C
-    reader alone refuses.
+
+def _check_row(path: Path, line: str, row_no: int, width: int) -> NoReturn:
+    """Raise the error of line ``row_no``, which ``_parse_lines`` refuses.
+
+    The error names the line's ``_cells`` error, its cell count, or the
+    first cell, in ``_CHECK_ORDER``, that is not one of its column's
+    ``_TEXTS`` or that ``int`` or ``float`` (by the column's ``_COLUMNS``
+    dtype) refuses; failing that, a number that the C reader alone refuses.
     """
-    if len(line) > csv.field_size_limit():
-        return ParseError(f"{path}: line {row_no}: field larger than field limit "
-                          f"({csv.field_size_limit()})")
-    cells = line.rstrip("\r\n").split(",")
+    cells = _cells(path, line, row_no)
     if len(cells) != width:
-        return ParseError(f"row {row_no}: expected {width} cells, got {len(cells)}", row=row_no)
+        raise ParseError(f"row {row_no}: expected {width} cells, got {len(cells)}", row=row_no)
     for j in _CHECK_ORDER[:width]:
         cell = cells[j]
         if j in _TEXTS:
             if cell not in _TEXTS[j]:
-                return ParseError(f"row {row_no}: invalid {CSV_COLUMNS[j]} {cell!r} "
-                                  f"(expected one of: {', '.join(_TEXTS[j])})", row=row_no)
+                raise ParseError(f"row {row_no}: invalid {CSV_COLUMNS[j]} {cell!r} "
+                                 f"(expected one of: {', '.join(_TEXTS[j])})", row=row_no)
             continue
         try:
             (int if _RECORD[j][1] is np.int64 else float)(cell)
         except ValueError as exc:
-            return ParseError(f"row {row_no}: {exc}", row=row_no)
-    return ParseError(f"row {row_no}: a number outside the CSV grammar "
-                      "(ASCII, no '_', integers within int64)", row=row_no)
+            raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
+    raise ParseError(f"row {row_no}: a number outside the CSV grammar "
+                     "(ASCII, no '_', integers within int64)", row=row_no)
 
 
 def load_csv(path: str | Path) -> Dataset:
     """Load and validate a customer CSV.
 
-    The header must match the canonical contract exactly; the expenditure
-    column may be absent (prediction-only input).  ``_parse_lines`` parses
-    the body in blocks of ``_PARSE_LINES`` lines.  A block it refuses is an
-    error unless every line in it is empty: ``_check_row`` names the first
-    of its lines that ``_parse_lines`` refuses on its own, by its row (the
-    header is row 1).  Invariant failures name the record id.
+    The header is the first line's ``_cells``: ``CSV_COLUMNS``, with or
+    without the expenditure column (prediction-only input).  The body is
+    parsed in blocks of ``_PARSE_LINES`` lines.  A block ``_parse_lines``
+    refuses is an error unless every line in it is empty: ``_check_row``
+    raises the error of the first line it refuses on its own, by its row
+    (the header is row 1).  Invariant failures name the record id.
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
+            line = fh.readline()
         except UnicodeDecodeError:
             raise not_utf8(path) from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-        header = tuple(h.strip() for h in header)
+        if not line:
+            raise SchemaError(f"{path}: file is empty")
+        header = tuple(_cells(path, line, 1))
         if header not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
             missing = [c for c in CSV_COLUMNS[:-1] if c not in header]
-            extra = [c for c in header if c not in CSV_COLUMNS]
-            detail = []
-            if missing:
-                detail.append(f"missing column(s): {', '.join(missing)}")
-            if extra:
-                detail.append(f"unexpected column(s): {', '.join(extra)}")
-            if not detail:
-                detail.append(f"column order must be {','.join(CSV_COLUMNS)}")
-            raise SchemaError(f"{path}: bad header; " + "; ".join(detail))
+            extra = [repr(c) for c in header if c not in CSV_COLUMNS]
+            detail = [f"{what} column(s): {', '.join(names)}"
+                      for what, names in (("missing", missing), ("unexpected", extra)) if names]
+            raise SchemaError(f"{path}: bad header; " + ("; ".join(detail) or
+                              f"column order must be {','.join(CSV_COLUMNS)}"))
 
         width = len(header)
         arrays = [np.empty(0, dtype) for dtype in list(_COLUMNS.values())[:width]]
-        n, row_no = 0, reader.line_num + 1  # rows loaded, and the row of the next line read
+        n, row_no = 0, 2  # rows loaded, and the row of the next line read
         while True:
             lines, undecodable = [], False
             try:
@@ -574,7 +573,7 @@ def load_csv(path: str | Path) -> Dataset:
             elif columns is None:  # an error, unless every line is empty
                 for row, line in enumerate(lines, start=row_no):
                     if line.rstrip("\r\n") and _parse_lines([line], width) is None:
-                        raise _check_row(path, line, row, width)
+                        _check_row(path, line, row, width)
             if undecodable:
                 raise not_utf8(path)
             if not lines:

@@ -34,10 +34,21 @@ import scipy.linalg
 import pricelab
 from pricelab import smoothing
 from pricelab.ann import Weights, _gradients, _run, _Workspace
-from pricelab.dataset import CLAIMS, Dataset, Gender, encode_dataset
+from pricelab.dataset import CLAIMS, CSV_COLUMNS, Dataset, Gender, encode_dataset
 from pricelab.errors import ValidationError
 from pricelab.evaluation import PATIENCE, _upturn_at
 from pricelab.gam import predict_gam
+
+
+# Header lines outside the header's grammar (the exact names, split on
+# commas): a padded name, a quoted one, a name ending in a tab, and a
+# quoted name holding a line break.
+REFUSED_HEADERS = {
+    "padded": ",".join(CSV_COLUMNS).replace("gender", " gender "),
+    "quoted": ",".join(CSV_COLUMNS).replace("id", '"id"', 1),
+    "tab": ",".join(CSV_COLUMNS).replace("id", "id\t", 1),
+    "line-break": ",".join(CSV_COLUMNS).replace("id", '"id\n"', 1),
+}
 
 
 def make_dataset(rows) -> Dataset:

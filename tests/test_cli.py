@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import package_env
+from conftest import REFUSED_HEADERS, package_env
 from pricelab.ann import MAX_EPOCHS, MAX_HIDDEN, AnnModel, NetworkTopology, TrainingConfig
 from pricelab.artifacts import load_model
 from pricelab.cli import build_parser, main, replay_manifest
@@ -96,6 +96,27 @@ def test_fit_bad_header_exits_3(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,sex,age,income,smoke,previous_claim,expenditure\n")
     assert run("fit", "--family", "glm", "--in", bad, "-o", tmp_path / "m") == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("header", REFUSED_HEADERS.values(), ids=list(REFUSED_HEADERS))
+def test_a_header_outside_the_grammar_exits_3_with_one_error_line(
+    tmp_path, fitted_artifacts, capsys, command, header
+):
+    """A padded, quoted or tab-ended header name, or a quoted one holding
+    a line break: exit 3 with the one bad-header error line, and no output."""
+    rows = (fitted_artifacts / "data.csv").read_text().splitlines()[1:]
+    book = tmp_path / "book.csv"
+    book.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    argv = {"fit": ["fit", "--family", "glm", "--in", book, "-o", out],
+            "predict": ["predict", "--model", fitted_artifacts / "glm.model", "--in", book,
+                        "-o", out]}[command]
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {book}: bad header; ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_fit_divergent_config_exits_4(tmp_path, data_csv):
@@ -313,7 +334,7 @@ def test_compare_takes_no_config(tmp_path, capsys):
 @pytest.mark.parametrize("where, line", [("header", 1), ("body", 3)])
 def test_an_over_long_cell_exits_3_with_one_error_line(tmp_path, data_csv, capsys,
                                                        command, where, line):
-    """A cell past ``csv.reader``'s field size limit, in the header or a row."""
+    """A line past the CSV field size limit, in the header or a row."""
     long = "x" * 200_000
     header, *rows = data_csv.read_text().splitlines()[:3]
     if where == "header":
@@ -505,7 +526,7 @@ def whole_file_predictions(model_path, input_path):
     else:
         lines = ["id,predicted_expenditure,ratio"]
         lines += [
-            f"{i},{p!r}," + ("" if a == 0 else repr(p / a))
+            f"{i},{p!r}," + (repr(p / a) if a and math.isfinite(p / a) else "")
             for i, p, a in zip(ids, predictions, actual.tolist())
         ]
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -519,12 +540,11 @@ def test_predict_writes_the_bytes_of_whole_file_formatting(
 ):
     """Each family's lines, formatted and written a block at a time, are the
     bytes of the whole file formatted at once.  A ratio cell is empty
-    exactly where the expenditure is 0: on the generated book's own zeros,
-    where softplus underflows, and on the last row's.  So is it for an
-    expenditure of -0.0, and one of 5e-324 gives a ratio of inf, as
-    ``p / a`` does, on and across the edge of the first block.  With the
-    expenditure column cut off, the lines are the first two columns of the
-    book's own."""
+    exactly where ``p / a`` is not finite: on the generated book's own
+    zeros, where softplus underflows, and on the last row's 0.  So is it
+    for an expenditure of -0.0 and one of 5e-324 (a ratio of inf), on and
+    across the edge of the first block.  With the expenditure column cut
+    off, the lines are the first two columns of the book's own."""
     header, rows = book_rows
     rows = rows[:n - 1] + [rows[n - 1].rsplit(",", 1)[0] + ",0.0"]
     odd = {k: spend for k, spend in [(_PRICE_ROWS - 2, "-0.0"), (_PRICE_ROWS - 1, "5e-324"),
@@ -532,7 +552,7 @@ def test_predict_writes_the_bytes_of_whole_file_formatting(
            if k < n - 1}
     for k, spend in odd.items():
         rows[k] = rows[k].rsplit(",", 1)[0] + "," + spend
-    zeros = [float(row.rsplit(",", 1)[1]) == 0 for row in rows]
+    blanks = [float(row.rsplit(",", 1)[1]) in (0.0, 5e-324) for row in rows]
     book = tmp_path / "book.csv"
     book.write_text("\n".join([header, *rows]) + "\n")
     priced = book
@@ -549,12 +569,31 @@ def test_predict_writes_the_bytes_of_whole_file_formatting(
         assert written.endswith(b",\n") == actuals
         lines = written.decode().split("\n")[1:-1]
         if actuals:
-            assert [line.endswith(",") for line in lines] == zeros
-            for k, spend in odd.items():
-                assert lines[k].rsplit(",", 1)[1] == ("" if spend == "-0.0" else "inf")
+            assert [line.endswith(",") for line in lines] == blanks
+            assert all(lines[k].endswith(",") for k in odd)
         else:  # the first two columns of the book's own predictions
             book_lines = whole_file_predictions(model, book).decode().split("\n")[1:-1]
             assert lines == [line.rsplit(",", 1)[0] for line in book_lines]
+
+
+def test_a_ratio_that_is_not_finite_is_blank(tmp_path, fitted_artifacts):
+    """An actual of 0 and one of 5e-324, whose ratio overflows to inf,
+    both get a blank ratio cell from every family; every other ratio cell
+    is the finite ``p / a``."""
+    header, *rows = (fitted_artifacts / "data.csv").read_text().splitlines()
+    for k, spend in ((2, "0"), (5, "5e-324")):
+        rows[k] = rows[k].rsplit(",", 1)[0] + "," + spend
+    book = tmp_path / "book.csv"
+    book.write_text("\n".join([header, *rows]) + "\n")
+    actual = [float(row.rsplit(",", 1)[1]) for row in rows]
+    out = tmp_path / "p.csv"
+    for family in FAMILIES:
+        assert run("predict", "--model", fitted_artifacts / f"{family}.model", "--in", book,
+                   "-o", out) == 0
+        cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [k for k, (_, _, ratio) in enumerate(cells) if ratio == ""] == [2, 5], family
+        assert all(float(ratio) == float(price) / a
+                   for (_, price, ratio), a in zip(cells, actual) if ratio), family
 
 
 @pytest.mark.parametrize("cell", ["gender", "id"])
@@ -1142,7 +1181,8 @@ def test_damaged_input_exits_with_a_code_and_one_error_line(valid_inputs, comman
     set to a finite extreme, as any input a command reads, with an artifact
     of any family: exit 0, 2, 3 or 4, and stderr holds at most one error
     line (after argparse's usage line for exit 2), never a traceback.  A
-    predict that exits 0 writes only finite prices."""
+    predict that exits 0 writes only finite prices, and ratio cells that
+    are blank or finite."""
     valid = valid_inputs[data.draw(st.sampled_from(sorted(valid_inputs)), label="family")]
     target = data.draw(st.sampled_from(READS[command]), label="damaged input")
     damaged = data.draw(
@@ -1162,8 +1202,10 @@ def test_damaged_input_exits_with_a_code_and_one_error_line(valid_inputs, comman
             except SystemExit as exc:
                 code = exc.code
         if code == 0 and command == "predict":
-            rows = (d / "out.csv").read_text().splitlines()[1:]
-            assert all(math.isfinite(float(row.split(",")[1])) for row in rows), rows
+            rows = [row.split(",") for row in (d / "out.csv").read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(row[1])) for row in rows), rows
+            assert all(row[2:] in ([], [""]) or math.isfinite(float(row[2]))
+                       for row in rows), rows
     lines = err.getvalue().splitlines()
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 0:

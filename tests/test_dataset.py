@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import make_dataset, rows_of
+from conftest import REFUSED_HEADERS, make_dataset, rows_of
 from pricelab import dataset
 from pricelab.dataset import (
     CLAIMS,
@@ -382,6 +382,37 @@ def test_load_csv_bad_header(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("header, unexpected", [
+    (REFUSED_HEADERS["padded"], "' gender '"),
+    (REFUSED_HEADERS["quoted"], "'\"id\"'"),
+    (REFUSED_HEADERS["tab"], "'id\\t'"),
+    (REFUSED_HEADERS["line-break"], "'\"id'"),
+], ids=list(REFUSED_HEADERS))
+def test_a_header_is_its_exact_names_split_on_commas(tmp_path, header, unexpected):
+    """A header name that is padded, quoted or followed by a tab is
+    refused, and so is a quoted name holding a line break; the error shows
+    the unexpected name by its ``repr``."""
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1,male,44,1000,no,none,50\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: bad header; .*"
+                                          f"unexpected column\\(s\\): {re.escape(unexpected)}$"):
+        load_csv(path)
+
+
+def test_a_crlf_header_loads_and_the_first_row_is_row_2(tmp_path):
+    """A header ending in CRLF is the header; a bad line right after it
+    is named row 2."""
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b",".join(c.encode() for c in CSV_COLUMNS) + b"\r\n"
+                     b"1,male,44,1000,no,none,50\r\n")
+    assert rows_of(load_csv(path)) == [(1, Gender.MALE, 44, 1000.0, False, PriorClaim.NONE, 50.0)]
+    path.write_bytes(b",".join(c.encode() for c in CSV_COLUMNS) + b"\r\n"
+                     b"1,male,elderly,1000,no,none,50\r\n")
+    with pytest.raises(ParseError, match="^row 2: ") as err:
+        load_csv(path)
+    assert err.value.row == 2
+
+
 def test_load_csv_parse_error_names_row(tmp_path):
     path = tmp_path / "bad_row.csv"
     path.write_text(
@@ -418,8 +449,8 @@ def test_load_csv_empty_file(tmp_path):
       for pad, name in (("0", "zeros"), (" ", "spaces"))),
 ])
 def test_an_over_long_cell_is_a_parse_error_naming_its_line(tmp_path, where, pad, line):
-    """A cell past ``csv.reader``'s field size limit is refused as a
-    ``ParseError`` naming the file and the line, in the header or a row.
+    """A line past the field size limit of 131072 characters is refused
+    as a ``ParseError`` naming the file and the line, in the header or a row.
     So is a number padded with zeros or spaces past the limit, which
     ``int`` and ``float`` would read, also after a block of lines that the
     fast reader takes."""
@@ -448,14 +479,15 @@ _GRAMMAR_TEXTS = {1: [g.value for g in Gender], 4: ["no", "yes"], 5: [c.value fo
 
 
 def _row_by_row_load_csv(path):
-    """The reference loader of the CSV grammar: each line of the body is
-    read in turn, empty lines are skipped, and every other line is split on
-    commas.  A text must be one of its column's exact texts; a number must
-    be ASCII, hold no ``_``, and be read by ``int`` (within int64) or
-    ``float``.  The first line outside the grammar is reported: an
-    over-long line by its line number, else by its row, naming a wrong cell
-    count, else its first bad cell (id, age and income checked first), else
-    a number outside the grammar."""
+    """The reference loader of the CSV grammar: the header is the first
+    line split on commas; each line of the body is read in turn, empty
+    lines are skipped, and every other line is split on commas.  A text
+    must be one of its column's exact texts; a number must be ASCII, hold
+    no ``_``, and be read by ``int`` (within int64) or ``float``.  The
+    first line outside the grammar is reported: an over-long line by its
+    line number, else by its row, naming a wrong cell count, else its first
+    bad cell (id, age and income checked first), else a number outside the
+    grammar."""
     def lines(fh):
         try:
             yield from fh
@@ -465,17 +497,16 @@ def _row_by_row_load_csv(path):
     path = Path(path)
     limit = csv.field_size_limit()
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(lines(fh))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        header = tuple(h.strip() for h in header)
+        body = lines(fh)
+        line = next(body, "")
+        if not line:
+            raise SchemaError(f"{path}: file is empty")
+        header = tuple(line.rstrip("\r\n").split(","))
         if header not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
             raise SchemaError(f"{path}: bad header")
 
         columns = [[] for _ in header]
-        for row_no, line in enumerate(lines(fh), start=reader.line_num + 1):
+        for row_no, line in enumerate(body, start=2):
             if len(line) > limit:
                 raise ParseError(
                     f"{path}: line {row_no}: field larger than field limit ({limit})")
