@@ -60,6 +60,7 @@ from .dataset import (
     N_FEATURES,
     encode_with_response,
     feature_matrix,
+    holdout,
 )
 from .errors import DivergenceError, NumericError, ValidationError
 
@@ -71,6 +72,8 @@ MAX_HIDDEN = 1024
 # Most descent epochs per run: a bound on the run time (and the loss
 # histories), checked before training starts.
 MAX_EPOCHS = 1_000_000
+# Seed of the initial weights and of ``train``'s validation rows.
+TRAIN_SEED = 0
 # Read-only 1.0 for the descent's elementwise calls: numpy takes a 0-d array
 # operand in about a third of the time it takes a Python float.
 _ONE = np.ones(())
@@ -165,11 +168,11 @@ class Weights:
 
 @dataclass(frozen=True)
 class TrainingConfig:
+    """The descent's step size and epoch cap; the rest of the protocol is fixed."""
+
     learning_rate: float = 0.05
     max_epochs: int = 2000
-    seed: int = 0
-    validation_fraction: float = 0.2
-    early_stop_patience: int = 100
+    early_stop_patience = 100  # class constant, not a field
 
     def __post_init__(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -178,14 +181,6 @@ class TrainingConfig:
             raise ValidationError(
                 f"max_epochs must lie in [1, {MAX_EPOCHS}], got {self.max_epochs}"
             )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 < self.validation_fraction <= 0.5):
-            raise ValidationError(
-                f"validation_fraction must lie in (0, 0.5], got {self.validation_fraction}"
-            )
-        if self.early_stop_patience < 1:
-            raise ValidationError("early_stop_patience must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -377,11 +372,11 @@ def train(
 ) -> AnnModel:
     """Fit the network; returns the weights of the best validation epoch.
 
-    The validation slice is carved off the given training half with the
-    training seed, so identical (data, topology, training) rebuild
-    bit-identical models.  Descent stops ``early_stop_patience`` epochs
-    after the best validation epoch, or at ``max_epochs``.  Loss histories
-    are truncated at the returned epoch.
+    The validation rows are ``holdout``'s at ``TRAIN_SEED``, which also
+    draws the initial weights, so identical (data, topology, training)
+    rebuild bit-identical models.  Descent stops ``early_stop_patience``
+    epochs after the best validation epoch, or at ``max_epochs``.  Loss
+    histories are truncated at the returned epoch.
     """
     if train_data.n < 10:
         raise ValidationError(f"an ANN fit needs at least 10 rows, got {train_data.n}")
@@ -390,14 +385,11 @@ def train(
     scaler = TargetScaler.fit(y)
     targets = scaler.scale(y)
 
-    n_val = max(1, int(round(training.validation_fraction * train_data.n)))
-    # The first n_val rows of the permutation are the validation rows.  They
-    # go after the fit rows, and ride the descent's forward pass.
-    order = np.roll(np.random.default_rng(training.seed).permutation(train_data.n), -n_val)
-    X, targets = X[order], targets[order]
-    fit_targets, val_targets = targets[:-n_val], targets[-n_val:]
+    fit, val = holdout(train_data.n, TRAIN_SEED)
+    # The validation rows go after the fit rows, and ride the descent's forward pass.
+    X, fit_targets, val_targets = X[np.concatenate((fit, val))], targets[fit], targets[val]
 
-    weights = init_weights(topology, training.seed)
+    weights = init_weights(topology, TRAIN_SEED)
     train_hist: list[float] = []
     val_hist: list[float] = []
     best_val, best_epoch, best, stale = math.inf, 0, _flatten(weights), 0
@@ -406,7 +398,7 @@ def train(
         train_hist.append(loss)
         vres = work.held_out
         np.subtract(vres, val_targets, vres)
-        vloss = float(vres.dot(vres)) / n_val
+        vloss = float(vres.dot(vres)) / val.size
         if math.isnan(vloss):
             raise NumericError(f"validation loss became NaN at epoch {epoch}")
         val_hist.append(vloss)
@@ -449,7 +441,7 @@ def train_trajectory(
     X, y = encode_with_response(train_data)
     scaler = TargetScaler.fit(y)
     descent = _epochs(
-        init_weights(topology, training.seed), X, scaler.scale(y), training.learning_rate
+        init_weights(topology, TRAIN_SEED), X, scaler.scale(y), training.learning_rate
     )
     wanted = set(checkpoints)
     return (

@@ -129,9 +129,6 @@ _SMOOTH_FIELDS = {
 _TRAINING_FIELDS = {
     "learning_rate": ("learning_rate", _float_of),
     "max_epochs": ("max_epochs", _int_of),
-    "patience": ("early_stop_patience", _int_of),
-    "validation_fraction": ("validation_fraction", _float_of),
-    "train_seed": ("seed", _int_of),
 }
 # one key per GeneratorParams field, read as its declared type
 _GENERATOR_FIELDS = {

@@ -62,6 +62,8 @@ N_FEATURES = len(FEATURE_NAMES)
 # Largest synthetic portfolio: a bound on the generated columns, checked
 # before any of them is allocated.
 MAX_ROWS = 1_000_000
+# Share of a training set that ``holdout`` keeps out of the fit for validation.
+VALIDATION_FRACTION = 0.2
 
 # Design constants of the generator population.  Smoking and claim rates are
 # equal on purpose: copying the smoker flag into the claim flag with
@@ -366,6 +368,19 @@ def split_half(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     perm = np.random.default_rng(seed).permutation(dataset.n)
     k = math.ceil(dataset.n / 2)
     return dataset.take(perm[:k]), dataset.take(perm[k:])
+
+
+def holdout(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (fit, validation) row positions of an n-row training set.
+
+    The first ``max(1, round(VALIDATION_FRACTION * n))`` positions of
+    ``default_rng(seed).permutation(n)`` are held out for validation, and
+    the rest, in that order, are fit.  ``ann.train`` holds out its
+    early-stopping rows by this rule and ``overfit_scan`` its scoring rows.
+    """
+    perm = np.random.default_rng(seed).permutation(n)
+    k = max(1, round(VALIDATION_FRACTION * n))
+    return perm[k:], perm[:k]
 
 
 def _format_number(value: float) -> str:

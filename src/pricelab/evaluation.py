@@ -7,7 +7,7 @@ comparison protocol is fixed by these constants and ``PATIENCE``, not by
 options.  Overfitting is probed along a
 family-specific capacity ladder (epoch checkpoints for the network, a
 decreasing smoothing penalty for the additive model, a single point for the
-linear one) on an internal 80/20 split: the reported threshold is the
+linear one) on ``holdout``'s 80/20 split: the reported threshold is the
 training relative error at the first step where validation error rises for
 ``PATIENCE`` (3) consecutive steps while training error still falls.  The
 ladder is walked lazily and the scan stops at that first upturn, so an
@@ -39,6 +39,7 @@ from .dataset import (
     GeneratorParams,
     encode_with_response,
     generate_synthetic,
+    holdout,
 )
 from .errors import NumericError, ValidationError
 from .glm import LinkKind
@@ -274,22 +275,6 @@ def _upturn_at(train_err: Sequence[float], val_err: Sequence[float], t: int) -> 
     return rising and train_err[t] < train_err[t - 1]
 
 
-def _scan_val_rows(n: int) -> int:
-    return max(1, int(round(n * 0.2)))
-
-
-def _split_for_scan(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    if train.n < 10:
-        raise ValidationError(
-            f"overfitting scan: the train half has {train.n} rows and needs at least 10"
-        )
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    perm = np.random.default_rng(seed).permutation(train.n)
-    n_val = _scan_val_rows(train.n)
-    return train.take(perm[n_val:]), train.take(perm[:n_val])
-
-
 def overfit_scan(
     family: Family,
     train: Dataset,
@@ -307,10 +292,16 @@ def overfit_scan(
     before, so only that index is checked; the threshold equals the one a
     scan of the whole ladder would find.
     """
-    fit_half, val_half = _split_for_scan(train, seed)
+    if train.n < 10:
+        raise ValidationError(
+            f"overfitting scan: the train half has {train.n} rows and needs at least 10"
+        )
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    fit_half, val_half = (train.take(part) for part in holdout(train.n, seed))
     rows = family.ladder_rows
     if fit_half.n < rows:
-        need = next(n for n in itertools.count(train.n) if n - _scan_val_rows(n) >= rows)
+        need = next(n for n in itertools.count(train.n) if holdout(n, seed)[0].size >= rows)
         raise ValidationError(
             f"overfitting scan: the {family.name.upper()} fit split has {fit_half.n} rows and "
             f"needs {rows}, so the train half needs at least {need} rows, not {train.n}"

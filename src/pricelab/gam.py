@@ -63,10 +63,9 @@ from .dataset import (
     feature_matrix,
 )
 from .errors import NumericError, ValidationError
-from .glm import LinkKind
+from .glm import LOG_FLOOR, LinkKind
 
 MIN_TRAIN_ROWS = 20
-_LOG_FLOOR = 1.0  # currency floor applied before log-transforming responses
 # Most knots per smooth: a bound on the spline design and penalty arrays,
 # checked before any of them is allocated.
 MAX_KNOTS = 100
@@ -150,7 +149,7 @@ def _working_data(link: LinkKind, train: Dataset):
     """Encoded features and the working response z (y, or log y under the log link)."""
     X, y = encode_with_response(train)
     if link is LinkKind.LOG:
-        return X, np.log(np.clip(y, _LOG_FLOOR, None))
+        return X, np.log(np.clip(y, LOG_FLOOR, None))
     return X, y
 
 

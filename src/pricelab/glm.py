@@ -26,6 +26,7 @@ from .errors import ConvergenceError, NumericError, SingularityError, Validation
 
 _IRLS_TOL = 1e-8
 _IRLS_MAX_ITER = 100
+LOG_FLOOR = 1.0  # currency floor applied to a response before its log
 
 
 class LinkKind(enum.Enum):
@@ -63,7 +64,7 @@ def _least_squares(design: np.ndarray, target: np.ndarray,
 
 def _gauss_newton(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Log link: IRLS on sum (y - exp(eta))^2; (beta, iterations, fitted)."""
-    beta = _least_squares(design, np.log(np.clip(y, 1.0, None)))
+    beta = _least_squares(design, np.log(np.clip(y, LOG_FLOOR, None)))
     for iteration in range(1, _IRLS_MAX_ITER + 1):
         eta = np.clip(design @ beta, -30.0, 30.0)
         mu = np.exp(eta)

@@ -234,8 +234,12 @@ def test_library_compare_of_split_halves_writes_the_cli_report(tmp_path):
 NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
 
 
-# Keys of settings that are fixed now: the input encoding's and the band's.
-RETIRED_KEYS = ("age_max", "income_max", "trim_fraction", "floor")
+# Keys of settings that are fixed now: the input encoding's, the band's and the
+# network's early-stopping protocol's.
+RETIRED_KEYS = (
+    "age_max", "income_max", "trim_fraction", "floor",
+    "patience", "validation_fraction", "train_seed",
+)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -263,7 +267,9 @@ RETIRED_KEYS = ("age_max", "income_max", "trim_fraction", "floor")
     ("fit", "hidden = 100000000"),
     ("fit", "knots = 100000000"),
     ("fit", "max_epochs = 100000000"),
-    ("fit", "train_seed = -1"),
+    ("fit", "train_seed = 0"),
+    ("fit", "patience = 100"),
+    ("fit", "validation_fraction = 0.2"),
     ("gen", "seed = -1"),
 ])
 def test_bad_input_exits_3_with_one_error_line(tmp_path, data_csv, capsys, command, config):

@@ -32,6 +32,7 @@ from pricelab.dataset import (
     encode_dataset,
     encode_with_response,
     generate_synthetic,
+    holdout,
     load_csv,
     split_half,
     write_csv,
@@ -328,6 +329,22 @@ def test_take_keeps_the_order_asked_for(tmp_path):
     assert picked.ids.tolist() == [i for i in loaded.ids.tolist() if i in wanted]
     assert rows_of(picked) == [row for row in rows_of(loaded) if row[0] in wanted]
     assert rows_of(loaded.take([5, 0, 7])) == [rows_of(loaded)[k] for k in (5, 0, 7)]
+
+
+@given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_holdout_is_the_rule_the_scan_and_train_used(n, seed):
+    """``holdout`` gives exactly the rows that the overfitting scan's own
+    split and ``train``'s rolled permutation held out before it was the one
+    rule; both reference formulas are written out here."""
+    fit, val = holdout(n, seed)
+    perm = np.random.default_rng(seed).permutation(n)
+    n_val = max(1, int(round(n * 0.2)))  # the scan's split: a Dataset.take of each part
+    assert (fit.tolist(), val.tolist()) == (perm[n_val:].tolist(), perm[:n_val].tolist())
+    n_val = max(1, int(round(0.2 * n)))  # train: validation rows after the fit rows
+    order = np.roll(perm, -n_val)
+    assert np.concatenate((fit, val)).tolist() == order.tolist()
+    assert (fit.tolist(), val.tolist()) == (order[:-n_val].tolist(), order[-n_val:].tolist())
 
 
 def test_split_half_too_small():

@@ -25,6 +25,7 @@ from pricelab.dataset import (
     PriorClaim,
     encode_with_response,
     generate_synthetic,
+    holdout,
     split_half,
 )
 from pricelab.errors import DivergenceError, ValidationError
@@ -48,7 +49,6 @@ from pricelab.evaluation import (
     RATIO_FLOOR,
     TRIM_FRACTION,
     _relative_rmse,
-    _split_for_scan,
 )
 from pricelab.gam import fit_gam
 from pricelab.glm import LinkKind, fit_glm
@@ -259,7 +259,7 @@ def test_overfit_scan_noisy_data_finds_threshold():
 def full_ladder_scan(family, train, steps, seed):
     """The reference scan: score every step of the ladder, then look for the
     first upturn in the whole sequence."""
-    fit_half, val_half = _split_for_scan(train, seed)
+    fit_half, val_half = (train.take(part) for part in holdout(train.n, seed))
     X_fit, y_fit = encode_with_response(fit_half)
     X_val, y_val = encode_with_response(val_half)
     ladder = list(family.ladder(fit_half, steps))

@@ -1,15 +1,19 @@
-"""The scripts under ``scripts/`` run on the library as it stands."""
+"""The scripts under ``scripts/`` run on the library as it stands, and the
+benchmark's tracer still finds the names it reads."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from conftest import package_env
 from pricelab.ann import TrainingConfig
 from pricelab.dataset import GeneratorParams
 from pricelab.evaluation import AnnFamily, learning_curve, learning_curve_csv
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_learning_curve_script_writes_the_in_process_curve_and_no_stderr(tmp_path):
@@ -33,3 +37,17 @@ def test_learning_curve_script_writes_the_in_process_curve_and_no_stderr(tmp_pat
     )
     assert sum(t is not None for _, _, t in curve.cells) == 2
     assert out.read_text() == learning_curve_csv(curve)
+
+
+def test_the_benchmark_tracer_counts_train_epochs_from_a_training_config(monkeypatch):
+    """``perfbench/tracer.py`` counts the epochs ``ann.train`` ran from the
+    caller's ``TrainingConfig`` (its patience and epoch cap), with no
+    config given, at the defaults and at the learning rate of the
+    benchmark's ``curve`` workload."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for stopped, epochs in ((10, 110), (1950, 2000)):
+        model = SimpleNamespace(stopped_epoch=stopped)
+        assert tracer._epochs_of_train((), {}, model) == epochs
+        for training in (TrainingConfig(), TrainingConfig(learning_rate=0.4)):
+            assert tracer._epochs_of_train((), {"training": training}, model) == epochs
